@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
@@ -86,41 +85,9 @@ def cmd_stage1(cfg: PipelineConfig) -> int:
 
     samples = _run_per_task(cfg, tasks, one)
     kept, rejected = datafactory.stage1_filter(samples)
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    sft_path = os.path.join(cfg.out_dir, "sft.jsonl")
-    with open(sft_path, "w", encoding="utf-8", newline="\n") as fh:
-        for r in kept[: cfg.max_sft]:
-            fh.write(
-                json.dumps(
-                    {
-                        "prompt": r.prompt,
-                        "response": r.response,
-                        "task_id": r.task_id,
-                        "stage": r.source_stage,
-                    }
-                )
-                + "\n"
-            )
-    with open(
-        os.path.join(cfg.out_dir, "rejections.jsonl"), "w", encoding="utf-8", newline="\n"
-    ) as fh:
-        for r in rejected:
-            fh.write(
-                json.dumps({"task_id": r.task_id, "label": r.label, "detail": r.detail})
-                + "\n"
-            )
-    manifest = {
-        "counts": {"kept": min(len(kept), cfg.max_sft), "rejected": len(rejected)},
-        "seed": cfg.seed,
-        "config_hash": datafactory.config_hash(cfg.hashable_dict()),
-        "stage": datafactory.STAGE1,
-        "partial": len(kept) > cfg.max_sft,
-    }
-    with open(
-        os.path.join(cfg.out_dir, "manifest.json"), "w", encoding="utf-8", newline="\n"
-    ) as fh:
-        json.dump(manifest, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    manifest = datafactory.emit_stage1(
+        kept, rejected, cfg.out_dir, cfg.seed, cfg.hashable_dict(), cfg.max_sft
+    )
     print(f"stage1: kept {manifest['counts']['kept']}, rejected {len(rejected)}")
     return EXIT_OK
 
@@ -176,19 +143,19 @@ def cmd_stats(audit_path: str, as_json: bool) -> int:
 def cmd_verify_step(facts_path: str, rule_path: str) -> int:
     try:
         with open(facts_path, encoding="utf-8") as fh:
-            facts_kb = kernel.parse_program(fh.read())
+            facts, _ = kernel.parse_clauses(fh.read())
         with open(rule_path, encoding="utf-8") as fh:
-            rule_kb = kernel.parse_program(fh.read())
+            _, rules = kernel.parse_clauses(fh.read())
     except (kernel.KbError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAILURE
-    if len(rule_kb.rules) != 1:
+    if len(rules) != 1:
         print(
-            f"error: rule file must contain exactly 1 rule, got {len(rule_kb.rules)}",
+            f"error: rule file must contain exactly 1 rule, got {len(rules)}",
             file=sys.stderr,
         )
         return EXIT_FAILURE
-    verdict = kernel.verify_step(sorted(facts_kb.facts), rule_kb.rules[0])
+    verdict = kernel.verify_step(sorted(facts), rules[0])
     if verdict.executed:
         print(f"executed: {kernel.render_conclusions(verdict)}")
         return EXIT_OK

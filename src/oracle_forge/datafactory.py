@@ -5,11 +5,20 @@ Emitted files (all UTF-8, LF, fixed key order, no timestamps in records):
 - ``sft.jsonl``:  {"prompt", "response", "task_id", "stage"}
 - ``dpo.jsonl``:  {"prompt", "chosen", "rejected", "task_id"}
 - ``audit.jsonl``: one beam node per line (schema in docs/audit_schema.md)
-- ``manifest.json``: counts, seed, config hash, rule-language version
+- ``rejections.jsonl`` (stage 1 only): {"task_id", "label", "detail"}
+- ``manifest.json``: counts, seed, config hash, rule-language version (stage
+  2) or stage name (stage 1), and ``partial``: true when ``max_sft`` or
+  ``max_dpo`` cut records.
+
+Both stages write through ``write_outputs``: every file goes to a temporary
+name in the output directory first and is renamed into place only once all
+are written, ``manifest.json`` last.  A run that fails part-way leaves the
+previous run's files as they were.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import os
@@ -93,7 +102,9 @@ def normalize_answer(raw: str) -> str:
     """Trim, case-fold, strip terminal punctuation, canonicalize booleans,
     collapse inner whitespace.  Idempotent."""
     text = raw.strip().casefold()
-    text = re.sub(r"[.!?;:]+$", "", text).strip()
+    # Strip punctuation and whitespace together so "! !" cannot leave a
+    # new terminal "!" behind for a second pass to remove.
+    text = re.sub(r"[\s.!?;:]+$", "", text)
     text = re.sub(r"\s+", " ", text)
     if text in _TRUE_WORDS:
         return "true"
@@ -186,17 +197,16 @@ def node_to_audit(node, task_id: str) -> dict:
     }
 
 
+def _audit_lines(results: list[BeamResult]):
+    for result in results:
+        for node in result.nodes:
+            yield json.dumps(node_to_audit(node, result.task.id), sort_keys=True)
+
+
 def write_audit(results: list[BeamResult], path) -> int:
-    n = 0
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for result in results:
-            for node in result.nodes:
-                fh.write(
-                    json.dumps(node_to_audit(node, result.task.id), sort_keys=True)
-                    + "\n"
-                )
-                n += 1
-    return n
+    out_dir, name = os.path.split(os.fspath(path))
+    write_outputs(out_dir or ".", {name: _audit_lines(results)})
+    return sum(len(r.nodes) for r in results)
 
 
 def read_audit(path) -> list[dict]:
@@ -320,6 +330,76 @@ def config_hash(config_obj) -> str:
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
 
 
+def write_outputs(out_dir, files: dict, manifest: dict | None = None) -> None:
+    """Write each named file from its iterable of lines (without newlines), then
+    ``manifest.json`` if given, all or nothing: files are streamed to
+    temporary names in ``out_dir`` and renamed into place only once every one
+    is written, in order, the manifest last."""
+    os.makedirs(out_dir, exist_ok=True)
+    if manifest is not None:
+        manifest_text = json.dumps(manifest, sort_keys=True, indent=2)
+        files = {**files, "manifest.json": [manifest_text]}
+    written: list[tuple[str, str]] = []
+    try:
+        for name, lines in files.items():
+            tmp = os.path.join(out_dir, f".{name}.{os.getpid()}.tmp")
+            written.append((tmp, os.path.join(out_dir, name)))
+            with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+                for line in lines:
+                    fh.write(line + "\n")
+        for tmp, path in written:
+            os.replace(tmp, path)
+    finally:
+        for tmp, _ in written:
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(tmp)
+
+
+def _sft_line(r: SftRecord) -> str:
+    return json.dumps(
+        {
+            "prompt": r.prompt,
+            "response": r.response,
+            "task_id": r.task_id,
+            "stage": r.source_stage,
+        }
+    )
+
+
+def _dpo_line(r: DpoRecord) -> str:
+    return json.dumps(
+        {
+            "prompt": r.prompt,
+            "chosen": r.chosen,
+            "rejected": r.rejected,
+            "task_id": r.task_id,
+        }
+    )
+
+
+def _rejection_line(r: RejectReason) -> str:
+    return json.dumps({"task_id": r.task_id, "label": r.label, "detail": r.detail})
+
+
+def emit_stage1(kept, rejected, out_dir, seed: int, config: dict, max_sft: int) -> dict:
+    """Write stage 1's kept SftRecords to sft.jsonl, its RejectReasons to
+    rejections.jsonl, and manifest.json."""
+    sft = kept[:max_sft]
+    manifest = {
+        "counts": {"kept": len(sft), "rejected": len(rejected)},
+        "seed": seed,
+        "config_hash": config_hash(config),
+        "stage": STAGE1,
+        "partial": len(sft) < len(kept),
+    }
+    files = {
+        "sft.jsonl": map(_sft_line, sft),
+        "rejections.jsonl": map(_rejection_line, rejected),
+    }
+    write_outputs(out_dir, files, manifest)
+    return manifest
+
+
 def emit_datasets(
     results: list[BeamResult],
     out_dir,
@@ -330,58 +410,22 @@ def emit_datasets(
 ) -> dict:
     """Write sft.jsonl, dpo.jsonl, audit.jsonl, and manifest.json; rerun with
     identical inputs is byte-identical."""
-    os.makedirs(out_dir, exist_ok=True)
-    sft: list[SftRecord] = []
-    dpo: list[DpoRecord] = []
-    for result in sorted(results, key=lambda r: r.task.id):
-        sft.extend(sft_records_from_result(result))
-        dpo.extend(dpo_records_from_result(result))
-    if max_sft is not None:
-        sft = sft[:max_sft]
-    if max_dpo is not None:
-        dpo = dpo[:max_dpo]
-
-    sft_path = os.path.join(out_dir, "sft.jsonl")
-    with open(sft_path, "w", encoding="utf-8", newline="\n") as fh:
-        for r in sft:
-            fh.write(
-                json.dumps(
-                    {
-                        "prompt": r.prompt,
-                        "response": r.response,
-                        "task_id": r.task_id,
-                        "stage": r.source_stage,
-                    }
-                )
-                + "\n"
-            )
-    dpo_path = os.path.join(out_dir, "dpo.jsonl")
-    with open(dpo_path, "w", encoding="utf-8", newline="\n") as fh:
-        for r in dpo:
-            fh.write(
-                json.dumps(
-                    {
-                        "prompt": r.prompt,
-                        "chosen": r.chosen,
-                        "rejected": r.rejected,
-                        "task_id": r.task_id,
-                    }
-                )
-                + "\n"
-            )
-    audit_path = os.path.join(out_dir, "audit.jsonl")
-    write_audit(sorted(results, key=lambda r: r.task.id), audit_path)
-
+    results = sorted(results, key=lambda r: r.task.id)
+    all_sft = [rec for result in results for rec in sft_records_from_result(result)]
+    all_dpo = [rec for result in results for rec in dpo_records_from_result(result)]
+    sft, dpo = all_sft[:max_sft], all_dpo[:max_dpo]
     manifest = {
         "counts": {"sft": len(sft), "dpo": len(dpo), "tasks": len(results)},
         "seed": seed,
         "config_hash": config_hash(config or {}),
         "rule_language_version": kernel.RULE_LANGUAGE_VERSION,
         "files": ["sft.jsonl", "dpo.jsonl", "audit.jsonl"],
+        "partial": len(sft) < len(all_sft) or len(dpo) < len(all_dpo),
     }
-    with open(
-        os.path.join(out_dir, "manifest.json"), "w", encoding="utf-8", newline="\n"
-    ) as fh:
-        json.dump(manifest, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    files = {
+        "sft.jsonl": map(_sft_line, sft),
+        "dpo.jsonl": map(_dpo_line, dpo),
+        "audit.jsonl": _audit_lines(results),
+    }
+    write_outputs(out_dir, files, manifest)
     return manifest

@@ -27,9 +27,11 @@ from .kernel import Fact, Rule
 DEFAULT_GENERATION_TEMPERATURE = 1.0
 DEFAULT_EVALUATION_TEMPERATURE = 0.01
 
-# Translation failure kinds; the failure taxonomy keys off these.
+# Translation failure kinds; the failure taxonomy keys off these.  A symbolic
+# form that parses is always returned: its arity and safety are judged by
+# kernel.verify_step, which audits them as ArityMismatch / UnsafeRule.
 SOURCE_UNMATCHED = "source-unmatched"   # NL has no symbolic counterpart
-SYMBOLIC_DEFECT = "symbolic-defect"     # symbolic form exists but is ill-formed
+SYMBOLIC_DEFECT = "symbolic-defect"     # kbl syntax error, or not exactly one rule
 
 
 class BackendUnavailable(RuntimeError):
@@ -78,22 +80,6 @@ def _prior_digest(ctx: GenerationContext) -> int:
     return stable_digest(*(template.serialize_step(s) for s in ctx.prior_steps))
 
 
-def _validate_symbolic(facts: tuple[Fact, ...], rule: Rule) -> TranslationResult:
-    arities: dict[str, int] = {}
-    atoms = [f.atom for f in facts] + [rule.head, *rule.body_pos, *rule.body_neg]
-    for a in atoms:
-        expected = arities.setdefault(a.predicate, len(a.args))
-        if expected != len(a.args):
-            return TranslationResult(
-                error_kind=SYMBOLIC_DEFECT, detail=f"arity mismatch on {a.predicate}"
-            )
-    try:
-        rule.check_safety()
-    except kernel.UnsafeRuleError as exc:
-        return TranslationResult(error_kind=SYMBOLIC_DEFECT, detail=str(exc))
-    return TranslationResult(facts=facts, rule=rule)
-
-
 class ScriptedOracleBackend:
     """Replays the ground-truth proof of one task; pure in (seed, ctx)."""
 
@@ -137,7 +123,7 @@ class ScriptedOracleBackend:
             return TranslationResult(
                 error_kind=SOURCE_UNMATCHED, detail=f"no pairing for rule: {step.rule!r}"
             )
-        return _validate_symbolic(tuple(facts), rule)
+        return TranslationResult(facts=tuple(facts), rule=rule)
 
     def evaluate(self, step: template.ReasoningStep, ctx: GenerationContext) -> EvalVerdict:
         ok = self._matches_gold(step, ctx)
@@ -348,15 +334,15 @@ class HttpBackend:
         )
         text = self._complete(prompt, self.eval_temperature, n=1)[0]
         try:
-            kb = kernel.parse_program(text)
+            facts, rules = kernel.parse_clauses(text)
         except kernel.KbError as exc:
             return TranslationResult(error_kind=SYMBOLIC_DEFECT, detail=str(exc))
-        if len(kb.rules) != 1:
+        if len(rules) != 1:
             return TranslationResult(
                 error_kind=SYMBOLIC_DEFECT,
-                detail=f"expected exactly 1 rule, got {len(kb.rules)}",
+                detail=f"expected exactly 1 rule, got {len(rules)}",
             )
-        return _validate_symbolic(tuple(sorted(kb.facts)), kb.rules[0])
+        return TranslationResult(facts=tuple(sorted(facts)), rule=rules[0])
 
     def _yes_no(self, prompt_name: str, step: template.ReasoningStep, ctx) -> bool:
         prompt = "\n\n".join(

@@ -302,7 +302,7 @@ class _Parser:
             self._expect("punct", ")")
         return Atom(t, tuple(args))
 
-    def parse_program(self) -> KnowledgeBase:
+    def parse_clauses(self) -> tuple[frozenset[Fact], tuple[Rule, ...]]:
         facts: list[Fact] = []
         rules: list[Rule] = []
         while True:
@@ -337,7 +337,16 @@ class _Parser:
                         break
                 self._expect("punct", ".")
                 rules.append(Rule(head, tuple(body_pos), tuple(body_neg)))
-        return KnowledgeBase(frozenset(facts), tuple(rules))
+        return frozenset(facts), tuple(rules)
+
+
+def parse_clauses(src: str) -> tuple[frozenset[Fact], tuple[Rule, ...]]:
+    """Parse ``.kbl`` source into its facts and rules, checking syntax only.
+
+    Raises KblSyntaxError with line/column; arity and safety are left to
+    KnowledgeBase.
+    """
+    return _Parser(src).parse_clauses()
 
 
 def parse_program(src: str) -> KnowledgeBase:
@@ -346,7 +355,7 @@ def parse_program(src: str) -> KnowledgeBase:
     Raises KblSyntaxError with line/column, ArityMismatchError, or
     UnsafeRuleError.
     """
-    return _Parser(src).parse_program()
+    return KnowledgeBase(*parse_clauses(src))
 
 
 def parse_atom(src: str) -> Atom:
@@ -515,25 +524,14 @@ def answer_query(kb: KnowledgeBase, goal: Atom) -> bool:
 def verify_step(facts: list[Fact] | tuple[Fact, ...], rule: Rule) -> StepVerdict:
     """Check one syllogistic step: the cited premises alone must satisfy the
     rule body (closed-world negation over those premises) and derive at least
-    one ground conclusion."""
+    one ground conclusion.  Arity and safety are KnowledgeBase's checks."""
+    fact_set = frozenset(facts)
     try:
-        fact_set = frozenset(facts)
-        arities: dict[str, int] = {}
-        for a in itertools.chain(
-            (f.atom for f in fact_set), (rule.head,), rule.body_pos, rule.body_neg
-        ):
-            expected = arities.setdefault(a.predicate, len(a.args))
-            if expected != len(a.args):
-                return StepVerdict(
-                    False,
-                    failure=FailureKind.ARITY_MISMATCH,
-                    detail=f"predicate {a.predicate}",
-                )
-        rule.check_safety()
+        KnowledgeBase(fact_set, (rule,))
+    except ArityMismatchError as exc:
+        return StepVerdict(False, failure=FailureKind.ARITY_MISMATCH, detail=str(exc))
     except UnsafeRuleError as exc:
         return StepVerdict(False, failure=FailureKind.UNSAFE_RULE, detail=str(exc))
-    except KbError as exc:
-        return StepVerdict(False, failure=FailureKind.PARSE_FAILURE, detail=str(exc))
     heads: set[Fact] = set()
     for theta in _satisfy_body(rule.body_pos, rule.body_neg, fact_set, fact_set, {}):
         head = rule.head.substitute(theta)

@@ -251,6 +251,9 @@ class TestVerifyStepCli:
         rule = write(tmp_path / "rule.kbl", "rule mortal(X) :- not man(X).\n")
         code, stdout, stderr = run_cli(capsys, "verify-step", facts, rule)
         assert code == cli.EXIT_FAILURE
+        # The engine, not the parser, rejects an unsafe rule.
+        assert stdout.startswith("failed: UnsafeRule")
+        assert stderr == ""
 
     def test_rule_count_enforced(self, tmp_path, capsys):
         facts = write(tmp_path / "facts.kbl", "fact man(socrates).\n")

@@ -1,3 +1,4 @@
+import itertools
 import json
 import string
 
@@ -5,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracle_forge.beam import BeamConfig, run_beam
+from oracle_forge import datafactory, template
+from oracle_forge.beam import BeamConfig, BeamNode, ScoreBreakdown, expand_node, run_beam
 from oracle_forge.corpus import (
     CorruptionModel,
     PLANT_CLEAN,
@@ -13,6 +15,7 @@ from oracle_forge.corpus import (
     PLANT_WRONG_ANSWER,
     gen_chain_task,
     gold_response,
+    gold_step,
     planted_stage1_corpus,
 )
 from oracle_forge.datafactory import (
@@ -28,6 +31,7 @@ from oracle_forge.datafactory import (
     config_hash,
     emit_datasets,
     format_stats_tables,
+    node_to_audit,
     normalize_answer,
     read_audit,
     stage1_filter,
@@ -36,6 +40,8 @@ from oracle_forge.datafactory import (
 from oracle_forge.gateway import (
     SOURCE_UNMATCHED,
     SYMBOLIC_DEFECT,
+    GenerationContext,
+    HttpBackend,
     ScriptedNoisyBackend,
     ScriptedOracleBackend,
     TranslationResult,
@@ -209,6 +215,38 @@ class TestAuditAndStats:
         with pytest.raises(MalformedAudit):
             read_audit(path)
 
+    @pytest.mark.parametrize(
+        "translation,kind",
+        [
+            ("rule q(Y) :- p(X).", "UnsafeRule"),
+            ("fact p(a, b).\nrule q(X) :- p(X).", "ArityMismatch"),
+        ],
+    )
+    def test_engine_failure_kinds_reach_the_audit(self, translation, kind):
+        # Translation only parses; the engine names the defect.
+        step_text = template.serialize_step(gold_step(gen_chain_task(2, seed=0), 0))
+        replies = {"g": step_text, "t": translation, "p": "NO", "f": "NO"}
+
+        def transport(url, payload, headers, timeout):
+            prompt_name = payload["messages"][0]["content"].split("\n\n", 1)[0]
+            choice = {"message": {"content": replies[prompt_name]}}
+            return 200, json.dumps({"choices": [choice] * payload["n"]})
+
+        backend = HttpBackend(
+            endpoint="http://example.test/v1/chat/completions",
+            model="test-model",
+            prompts={"generation": "g", "translation": "t", "precision": "p", "feasibility": "f"},
+            transport=transport,
+            sleep=lambda _t: None,
+        )
+        root = BeamNode(id=0, parent=None, depth=0, step=None, score=ScoreBreakdown(0, 0, 0, 0))
+        ids = itertools.count(1)
+        (child,) = expand_node(
+            root, GenerationContext(question="q"), 1, backend, BeamConfig(), lambda: next(ids)
+        )
+        record = node_to_audit(child, "t")
+        assert (record["failure_kind"], record["failure_class"]) == (kind, TRANSLATION_ERROR)
+
     def test_tables_render(self):
         results = _results(2)
         import tempfile, os
@@ -250,6 +288,24 @@ class TestEmitDatasets:
         manifest = emit_datasets(results, tmp_path, seed=0, max_sft=2, max_dpo=0)
         assert manifest["counts"]["sft"] == 2
         assert manifest["counts"]["dpo"] == 0
+        assert manifest["partial"] is True
+
+    def test_failed_rerun_leaves_previous_outputs(self, tmp_path, monkeypatch):
+        names = ("sft.jsonl", "dpo.jsonl", "audit.jsonl", "manifest.json")
+        emit_datasets(_results(3, seed=4), tmp_path, seed=4)
+        before = {name: (tmp_path / name).read_bytes() for name in names}
+        calls = itertools.count()
+
+        def failing_node_to_audit(node, task_id):
+            if next(calls) == 5:
+                raise RuntimeError("emission failed")
+            return node_to_audit(node, task_id)
+
+        monkeypatch.setattr(datafactory, "node_to_audit", failing_node_to_audit)
+        with pytest.raises(RuntimeError):
+            emit_datasets(_results(3, seed=5), tmp_path, seed=5)
+        assert {name: (tmp_path / name).read_bytes() for name in names} == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(names)
 
     def test_sft_responses_repass_stage1_filter(self, tmp_path):
         results = _results(4, p_bad_rule=0.2, seed=6)

@@ -14,8 +14,9 @@ import argparse
 import json
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 
-from . import corpus, datafactory, gateway, kernel, template
+from . import corpus, datafactory, gateway, kernel
 from .beam import run_beam
 from .config import ConfigError, PipelineConfig, load_config
 from .datafactory import Stage1Sample, compute_stats, format_stats_tables
@@ -97,8 +98,6 @@ def cmd_stage2(cfg: PipelineConfig) -> int:
     tasks = build_tasks(cfg)
     beam_cfg = cfg.beam
     if prompts.get("few_shot"):
-        from dataclasses import replace
-
         beam_cfg = replace(beam_cfg, few_shot_asset=prompts["few_shot"])
 
     def one(i, task):
@@ -167,15 +166,8 @@ def _load_cfg(args) -> PipelineConfig:
     cfg = load_config(args.config) if args.config else PipelineConfig()
     if args.seed is not None:
         cfg.seed = args.seed
-        from dataclasses import replace
-
         cfg.beam = replace(cfg.beam, seed=args.seed)
-        cfg.corruption = corpus.CorruptionModel(
-            p_bad_rule=cfg.corruption.p_bad_rule,
-            p_bad_fact=cfg.corruption.p_bad_fact,
-            p_format_break=cfg.corruption.p_format_break,
-            seed=args.seed,
-        )
+        cfg.corruption = replace(cfg.corruption, seed=args.seed)
     if args.backend:
         cfg.backend = args.backend
     if args.out:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import os
 import re
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, fields, asdict
 
 import yaml
 
@@ -129,13 +129,18 @@ class PipelineConfig:
         # BeamConfig and CorruptionModel validate themselves on construction.
 
 
+def _reject_unknown(data: dict, cls, where: str, exclude: str = "") -> None:
+    unknown = set(data) - ({f.name for f in fields(cls)} - {exclude})
+    if unknown:
+        raise ConfigError(f"unknown {where} key: {', '.join(sorted(map(str, unknown)))}")
+
+
 def _build(data: dict) -> PipelineConfig:
+    _reject_unknown(data, PipelineConfig, "top-level")
+    # few_shot_asset comes from the prompts directory, never from the file.
+    _reject_unknown(data.get("beam", {}), BeamConfig, "beam", exclude="few_shot_asset")
     cfg = PipelineConfig()
-    known_beam = {
-        "width", "top_k", "max_depth", "score_w1", "score_w2", "score_w3",
-        "seed", "max_pairs_per_node", "temperature",
-    }
-    beam_kwargs = {k: v for k, v in data.get("beam", {}).items() if k in known_beam}
+    beam_kwargs = dict(data.get("beam", {}))
     beam_kwargs.setdefault("seed", data.get("seed", 0))
     corr_kwargs = dict(data.get("corruption", {}))
     corr_kwargs.setdefault("seed", data.get("seed", 0))
@@ -149,9 +154,8 @@ def _build(data: dict) -> PipelineConfig:
         cfg.http = HttpSpec(**data.get("http", {}))
     except TypeError as exc:
         raise ConfigError(str(exc)) from exc
-    for key in ("backend", "seed", "out_dir", "workers", "prompts_dir", "max_sft", "max_dpo"):
-        if key in data:
-            setattr(cfg, key, data[key])
+    for key in data.keys() - {"beam", "corpus", "corruption", "http"}:
+        setattr(cfg, key, data[key])
     return cfg
 
 

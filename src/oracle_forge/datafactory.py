@@ -127,10 +127,13 @@ def stage1_filter(samples) -> tuple[list[SftRecord], list[RejectReason]]:
     kept: list[SftRecord] = []
     rejected: list[RejectReason] = []
     for s in samples:
-        if not template.conforms_strictly(s.raw, require_final_answer=True):
+        # The strict parser rejects every defect that ReasoningStep.validate
+        # would, so one parse decides conformance.
+        try:
+            resp = template.parse_response(s.raw, require_final_answer=True)
+        except template.ParseError:
             rejected.append(RejectReason(s.task_id, FORMAT_VIOLATION))
             continue
-        resp = template.parse_response(s.raw, require_final_answer=True)
         if normalize_answer(resp.final_answer) != normalize_answer(s.gold):
             rejected.append(
                 RejectReason(s.task_id, WRONG_ANSWER, detail=resp.final_answer)

@@ -99,9 +99,9 @@ class ScriptedOracleBackend:
         if i >= len(self.task.ground_truth_proof):
             return []
         step = gold_step(self.task, i)
-        raw = template.serialize_step(step)
-        if i == len(self.task.ground_truth_proof) - 1:
-            raw += f"{template.FINAL_ANSWER_PREFIX} {self.task.gold_answer}\n"
+        terminal = i == len(self.task.ground_truth_proof) - 1
+        answer = self.task.gold_answer if terminal else ""
+        raw = template.serialize_response(template.StructuredResponse((step,), answer))
         return [CandidateStep(step=step, raw_text=raw, backend_id=self.backend_id)]
 
     def generate_response(self, ctx: GenerationContext) -> str:
@@ -184,6 +184,7 @@ class ScriptedNoisyBackend(ScriptedOracleBackend):
             return []
         gold = gold_step(self.task, i)
         terminal = i == len(self.task.ground_truth_proof) - 1
+        answer = self.task.gold_answer if terminal else ""
         out: list[CandidateStep] = []
         for j in range(n):
             rng = self._rng(ctx, j)
@@ -195,9 +196,7 @@ class ScriptedNoisyBackend(ScriptedOracleBackend):
                 choices = self._non_firing_rule_nls(step)
                 if choices:
                     step = replace(step, rule=rng.choice(choices))
-            raw = template.serialize_step(step)
-            if terminal:
-                raw += f"{template.FINAL_ANSWER_PREFIX} {self.task.gold_answer}\n"
+            raw = template.serialize_response(template.StructuredResponse((step,), answer))
             if rng.random() < self.corruption.p_format_break:
                 raw = raw.replace("<REVISION>", "", 1)
                 self.telemetry["format_breaks"] += 1
@@ -312,9 +311,10 @@ class HttpBackend:
         )
         out: list[CandidateStep] = []
         for raw in self._complete(prompt, ctx.temperature, n=n):
+            # A candidate is one step; the FINAL ANSWER it may carry belongs to
+            # that step, so a completion with more steps is discarded whole.
             try:
-                resp = template.parse_response(raw)
-                step = resp.steps[0]
+                (step,) = template.parse_response(raw).steps
                 step.validate()
             except ValueError:
                 self.telemetry["discarded_candidates"] += 1

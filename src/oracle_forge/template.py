@@ -23,7 +23,7 @@ grammar.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 TAG_ORDER = (
     "QUERY",
@@ -42,9 +42,14 @@ REVISED_PREFIX = "REVISED:"
 # Tags whose body must be non-empty after trimming.
 _REQUIRED_NONEMPTY = {"QUERY", "RULE", "REASONING_RESULT"}
 
-_ALL_TAG_STRINGS = tuple(f"<{t}>" for t in TAG_ORDER) + tuple(
-    f"</{t}>" for t in TAG_ORDER
-)
+# The escape table, built from TAG_ORDER.  Field bodies put a backslash before
+# every backslash and every literal tag; FACTS entries, one line each, also
+# write a newline as backslash-n.
+_TAG_RE = "</?(?:" + "|".join(TAG_ORDER) + ")>"
+_ESCAPE_RE = re.compile(r"\\|" + _TAG_RE)
+_ESCAPE_FACTS_RE = re.compile(r"\\|\n|" + _TAG_RE)
+_UNESCAPE_RE = re.compile(r"\\([\\<])")
+_UNESCAPE_FACTS_RE = re.compile(r"\\([\\<n])")
 
 
 class ParseError(ValueError):
@@ -139,7 +144,6 @@ class ReasoningStep:
 class StructuredResponse:
     steps: tuple[ReasoningStep, ...]
     final_answer: str = ""
-    raw_text: str = field(default="", compare=False)
 
     @property
     def terminal(self) -> bool:
@@ -147,36 +151,17 @@ class StructuredResponse:
 
 
 def _escape(body: str, escape_newlines: bool = False) -> str:
-    body = body.replace("\\", "\\\\")
     if escape_newlines:
-        body = body.replace("\n", "\\n")
-    for tag in _ALL_TAG_STRINGS:
-        body = body.replace(tag, "\\" + tag)
-    return body
+        return _ESCAPE_FACTS_RE.sub(
+            lambda m: "\\n" if m[0] == "\n" else "\\" + m[0], body
+        )
+    return _ESCAPE_RE.sub(r"\\\g<0>", body)
 
 
 def _unescape(body: str, unescape_newlines: bool = False) -> str:
-    out = []
-    i = 0
-    while i < len(body):
-        c = body[i]
-        if c == "\\" and i + 1 < len(body):
-            nxt = body[i + 1]
-            if nxt == "\\":
-                out.append("\\")
-                i += 2
-                continue
-            if nxt == "<":
-                out.append("<")
-                i += 2
-                continue
-            if nxt == "n" and unescape_newlines:
-                out.append("\n")
-                i += 2
-                continue
-        out.append(c)
-        i += 1
-    return "".join(out)
+    if unescape_newlines:
+        return _UNESCAPE_FACTS_RE.sub(lambda m: "\n" if m[1] == "n" else m[1], body)
+    return _UNESCAPE_RE.sub(r"\1", body)
 
 
 def _find_unescaped(text: str, needle: str, start: int) -> int:
@@ -373,9 +358,7 @@ def parse_response(raw: str, require_final_answer: bool = False) -> StructuredRe
         raise MissingTag("QUERY", 0)
     if require_final_answer and not final_answer:
         raise NoFinalAnswer()
-    return StructuredResponse(
-        steps=tuple(steps), final_answer=final_answer, raw_text=raw
-    )
+    return StructuredResponse(steps=tuple(steps), final_answer=final_answer)
 
 
 def conforms_strictly(raw: str, require_final_answer: bool = False) -> bool:
@@ -387,42 +370,3 @@ def conforms_strictly(raw: str, require_final_answer: bool = False) -> bool:
         return True
     except ValueError:
         return False
-
-
-@dataclass(frozen=True)
-class LenientReport:
-    """Diagnostic parse: whatever blocks were recoverable, plus defects."""
-
-    steps: tuple[ReasoningStep, ...]
-    final_answer: str
-    defects: tuple[str, ...]
-
-
-def parse_lenient(raw: str) -> LenientReport:
-    """Collect parseable step blocks and report defects; diagnostics only."""
-    defects: list[str] = []
-    steps: list[ReasoningStep] = []
-    sc = _Scanner(raw)
-    final_answer = ""
-    while True:
-        sc.skip_ws()
-        if sc.at_end():
-            break
-        if sc.text.startswith(FINAL_ANSWER_PREFIX, sc.pos):
-            m = _FINAL_RE.match(sc.text, sc.pos)
-            final_answer = m.group("answer").strip()
-            sc.pos = m.end()
-            continue
-        try:
-            steps.append(_parse_step(sc, len(steps)))
-        except ParseError as exc:
-            defects.append(str(exc))
-            nxt = sc.text.find("<QUERY>", sc.pos + 1)
-            fin = sc.text.find(FINAL_ANSWER_PREFIX, sc.pos + 1)
-            candidates = [p for p in (nxt, fin) if p >= 0]
-            if not candidates:
-                break
-            sc.pos = min(candidates)
-    return LenientReport(
-        steps=tuple(steps), final_answer=final_answer, defects=tuple(defects)
-    )

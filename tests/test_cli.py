@@ -74,6 +74,20 @@ class TestConfig:
         with pytest.raises(ConfigError):
             load_config(path)
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "beam: {widht: 3}\n",
+            "max_dfo: 5\n",
+            # filled from prompts_dir, never from the file
+            "beam: {few_shot_asset: x}\n",
+        ],
+    )
+    def test_unknown_key_rejected(self, tmp_path, text):
+        path = write(tmp_path / "cfg.yaml", text)
+        with pytest.raises(ConfigError, match="unknown"):
+            load_config(path)
+
     def test_http_backend_requires_prompt_assets(self, tmp_path):
         prompts = tmp_path / "prompts"
         prompts.mkdir()

@@ -158,11 +158,17 @@ class TestHttpBackend:
                 reasoning_result="c",
             )
         )
-        transport = FakeTransport([(200, chat_response(step_text, "garbage"))])
+        # A two-step completion is discarded: its FINAL ANSWER follows the
+        # second step, which a one-step candidate would drop.
+        two_steps = step_text + "\n" + step_text + "\nFINAL ANSWER: true\n"
+        transport = FakeTransport(
+            [(200, chat_response(step_text, "garbage", two_steps))]
+        )
         backend = http_backend(transport)
-        cands = backend.generate_candidates(GenerationContext(question="Q"), 2)
+        cands = backend.generate_candidates(GenerationContext(question="Q"), 3)
         assert len(cands) == 1
-        assert backend.telemetry["discarded_candidates"] == 1
+        assert cands[0].raw_text == step_text
+        assert backend.telemetry["discarded_candidates"] == 2
 
     def test_retry_then_success(self):
         transport = FakeTransport([(500, "boom"), (200, chat_response("YES"))])

@@ -2,11 +2,13 @@
 
 Per depth: the top-K frontier nodes each generate W/K candidate children;
 every child is translated to symbolic form, checked by the step verifier,
-judged by the evaluator, and scored.  Engine-verified children get their
-REASONING_RESULT replaced by the canonical engine conclusions.  Terminal
-children whose answer matches the gold answer are harvested as SFT paths;
-preference pairs come from backtracking those paths and pairing each
-engine-verified node with failed siblings.
+judged by the evaluator, and scored.  The precision judge is asked only for
+steps the engine did not execute, the only ones whose score reads it.
+Engine-verified children get their REASONING_RESULT replaced by the
+canonical engine conclusions.  Terminal children whose answer matches the
+gold answer are harvested as SFT paths; preference pairs come from
+backtracking those paths and pairing each engine-verified node with failed
+siblings.
 """
 
 from __future__ import annotations
@@ -150,7 +152,7 @@ def expand_node(
         if verdict.executed:
             step = step.with_reasoning_result(kernel.render_conclusions(verdict))
         try:
-            ev = backend.evaluate(step, ctx)
+            ev = backend.evaluate(step, ctx, verdict.executed)
         except BackendUnavailable:
             ev = EvalVerdict(precision_pass=False, feasibility_pass=False)
         answer = _extract_answer(cand.raw_text)

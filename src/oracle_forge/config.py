@@ -135,14 +135,22 @@ def _reject_unknown(data: dict, cls, where: str, exclude: str = "") -> None:
         raise ConfigError(f"unknown {where} key: {', '.join(sorted(map(str, unknown)))}")
 
 
+_SECTIONS = ("beam", "corpus", "corruption", "http")
+
+
 def _build(data: dict) -> PipelineConfig:
     _reject_unknown(data, PipelineConfig, "top-level")
+    # A section written with no value (``beam:``) reads as empty.
+    sections = {name: {} if data.get(name) is None else data[name] for name in _SECTIONS}
+    for name, section in sections.items():
+        if not isinstance(section, dict):
+            raise ConfigError(f"{name} must be a mapping")
     # few_shot_asset comes from the prompts directory, never from the file.
-    _reject_unknown(data.get("beam", {}), BeamConfig, "beam", exclude="few_shot_asset")
+    _reject_unknown(sections["beam"], BeamConfig, "beam", exclude="few_shot_asset")
     cfg = PipelineConfig()
-    beam_kwargs = dict(data.get("beam", {}))
+    beam_kwargs = dict(sections["beam"])
     beam_kwargs.setdefault("seed", data.get("seed", 0))
-    corr_kwargs = dict(data.get("corruption", {}))
+    corr_kwargs = dict(sections["corruption"])
     corr_kwargs.setdefault("seed", data.get("seed", 0))
     try:
         cfg.beam = BeamConfig(**beam_kwargs)
@@ -150,11 +158,11 @@ def _build(data: dict) -> PipelineConfig:
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
     try:
-        cfg.corpus = CorpusSpec(**data.get("corpus", {}))
-        cfg.http = HttpSpec(**data.get("http", {}))
+        cfg.corpus = CorpusSpec(**sections["corpus"])
+        cfg.http = HttpSpec(**sections["http"])
     except TypeError as exc:
         raise ConfigError(str(exc)) from exc
-    for key in data.keys() - {"beam", "corpus", "corruption", "http"}:
+    for key in data.keys() - set(_SECTIONS):
         setattr(cfg, key, data[key])
     return cfg
 

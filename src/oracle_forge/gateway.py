@@ -72,7 +72,9 @@ class TranslationResult:
 
 @dataclass(frozen=True)
 class EvalVerdict:
-    precision_pass: bool
+    # None: not asked, because the engine executed the step and the score
+    # does not read precision then (beam.score_candidate).
+    precision_pass: bool | None
     feasibility_pass: bool
 
 
@@ -125,9 +127,11 @@ class ScriptedOracleBackend:
             )
         return TranslationResult(facts=tuple(facts), rule=rule)
 
-    def evaluate(self, step: template.ReasoningStep, ctx: GenerationContext) -> EvalVerdict:
+    def evaluate(
+        self, step: template.ReasoningStep, ctx: GenerationContext, executed: bool = False
+    ) -> EvalVerdict:
         ok = self._matches_gold(step, ctx)
-        return EvalVerdict(precision_pass=ok, feasibility_pass=ok)
+        return EvalVerdict(precision_pass=None if executed else ok, feasibility_pass=ok)
 
     def _matches_gold(self, step: template.ReasoningStep, ctx: GenerationContext) -> bool:
         i = self._position(ctx)
@@ -216,11 +220,14 @@ class ScriptedNoisyBackend(ScriptedOracleBackend):
 
 class HttpBackend:
     """Chat-completion JSON over HTTP: retries with exponential backoff and a
-    bounded number of concurrent in-flight requests.
+    bounded number of concurrent in-flight calls.
 
     ``transport`` is a callable ``(url, payload_dict, headers, timeout) ->
-    (status_code, body_text)``; the default posts with ``requests``.  Tests
-    inject a fake transport for fault injection.
+    (status_code, body_text)``.  The default posts with the stdlib's
+    ``urllib.request``: one connection per request (``Connection: close``),
+    proxies from ``HTTP(S)_PROXY``/``NO_PROXY``, HTTPS certificates verified,
+    and a non-2xx reply returned as its status, not raised.  Tests inject a
+    fake transport for fault injection.
     """
 
     backend_id = "http"
@@ -251,15 +258,24 @@ class HttpBackend:
         self.timeout = timeout
         self._sem = threading.Semaphore(max_in_flight)
         self._sleep = sleep
-        self._transport = transport or self._requests_transport
+        self._transport = transport or self._default_transport
         self.telemetry: Counter = Counter()
 
     @staticmethod
-    def _requests_transport(url, payload, headers, timeout):
-        import requests
+    def _default_transport(url, payload, headers, timeout):
+        # Imported here so that scripted runs never pay for it.
+        import urllib.error
+        import urllib.request
 
-        resp = requests.post(url, json=payload, headers=headers, timeout=timeout)
-        return resp.status_code, resp.text
+        data = json.dumps(payload).encode("utf-8")
+        req = urllib.request.Request(url, data=data, headers=headers, method="POST")
+        try:
+            resp = urllib.request.urlopen(req, timeout=timeout)
+        except urllib.error.HTTPError as exc:
+            resp = exc  # a non-2xx reply: returned with its status, not raised
+        with resp:
+            charset = resp.headers.get_content_charset() or "utf-8"
+            return resp.status, resp.read().decode(charset, errors="replace")
 
     def _complete(self, prompt: str, temperature: float, n: int = 1) -> list[str]:
         payload = {
@@ -360,9 +376,11 @@ class HttpBackend:
             return False
         return answer == "YES"
 
-    def evaluate(self, step: template.ReasoningStep, ctx: GenerationContext) -> EvalVerdict:
+    def evaluate(
+        self, step: template.ReasoningStep, ctx: GenerationContext, executed: bool = False
+    ) -> EvalVerdict:
         return EvalVerdict(
-            precision_pass=self._yes_no("precision", step, ctx),
+            precision_pass=None if executed else self._yes_no("precision", step, ctx),
             feasibility_pass=self._yes_no("feasibility", step, ctx),
         )
 

@@ -1,19 +1,29 @@
+import itertools
+import json
 import random
 from collections import Counter
 
 import pytest
 
+from oracle_forge import template
 from oracle_forge.beam import (
     BeamConfig,
     BeamNode,
     ScoreBreakdown,
     backtrack_pairs,
+    expand_node,
     run_beam,
     score_candidate,
     select_frontier,
 )
-from oracle_forge.corpus import CorruptionModel, gen_chain_task, gen_rulebase_task
-from oracle_forge.gateway import EvalVerdict, ScriptedNoisyBackend, ScriptedOracleBackend
+from oracle_forge.corpus import CorruptionModel, gen_chain_task, gen_rulebase_task, gold_step
+from oracle_forge.gateway import (
+    EvalVerdict,
+    GenerationContext,
+    HttpBackend,
+    ScriptedNoisyBackend,
+    ScriptedOracleBackend,
+)
 from oracle_forge.kernel import Fact, StepVerdict, parse_atom
 
 
@@ -193,6 +203,68 @@ class TestRunBeam:
         result = run_beam(task, BeamConfig(), ScriptedOracleBackend(task))
         assert len(result.sft_paths) >= 1
         assert result.sft_paths[0].answer == task.gold_answer
+
+
+class TestPrecisionSkip:
+    """The precision judge is asked only when the engine rejected the step:
+    that is the only case in which score_candidate reads it."""
+
+    @pytest.mark.parametrize("executes", [True, False])
+    @pytest.mark.parametrize("precision", ["YES", "NO"])
+    @pytest.mark.parametrize("feasibility", ["YES", "NO"])
+    def test_requests_and_scores(self, executes, precision, feasibility):
+        task = gen_chain_task(2, seed=0)
+        step = gold_step(task, 0)
+        if executes:
+            facts = [task.nl_pairing[nl] for nl in step.facts]
+            translation = "".join(f"fact {f.atom}.\n" for f in facts)
+            translation += f"rule {task.nl_pairing[step.rule]}\n"
+        else:
+            translation = "fact p(a).\nrule q(X) :- r(X)."
+        replies = {
+            "g": template.serialize_step(step),
+            "t": translation,
+            "p": precision,
+            "f": feasibility,
+        }
+        asked = []
+
+        def transport(url, payload, headers, timeout):
+            prompt_name = payload["messages"][0]["content"].split("\n\n", 1)[0]
+            asked.append(prompt_name)
+            choice = {"message": {"content": replies[prompt_name]}}
+            return 200, json.dumps({"choices": [choice] * payload["n"]})
+
+        backend = HttpBackend(
+            endpoint="http://example.test/v1/chat/completions",
+            model="test-model",
+            prompts={"generation": "g", "translation": "t", "precision": "p", "feasibility": "f"},
+            transport=transport,
+            sleep=lambda _t: None,
+        )
+        cfg = BeamConfig()
+        root = BeamNode(id=0, parent=None, depth=0, step=None, score=ScoreBreakdown(0, 0, 0, 0))
+        ids = itertools.count(1)
+        (child,) = expand_node(
+            root, GenerationContext(question="q"), 1, backend, cfg, lambda: next(ids)
+        )
+        assert child.verdict.executed is executes
+        assert asked[0] == "g"
+        assert asked[1:] == (["t", "f"] if executes else ["t", "p", "f"])
+        assert (child.eval_verdict.precision_pass is None) is executes
+        # Oracle: the score with both judgments asked, as the transport answers them.
+        both = EvalVerdict(precision == "YES", feasibility == "YES")
+        assert child.score == score_candidate(executes, both, cfg)
+
+    def test_scripted_backends_skip_precision_when_executed(self):
+        task = gen_chain_task(2, seed=0)
+        step, ctx = gold_step(task, 0), GenerationContext(question=task.question)
+        for backend in (
+            ScriptedOracleBackend(task),
+            ScriptedNoisyBackend(task, CorruptionModel(seed=1)),
+        ):
+            assert backend.evaluate(step, ctx, True) == EvalVerdict(None, True)
+            assert backend.evaluate(step, ctx, False) == EvalVerdict(True, True)
 
 
 class TestBacktrackPairs:

@@ -88,6 +88,14 @@ class TestConfig:
         with pytest.raises(ConfigError, match="unknown"):
             load_config(path)
 
+    @pytest.mark.parametrize("section", ["beam", "corpus", "corruption", "http"])
+    def test_section_without_value_or_not_a_mapping(self, tmp_path, section):
+        cfg = load_config(write(tmp_path / "empty.yaml", f"{section}:\n"))
+        assert cfg.to_dict() == load_config(write(tmp_path / "none.yaml", "{}\n")).to_dict()
+        path = write(tmp_path / "scalar.yaml", f"{section}: 3\n")
+        with pytest.raises(ConfigError, match=f"^{section} must be a mapping$"):
+            load_config(path)
+
     def test_http_backend_requires_prompt_assets(self, tmp_path):
         prompts = tmp_path / "prompts"
         prompts.mkdir()

@@ -1,5 +1,8 @@
 import json
+import socket
+import sys
 import threading
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
@@ -250,6 +253,108 @@ class TestHttpBackend:
         backend._complete("hi", 0.0)
         # headers are passed positionally to the transport; verify via payload capture
         assert transport.calls[0]["model"] == "test-model"
+
+
+class ScriptedServer(ThreadingHTTPServer):
+    """Loopback server that answers POSTs from a script of (status, body)
+    and records each request's headers and JSON payload."""
+
+    daemon_threads = True
+
+    def __init__(self, script):
+        super().__init__(("127.0.0.1", 0), ScriptedHandler)
+        self.script = list(script)
+        self.received = []
+
+    @property
+    def url(self):
+        return f"http://127.0.0.1:{self.server_address[1]}/v1/chat/completions"
+
+
+class ScriptedHandler(BaseHTTPRequestHandler):
+    def log_message(self, format, *args):
+        pass
+
+    def do_POST(self):
+        body = self.rfile.read(int(self.headers["Content-Length"]))
+        server = self.server
+        server.received.append((dict(self.headers), json.loads(body)))
+        status, text = server.script.pop(0) if len(server.script) > 1 else server.script[0]
+        data = text.encode("utf-8")
+        self.send_response(status)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(data)))
+        self.end_headers()
+        self.wfile.write(data)
+
+
+@pytest.fixture
+def serve():
+    servers = []
+
+    def start(script):
+        server = ScriptedServer(script)
+        threading.Thread(
+            target=server.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True
+        ).start()
+        servers.append(server)
+        return server
+
+    yield start
+    for server in servers:
+        server.shutdown()
+        server.server_close()
+
+
+def default_http_backend(endpoint, **kwargs):
+    return HttpBackend(
+        endpoint=endpoint, model="test-model", api_key="sk-test",
+        sleep=lambda _t: None, timeout=5.0, **kwargs,
+    )
+
+
+class TestDefaultTransport:
+    @pytest.fixture(autouse=True)
+    def stdlib_only(self, monkeypatch):
+        # The default transport must not need a third-party HTTP client, and
+        # loopback requests must not be sent to a proxy.
+        monkeypatch.setitem(sys.modules, "requests", None)
+        for var in ("http_proxy", "HTTP_PROXY", "https_proxy", "HTTPS_PROXY"):
+            monkeypatch.delenv(var, raising=False)
+
+    def test_ok_reply_returns_content(self, serve):
+        server = serve([(200, chat_response("YES"))])
+        backend = default_http_backend(server.url)
+        assert backend._complete("hi", 0.0) == ["YES"]
+        ((headers, payload),) = server.received
+        assert headers["Authorization"] == "Bearer sk-test"
+        assert payload["model"] == "test-model"
+        assert payload["messages"] == [{"role": "user", "content": "hi"}]
+        assert backend.telemetry == {}
+
+    def test_http_error_is_counted_and_retried(self, serve):
+        server = serve([(503, "busy"), (200, chat_response("NO"))])
+        backend = default_http_backend(server.url)
+        assert backend._complete("hi", 0.0) == ["NO"]
+        assert backend.telemetry["http_errors"] == 1
+        assert len(server.received) == 2
+
+    def test_refused_port_is_a_transport_error(self):
+        with socket.socket() as sock:
+            sock.bind(("127.0.0.1", 0))
+            port = sock.getsockname()[1]
+        backend = default_http_backend(f"http://127.0.0.1:{port}/", max_retries=2)
+        with pytest.raises(BackendUnavailable, match="transport error: .*refused"):
+            backend._complete("hi", 0.0)
+        assert backend.telemetry["transport_errors"] == 2
+
+    def test_retries_exhausted_raise(self, serve):
+        server = serve([(503, "busy")])
+        backend = default_http_backend(server.url, max_retries=3)
+        with pytest.raises(BackendUnavailable, match="HTTP 503"):
+            backend._complete("hi", 0.0)
+        assert backend.telemetry["http_errors"] == 3
+        assert len(server.received) == 3
 
 
 class TestFactory:

@@ -234,7 +234,7 @@ def run_beam(
                 n.step for n in _path_to(node, nodes) if n.step is not None
             )
             ctx = GenerationContext(
-                question=f"{task.context}\n\n{task.question}",
+                question=task.prompt,
                 prior_steps=prior,
                 few_shot_asset=cfg.few_shot_asset,
                 temperature=cfg.temperature,

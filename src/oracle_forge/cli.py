@@ -59,12 +59,31 @@ def make_task_backend(cfg: PipelineConfig, task, prompts):
 
 
 def _run_per_task(cfg: PipelineConfig, tasks, fn):
-    """Run fn(index, task) over tasks with a bounded pool; ordered results."""
+    """Run fn(index, task) over tasks with a bounded pool.  A task whose
+    backend stays unavailable is left out and named on stderr; returns the
+    other tasks' results in task order and the number of tasks lost."""
+
+    def attempt(i, task):
+        try:
+            return fn(i, task)
+        except gateway.BackendUnavailable as exc:
+            return exc
+
     workers = cfg.effective_workers()
     if workers <= 1 or len(tasks) <= 1:
-        return [fn(i, t) for i, t in enumerate(tasks)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(lambda it: fn(*it), enumerate(tasks)))
+        outcomes = [attempt(i, t) for i, t in enumerate(tasks)]
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            outcomes = list(pool.map(lambda it: attempt(*it), enumerate(tasks)))
+    lost = [o for o in outcomes if isinstance(o, gateway.BackendUnavailable)]
+    if lost:
+        print(
+            f"error: {len(lost)}/{len(tasks)} tasks lost to an unavailable "
+            f"backend; first: {lost[0]}",
+            file=sys.stderr,
+        )
+    results = [o for o in outcomes if not isinstance(o, gateway.BackendUnavailable)]
+    return results, len(lost)
 
 
 def cmd_stage1(cfg: PipelineConfig) -> int:
@@ -74,7 +93,7 @@ def cmd_stage1(cfg: PipelineConfig) -> int:
     def one(i, task):
         backend = make_task_backend(cfg, task, prompts)
         ctx = GenerationContext(
-            question=f"{task.context}\n\n{task.question}",
+            question=task.prompt,
             few_shot_asset=prompts.get("few_shot", ""),
             temperature=cfg.beam.temperature,
             seed=cfg.seed,
@@ -84,13 +103,14 @@ def cmd_stage1(cfg: PipelineConfig) -> int:
             task_id=task.id, prompt=ctx.question, raw=raw, gold=task.gold_answer
         )
 
-    samples = _run_per_task(cfg, tasks, one)
+    samples, lost = _run_per_task(cfg, tasks, one)
     kept, rejected = datafactory.stage1_filter(samples)
     manifest = datafactory.emit_stage1(
-        kept, rejected, cfg.out_dir, cfg.seed, cfg.hashable_dict(), cfg.max_sft
+        kept, rejected, cfg.out_dir, cfg.seed, cfg.hashable_dict(), cfg.max_sft,
+        lost_tasks=lost,
     )
     print(f"stage1: kept {manifest['counts']['kept']}, rejected {len(rejected)}")
-    return EXIT_OK
+    return EXIT_FAILURE if lost else EXIT_OK
 
 
 def cmd_stage2(cfg: PipelineConfig) -> int:
@@ -104,7 +124,7 @@ def cmd_stage2(cfg: PipelineConfig) -> int:
         backend = make_task_backend(cfg, task, prompts)
         return run_beam(task, beam_cfg, backend)
 
-    results = _run_per_task(cfg, tasks, one)
+    results, lost = _run_per_task(cfg, tasks, one)
     manifest = datafactory.emit_datasets(
         results,
         cfg.out_dir,
@@ -112,6 +132,7 @@ def cmd_stage2(cfg: PipelineConfig) -> int:
         config=cfg.hashable_dict(),
         max_sft=cfg.max_sft,
         max_dpo=cfg.max_dpo,
+        lost_tasks=lost,
     )
     n_without_path = sum(1 for r in results if not r.sft_paths)
     if n_without_path:
@@ -123,7 +144,7 @@ def cmd_stage2(cfg: PipelineConfig) -> int:
         f"stage2: sft {manifest['counts']['sft']}, dpo {manifest['counts']['dpo']}, "
         f"tasks {manifest['counts']['tasks']}"
     )
-    return EXIT_OK
+    return EXIT_FAILURE if lost else EXIT_OK
 
 
 def cmd_stats(audit_path: str, as_json: bool) -> int:

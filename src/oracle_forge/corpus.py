@@ -53,6 +53,11 @@ class TaskInstance:
                 _symbol_key(sym): nl for nl, sym in self.nl_pairing.items()
             }
 
+    @property
+    def prompt(self) -> str:
+        """The task as the model sees it: the context, then the question."""
+        return f"{self.context}\n\n{self.question}"
+
     def nl_of(self, sym: Fact | Rule) -> str:
         return self.nl_by_symbol[_symbol_key(sym)]
 
@@ -397,8 +402,7 @@ def planted_stage1_corpus(
                 f"{template.FINAL_ANSWER_PREFIX} {task.gold_answer}",
                 f"{template.FINAL_ANSWER_PREFIX} {flipped}",
             )
-        prompt = f"{task.context}\n\n{task.question}"
-        out.append(PlantedSample(task.id, prompt, raw, task.gold_answer, label))
+        out.append(PlantedSample(task.id, task.prompt, raw, task.gold_answer, label))
     return out
 
 

@@ -293,7 +293,7 @@ def format_stats_tables(stats: RunStats) -> str:
 
 
 def sft_records_from_result(result: BeamResult) -> list[SftRecord]:
-    prompt = f"{result.task.context}\n\n{result.task.question}"
+    prompt = result.task.prompt
     records = []
     seen: set[tuple[str, str]] = set()
     for path in result.sft_paths:
@@ -384,16 +384,19 @@ def _rejection_line(r: RejectReason) -> str:
     return json.dumps({"task_id": r.task_id, "label": r.label, "detail": r.detail})
 
 
-def emit_stage1(kept, rejected, out_dir, seed: int, config: dict, max_sft: int) -> dict:
+def emit_stage1(
+    kept, rejected, out_dir, seed: int, config: dict, max_sft: int, lost_tasks: int = 0
+) -> dict:
     """Write stage 1's kept SftRecords to sft.jsonl, its RejectReasons to
-    rejections.jsonl, and manifest.json."""
+    rejections.jsonl, and manifest.json; ``lost_tasks`` counts tasks left out
+    of the run, which makes the output partial."""
     sft = kept[:max_sft]
     manifest = {
         "counts": {"kept": len(sft), "rejected": len(rejected)},
         "seed": seed,
         "config_hash": config_hash(config),
         "stage": STAGE1,
-        "partial": len(sft) < len(kept),
+        "partial": lost_tasks > 0 or len(sft) < len(kept),
     }
     files = {
         "sft.jsonl": map(_sft_line, sft),
@@ -410,9 +413,11 @@ def emit_datasets(
     config: dict | None = None,
     max_sft: int | None = None,
     max_dpo: int | None = None,
+    lost_tasks: int = 0,
 ) -> dict:
     """Write sft.jsonl, dpo.jsonl, audit.jsonl, and manifest.json; rerun with
-    identical inputs is byte-identical."""
+    identical inputs is byte-identical.  ``lost_tasks`` counts tasks left out
+    of ``results``, which makes the output partial."""
     results = sorted(results, key=lambda r: r.task.id)
     all_sft = [rec for result in results for rec in sft_records_from_result(result)]
     all_dpo = [rec for result in results for rec in dpo_records_from_result(result)]
@@ -423,7 +428,7 @@ def emit_datasets(
         "config_hash": config_hash(config or {}),
         "rule_language_version": kernel.RULE_LANGUAGE_VERSION,
         "files": ["sft.jsonl", "dpo.jsonl", "audit.jsonl"],
-        "partial": len(sft) < len(all_sft) or len(dpo) < len(all_dpo),
+        "partial": lost_tasks > 0 or len(sft) < len(all_sft) or len(dpo) < len(all_dpo),
     }
     files = {
         "sft.jsonl": map(_sft_line, sft),

@@ -370,61 +370,39 @@ def parse_atom(src: str) -> Atom:
 # Matching and forward chaining
 
 
-def _match_atom(pattern: Atom, fact_atom: Atom, theta: dict) -> dict | None:
-    if pattern.predicate != fact_atom.predicate:
-        return None
-    if len(pattern.args) != len(fact_atom.args):
-        return None
-    theta = dict(theta)
-    for p, f in zip(pattern.args, fact_atom.args):
-        if p.is_variable:
-            bound = theta.get(p)
-            if bound is None:
-                theta[p] = f
-            elif bound != f:
-                return None
-        elif p != f:
-            return None
-    return theta
+def _index(atoms) -> dict[str, list[Atom]]:
+    """The atoms grouped by predicate, each group sorted.  Sorted groups keep
+    match (and hence trace) order independent of hash randomization."""
+    index: dict[str, list[Atom]] = {}
+    for atom in sorted(atoms):
+        index.setdefault(atom.predicate, []).append(atom)
+    return index
 
 
-def _satisfy_body(
-    body_pos: tuple[Atom, ...],
-    body_neg: tuple[Atom, ...],
-    pos_facts,
-    neg_facts,
-    theta: dict,
-    require_delta=None,
-):
-    """Yield substitutions grounding body_pos from pos_facts with body_neg
-    absent from neg_facts.  If require_delta is given, at least one positive
-    atom must match a fact in it (semi-naive restriction)."""
-    # Sorted iteration keeps match (and hence trace) order independent of
-    # hash randomization across processes.
-    atoms_of = sorted({f.atom for f in pos_facts})
-    neg_atoms = {f.atom for f in neg_facts}
-    delta_atoms = {f.atom for f in require_delta} if require_delta is not None else None
+def _join(rule: Rule, index: dict[str, list[Atom]], known):
+    """Yield (head, body atoms) for each grounding of rule's positive body in
+    index, in lexicographic order, whose negated atoms are absent from known.
+    No predicate, arity or groundness check is needed: index groups by
+    predicate, KnowledgeBase fixes arities, and rule safety grounds heads."""
 
-    def rec(i: int, theta: dict, used_delta: bool):
-        if i == len(body_pos):
-            if delta_atoms is not None and not used_delta:
-                return
-            for na in body_neg:
-                if na.substitute(theta) in neg_atoms:
-                    return
-            yield theta
+    def extend(i: int, theta: dict, body: tuple[Atom, ...]):
+        if i == len(rule.body_pos):
+            if not any(na.substitute(theta) in known for na in rule.body_neg):
+                yield rule.head.substitute(theta), body
             return
-        pat = body_pos[i]
-        for fa in atoms_of:
-            t2 = _match_atom(pat, fa, theta)
-            if t2 is not None:
-                yield from rec(
-                    i + 1,
-                    t2,
-                    used_delta or (delta_atoms is not None and fa in delta_atoms),
-                )
+        pattern = rule.body_pos[i]
+        for atom in index.get(pattern.predicate, ()):
+            bound = dict(theta)
+            for p, c in zip(pattern.args, atom.args):
+                if p.is_variable:
+                    if bound.setdefault(p, c) != c:
+                        break
+                elif p != c:
+                    break
+            else:
+                yield from extend(i + 1, bound, body + (atom,))
 
-    yield from rec(0, theta, False)
+    yield from extend(0, {}, ())
 
 
 def _stratify(kb: KnowledgeBase) -> dict[str, int]:
@@ -466,44 +444,38 @@ class Derivation:
 def forward_chain_with_trace(
     kb: KnowledgeBase, max_iterations: int = DEFAULT_MAX_ITERATIONS
 ) -> tuple[frozenset[Fact], tuple[Derivation, ...]]:
-    """Least fixpoint plus the derivation trace, semi-naive per stratum."""
+    """Least fixpoint plus the derivation trace, semi-naive per stratum: the
+    first round of a stratum keeps every grounding, so body-less rules fire
+    there; later rounds keep only groundings that use an atom derived in the
+    round before (Bancilhon & Ramakrishnan, SIGMOD 1986)."""
     stratum = _stratify(kb)
     n_strata = max(stratum.values(), default=0) + 1
-    total = set(kb.facts)
+    known = {f.atom for f in kb.facts}
     trace: list[Derivation] = []
     iterations = 0
     for s in range(n_strata):
-        layer_rules = [r for r in kb.rules if stratum[r.head.predicate] == s]
-        delta = set(total)
-        while delta:
+        layer_rules = sorted(
+            (r for r in kb.rules if stratum[r.head.predicate] == s), key=str
+        )
+        first_round, delta = True, set()
+        while first_round or delta:
             iterations += 1
             if iterations > max_iterations:
                 raise IterationLimitExceeded(f"exceeded {max_iterations} rounds")
-            new: set[Fact] = set()
-            for r in sorted(layer_rules, key=str):
-                for theta in _satisfy_body(
-                    r.body_pos, r.body_neg, total, total, {}, require_delta=delta
-                ):
-                    head = r.head.substitute(theta)
-                    fact = Fact(head)
-                    if fact not in total and fact not in new:
-                        new.add(fact)
-                        body_facts = tuple(
-                            Fact(a.substitute(theta)) for a in r.body_pos
+            index = _index(known)
+            new: set[Atom] = set()
+            for r in layer_rules:
+                for head, body in _join(r, index, known):
+                    if head in known or head in new:
+                        continue
+                    if first_round or not delta.isdisjoint(body):
+                        new.add(head)
+                        trace.append(
+                            Derivation(r, tuple(map(Fact, body)), Fact(head))
                         )
-                        trace.append(Derivation(r, body_facts, fact))
-                # rules with empty positive body fire once against the delta
-                if not r.body_pos:
-                    fact = Fact(r.head)
-                    if fact not in total and fact not in new:
-                        if not any(
-                            Fact(na) in total for na in r.body_neg
-                        ):
-                            new.add(fact)
-                            trace.append(Derivation(r, (), fact))
-            total |= new
-            delta = new
-    return frozenset(total), tuple(trace)
+            known |= new
+            first_round, delta = False, new
+    return frozenset(kb.facts).union(d.conclusion for d in trace), tuple(trace)
 
 
 def forward_chain(
@@ -532,11 +504,8 @@ def verify_step(facts: list[Fact] | tuple[Fact, ...], rule: Rule) -> StepVerdict
         return StepVerdict(False, failure=FailureKind.ARITY_MISMATCH, detail=str(exc))
     except UnsafeRuleError as exc:
         return StepVerdict(False, failure=FailureKind.UNSAFE_RULE, detail=str(exc))
-    heads: set[Fact] = set()
-    for theta in _satisfy_body(rule.body_pos, rule.body_neg, fact_set, fact_set, {}):
-        head = rule.head.substitute(theta)
-        if head.is_ground:
-            heads.add(Fact(head))
+    known = {f.atom for f in fact_set}
+    heads = {Fact(head) for head, _ in _join(rule, _index(known), known)}
     if not heads:
         return StepVerdict(False, failure=FailureKind.NO_RULE_FIRING)
     return StepVerdict(True, conclusions=tuple(sorted(heads)))

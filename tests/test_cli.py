@@ -1,9 +1,10 @@
+import hashlib
 import json
 import os
 
 import pytest
 
-from oracle_forge import cli
+from oracle_forge import cli, gateway
 from oracle_forge.config import ConfigError, PipelineConfig, load_config
 from oracle_forge.datafactory import compute_stats
 
@@ -204,6 +205,39 @@ class TestStage2Cli:
         for fname in ("sft.jsonl", "dpo.jsonl", "audit.jsonl", "manifest.json"):
             assert (outs[0] / fname).read_bytes() == (outs[1] / fname).read_bytes()
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_unavailable_backend_loses_only_its_task(
+        self, tmp_path, capsys, monkeypatch, workers
+    ):
+        run_beam = cli.run_beam
+
+        def flaky_run_beam(task, *args):
+            if task.id.endswith("-1"):
+                raise gateway.BackendUnavailable("endpoint refused the connection")
+            return run_beam(task, *args)
+
+        monkeypatch.setattr(cli, "run_beam", flaky_run_beam)
+        cfg = write(
+            tmp_path / "cfg.yaml",
+            f"corpus: {{kind: chain, count: 3, hops: 2}}\nworkers: {workers}\n",
+        )
+        out = tmp_path / "out"
+        code, stdout, stderr = run_cli(
+            capsys, "stage2", "--config", cfg, "--out", str(out), "--seed", "0"
+        )
+        assert code == cli.EXIT_FAILURE
+        assert "tasks 2" in stdout
+        assert "1/3 tasks lost" in stderr and "endpoint refused" in stderr
+        assert "Traceback" not in stderr
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["counts"]["tasks"] == 2
+        assert manifest["partial"] is True
+        audit_tasks = {
+            json.loads(line)["task_id"]
+            for line in (out / "audit.jsonl").read_text().splitlines()
+        }
+        assert len(audit_tasks) == 2 and not any(t.endswith("-1") for t in audit_tasks)
+
     def test_workers_do_not_change_output(self, tmp_path, capsys):
         outs = []
         for name, workers in (("w1", 1), ("w4", 4)):
@@ -311,6 +345,51 @@ class TestCorpusFileRoundTrip:
         )
         assert code == 0
         assert "tasks 4" in stdout
+
+
+# sha256 of each stage-2 output at seed 3 for 40 tasks, under the
+# scripted-noisy config of perfbench/run.py:corpus_config.  Any change to
+# what a run emits, in any layer, shows here; a deliberate one updates the
+# constants and says why.
+GOLDEN_DIGESTS = {
+    "chain": {
+        "sft.jsonl": "6b01b287990ca9e6b1aa84da3463995c776ab4e64856ca97e5e7d71bc5a4bfbe",
+        "dpo.jsonl": "440e113a69126457232411d04ed10a7dc63c45f05af9196b3cf7575fb3c18f06",
+        "audit.jsonl": "7c89e38fede27f905191eb2517016837edade82b9bbdc6c77fb3114f4b3f6c1f",
+        "manifest.json": "bc3a0c4f1fe97c6417f28112c2dbcb68daf3839ae9e3082de8dc565f20c018a7",
+    },
+    "rulebase": {
+        "sft.jsonl": "49af24abc33490941d7acd9d4070048b6eeb3e66e035b93bf2d8324549b44eb2",
+        "dpo.jsonl": "afb4007bd3024def3eb2040aed04d1ddd6418b5abde88709299ab549adef21ab",
+        "audit.jsonl": "5f0937da29b8fb0623939caae4898d3309f0f622ebb9fc0704143e47d4869182",
+        "manifest.json": "7da2ecfd4fa037953b8e3298cd110ffeea489777d88ea9e51c51e556d76ae0e1",
+    },
+}
+GOLDEN_CORPORA = {
+    "chain": {"kind": "chain", "hops": 4},
+    "rulebase": {"kind": "rulebase", "n_facts": 12, "n_rules": 8, "negation": True},
+}
+
+
+@pytest.mark.parametrize("kind", sorted(GOLDEN_DIGESTS))
+def test_stage2_outputs_match_golden_digests(tmp_path, capsys, kind):
+    config = {
+        "backend": "scripted-noisy",
+        "seed": 3,
+        "workers": 2,
+        "prompts_dir": None,
+        "corruption": {"p_bad_rule": 0.3, "p_bad_fact": 0.1},
+        "corpus": dict(GOLDEN_CORPORA[kind], count=40),
+    }
+    cfg = write(tmp_path / "cfg.yaml", json.dumps(config))
+    out = tmp_path / "out"
+    code, _, _ = run_cli(capsys, "stage2", "--config", cfg, "--out", str(out))
+    assert code == 0
+    digests = {
+        name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+        for name in GOLDEN_DIGESTS[kind]
+    }
+    assert digests == GOLDEN_DIGESTS[kind]
 
 
 def test_module_entry_point():

@@ -109,6 +109,35 @@ class TestForwardChain:
             kb = random_kb(rng)
             assert forward_chain(kb) == naive_closure(kb)
 
+    @pytest.mark.parametrize(
+        "src",
+        [
+            "rule p.",
+            "rule p :- not q.",
+            "fact q. rule p :- not q.",
+            "rule p. rule r :- p.",
+            "rule p(a). rule s(X) :- p(X).",
+        ],
+    )
+    def test_bodyless_rules_and_factless_kbs_match_naive_closure(self, src):
+        # random_kb always draws a fact and a positive body atom, so the
+        # random oracle tests never reach these cases.
+        kb = parse_program(src)
+        assert forward_chain(kb) == naive_closure(kb)
+
+    def test_trace_comes_in_lexicographic_order(self):
+        # Corpus proofs are read off the trace, so its order is part of the
+        # output: rules by their text, then body facts in sorted order.
+        kb = parse_program(
+            "fact e(b, c). fact e(c, d). fact e(a, b).\n"
+            "rule t(X, Z) :- e(X, Y), e(Y, Z).\n"
+            "rule s(X) :- e(X, Y).\n"
+        )
+        _, trace = kernel.forward_chain_with_trace(kb)
+        assert [str(d.conclusion) for d in trace] == [
+            "s(a)", "s(b)", "s(c)", "t(a, c)", "t(b, d)"
+        ]
+
     def test_matches_fully_naive_closure_without_negation(self):
         rng = random.Random(7)
         for _ in range(100):

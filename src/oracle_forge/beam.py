@@ -141,16 +141,20 @@ def expand_node(
     children: list[BeamNode] = []
     candidates = backend.generate_candidates(ctx, fanout)
     for cand in candidates[:fanout]:
-        step = cand.step
-        translation = backend.translate(step)
+        translation = backend.translate(cand.step)
         if translation.ok:
             verdict = kernel.verify_step(translation.facts, translation.rule)
         else:
             verdict = StepVerdict(
                 False, failure=FailureKind.PARSE_FAILURE, detail=translation.detail
             )
-        if verdict.executed:
-            step = step.with_reasoning_result(kernel.render_conclusions(verdict))
+        step = cand.step
+        result = (
+            kernel.render_conclusions(verdict) if verdict.executed else step.reasoning_result
+        )
+        # A step that needs no edit is kept, and with it its rendered text.
+        if (step.step_index, step.reasoning_result) != (node.depth, result):
+            step = replace(step, step_index=node.depth, reasoning_result=result)
         try:
             ev = backend.evaluate(step, ctx, verdict.executed)
         except BackendUnavailable:
@@ -161,7 +165,7 @@ def expand_node(
                 id=next_id(),
                 parent=node.id,
                 depth=node.depth + 1,
-                step=replace(step, step_index=node.depth),
+                step=step,
                 score=score_candidate(verdict.executed, ev, cfg),
                 verdict=verdict,
                 eval_verdict=ev,

@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import os
 import re
-from dataclasses import dataclass, field, fields, asdict
+import typing
+from dataclasses import asdict, dataclass, field, fields, is_dataclass
 
 import yaml
 
@@ -63,6 +64,13 @@ class HttpSpec:
     max_in_flight: int = 4
     max_retries: int = 5
     timeout: float = 60.0
+
+    def __post_init__(self):
+        # 0 in flight would block every request forever; 0 retries makes none.
+        for name in ("max_in_flight", "max_retries"):
+            value = getattr(self, name)
+            if value < 1:
+                raise ValueError(f"http.{name} must be at least 1, got {value!r}")
 
 
 @dataclass
@@ -126,44 +134,66 @@ class PipelineConfig:
             for name in PROMPT_ASSETS:
                 if not os.path.exists(os.path.join(self.prompts_dir, name)):
                     raise ConfigError(f"missing prompt asset: {name}")
-        # BeamConfig and CorruptionModel validate themselves on construction.
+        # BeamConfig, CorruptionModel and HttpSpec validate themselves on construction.
 
 
-def _reject_unknown(data: dict, cls, where: str, exclude: str = "") -> None:
+_TYPE_NAMES = {
+    bool: "a boolean", int: "an integer", float: "a number", str: "a string", type(None): "null"
+}
+
+
+def _fits(value, tp) -> bool:
+    if isinstance(value, bool):
+        return tp is bool
+    return isinstance(value, (int, float) if tp is float else tp)
+
+
+def _check(data: dict, cls, where: str = "", exclude: str = "") -> None:
+    """Check ``data`` against the fields of ``cls``: every key names a field,
+    every value fits the field's annotated type (a bool is no integer, an
+    integer is a number), and every number but a seed is non-negative.
+    Fields that are sections (dataclasses) are checked on their own."""
     unknown = set(data) - ({f.name for f in fields(cls)} - {exclude})
     if unknown:
-        raise ConfigError(f"unknown {where} key: {', '.join(sorted(map(str, unknown)))}")
+        label = f"{where} key" if where else "top-level key"
+        raise ConfigError(f"unknown {label}: {', '.join(sorted(map(str, unknown)))}")
+    hints = typing.get_type_hints(cls)
+    for name, value in data.items():
+        if is_dataclass(hints[name]):
+            continue
+        label = f"{where}.{name}" if where else name
+        options = typing.get_args(hints[name]) or (hints[name],)
+        if not any(_fits(value, tp) for tp in options):
+            expected = " or ".join(_TYPE_NAMES[tp] for tp in options)
+            raise ConfigError(f"{label} must be {expected}, got {value!r}")
+        if name != "seed" and _fits(value, float) and value < 0:
+            raise ConfigError(f"{label} must be non-negative, got {value!r}")
 
 
-_SECTIONS = ("beam", "corpus", "corruption", "http")
+_SECTIONS = {
+    "beam": BeamConfig, "corpus": CorpusSpec, "corruption": CorruptionModel, "http": HttpSpec
+}
 
 
 def _build(data: dict) -> PipelineConfig:
-    _reject_unknown(data, PipelineConfig, "top-level")
+    _check(data, PipelineConfig)
     # A section written with no value (``beam:``) reads as empty.
     sections = {name: {} if data.get(name) is None else data[name] for name in _SECTIONS}
     for name, section in sections.items():
         if not isinstance(section, dict):
             raise ConfigError(f"{name} must be a mapping")
-    # few_shot_asset comes from the prompts directory, never from the file.
-    _reject_unknown(sections["beam"], BeamConfig, "beam", exclude="few_shot_asset")
+        # few_shot_asset comes from the prompts directory, never from the file.
+        _check(section, _SECTIONS[name], name, exclude="few_shot_asset")
     cfg = PipelineConfig()
-    beam_kwargs = dict(sections["beam"])
-    beam_kwargs.setdefault("seed", data.get("seed", 0))
-    corr_kwargs = dict(sections["corruption"])
-    corr_kwargs.setdefault("seed", data.get("seed", 0))
-    try:
-        cfg.beam = BeamConfig(**beam_kwargs)
-        cfg.corruption = CorruptionModel(**corr_kwargs)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(str(exc)) from exc
-    try:
-        cfg.corpus = CorpusSpec(**sections["corpus"])
-        cfg.http = HttpSpec(**sections["http"])
-    except TypeError as exc:
-        raise ConfigError(str(exc)) from exc
     for key in data.keys() - set(_SECTIONS):
         setattr(cfg, key, data[key])
+    try:
+        cfg.beam = BeamConfig(**{"seed": cfg.seed, **sections["beam"]})
+        cfg.corruption = CorruptionModel(**{"seed": cfg.seed, **sections["corruption"]})
+        cfg.http = HttpSpec(**sections["http"])
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    cfg.corpus = CorpusSpec(**sections["corpus"])
     return cfg
 
 

@@ -90,6 +90,11 @@ class ScriptedOracleBackend:
     def __init__(self, task: TaskInstance):
         self.task = task
         self.telemetry: Counter = Counter()
+        # Built once per task: candidates at one position share a step object,
+        # so its template text is rendered once.
+        self.gold_steps = tuple(
+            gold_step(task, i) for i in range(len(task.ground_truth_proof))
+        )
 
     def _position(self, ctx: GenerationContext) -> int:
         return len(ctx.prior_steps)
@@ -98,18 +103,18 @@ class ScriptedOracleBackend:
         if n < 1:
             raise ValueError("n must be >= 1")
         i = self._position(ctx)
-        if i >= len(self.task.ground_truth_proof):
+        if i >= len(self.gold_steps):
             return []
-        step = gold_step(self.task, i)
-        terminal = i == len(self.task.ground_truth_proof) - 1
+        step = self.gold_steps[i]
+        terminal = i == len(self.gold_steps) - 1
         answer = self.task.gold_answer if terminal else ""
         raw = template.serialize_response(template.StructuredResponse((step,), answer))
         return [CandidateStep(step=step, raw_text=raw, backend_id=self.backend_id)]
 
     def generate_response(self, ctx: GenerationContext) -> str:
-        from .corpus import gold_response
-
-        return template.serialize_response(gold_response(self.task))
+        return template.serialize_response(
+            template.StructuredResponse(self.gold_steps, self.task.gold_answer)
+        )
 
     def translate(self, step: template.ReasoningStep) -> TranslationResult:
         facts = []
@@ -135,9 +140,9 @@ class ScriptedOracleBackend:
 
     def _matches_gold(self, step: template.ReasoningStep, ctx: GenerationContext) -> bool:
         i = self._position(ctx)
-        if i >= len(self.task.ground_truth_proof):
+        if i >= len(self.gold_steps):
             return False
-        gold = gold_step(self.task, i)
+        gold = self.gold_steps[i]
         return (
             step.facts == gold.facts
             and step.rule == gold.rule
@@ -184,10 +189,10 @@ class ScriptedNoisyBackend(ScriptedOracleBackend):
         if n < 1:
             raise ValueError("n must be >= 1")
         i = self._position(ctx)
-        if i >= len(self.task.ground_truth_proof):
+        if i >= len(self.gold_steps):
             return []
-        gold = gold_step(self.task, i)
-        terminal = i == len(self.task.ground_truth_proof) - 1
+        gold = self.gold_steps[i]
+        terminal = i == len(self.gold_steps) - 1
         answer = self.task.gold_answer if terminal else ""
         out: list[CandidateStep] = []
         for j in range(n):

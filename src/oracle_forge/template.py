@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 TAG_ORDER = (
     "QUERY",
@@ -136,6 +137,28 @@ class ReasoningStep:
         if self.step_index < 0:
             raise InvariantViolation("negative step_index")
 
+    @cached_property
+    def text(self) -> str:
+        """Canonical template text (deterministic, LF endings), validated and
+        rendered on first use and kept on the step.  A step is frozen, so the
+        text never goes stale; ``replace`` builds a new step with its own."""
+        self.validate()
+        lines = [f"<QUERY>{_escape(self.query)}</QUERY>", "<FACTS>"]
+        lines += ["- " + _escape(f, escape_newlines=True) for f in self.facts]
+        lines.append("</FACTS>")
+        lines.append(f"<RULE>{_escape(self.rule)}</RULE>")
+        lines.append(f"<REVISION>{_escape(self.revision)}</REVISION>")
+        rr = self.revision_result
+        if rr.revised:
+            rr_body = f"{REVISED_PREFIX} {_escape(rr.text)}"
+        else:
+            rr_body = RETAINED_TOKEN
+        lines.append(f"<REVISION_RESULT>{rr_body}</REVISION_RESULT>")
+        lines.append(
+            f"<REASONING_RESULT>{_escape(self.reasoning_result)}</REASONING_RESULT>"
+        )
+        return "\n".join(lines) + "\n"
+
     def with_reasoning_result(self, text: str) -> "ReasoningStep":
         return replace(self, reasoning_result=text)
 
@@ -151,6 +174,10 @@ class StructuredResponse:
 
 
 def _escape(body: str, escape_newlines: bool = False) -> str:
+    # The guard is the table's trigger set: without a backslash, a "<" or (in
+    # FACTS entries) a newline there is nothing to escape.
+    if "\\" not in body and "<" not in body and not (escape_newlines and "\n" in body):
+        return body
     if escape_newlines:
         return _ESCAPE_FACTS_RE.sub(
             lambda m: "\\n" if m[0] == "\n" else "\\" + m[0], body
@@ -159,6 +186,8 @@ def _escape(body: str, escape_newlines: bool = False) -> str:
 
 
 def _unescape(body: str, unescape_newlines: bool = False) -> str:
+    if "\\" not in body:  # every unescape starts with a backslash
+        return body
     if unescape_newlines:
         return _UNESCAPE_FACTS_RE.sub(lambda m: "\n" if m[1] == "n" else m[1], body)
     return _UNESCAPE_RE.sub(r"\1", body)
@@ -183,26 +212,12 @@ def _find_unescaped(text: str, needle: str, start: int) -> int:
 
 
 def serialize_step(step: ReasoningStep) -> str:
-    """Render a step as canonical template text (deterministic, LF endings)."""
-    step.validate()
-    lines = []
-    lines.append(f"<QUERY>{_escape(step.query)}</QUERY>")
-    lines.append("<FACTS>")
-    for f in step.facts:
-        lines.append("- " + _escape(f, escape_newlines=True))
-    lines.append("</FACTS>")
-    lines.append(f"<RULE>{_escape(step.rule)}</RULE>")
-    lines.append(f"<REVISION>{_escape(step.revision)}</REVISION>")
-    rr = step.revision_result
-    if rr.revised:
-        rr_body = f"{REVISED_PREFIX} {_escape(rr.text)}"
-    else:
-        rr_body = RETAINED_TOKEN
-    lines.append(f"<REVISION_RESULT>{rr_body}</REVISION_RESULT>")
-    lines.append(
-        f"<REASONING_RESULT>{_escape(step.reasoning_result)}</REASONING_RESULT>"
-    )
-    return "\n".join(lines) + "\n"
+    """Render a step as canonical template text (deterministic, LF endings).
+
+    The step is validated and rendered once per step object
+    (``ReasoningStep.text``); later calls return the same text.
+    """
+    return step.text
 
 
 def serialize_response(resp: StructuredResponse) -> str:

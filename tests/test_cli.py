@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import re
 
 import pytest
 
@@ -88,6 +89,42 @@ class TestConfig:
         path = write(tmp_path / "cfg.yaml", text)
         with pytest.raises(ConfigError, match="unknown"):
             load_config(path)
+
+    @pytest.mark.parametrize(
+        "text, label",
+        [
+            ('workers: "2"\ncorpus: {count: 4}\n', "workers"),
+            ('max_sft: "5"\ncorpus: {count: 4}\n', "max_sft"),
+            ('corpus: {count: "4"}\n', "corpus.count"),
+            ('beam: {width: "9"}\ncorpus: {count: 4}\n', "beam.width"),
+            ("max_sft: -1\ncorpus: {count: 4}\n", "max_sft"),
+        ],
+    )
+    def test_value_of_wrong_type_or_sign(self, tmp_path, capsys, text, label):
+        path = write(tmp_path / "cfg.yaml", "backend: scripted-noisy\n" + text)
+        out = tmp_path / "out"
+        code, _, err = run_cli(capsys, "stage2", "--config", path, "--out", str(out))
+        assert code == 2
+        assert err.startswith(f"config error: {label} must be ")
+        assert not out.exists()
+
+    def test_value_types_follow_annotations(self, tmp_path):
+        cfg = load_config(write(
+            tmp_path / "ok.yaml",
+            "seed: -3\nhttp: {timeout: 5}\ncorpus: {path: null, negation: true}\n",
+        ))
+        assert (cfg.seed, cfg.beam.seed, cfg.http.timeout) == (-3, -3, 5)
+        for text, message in [
+            ("workers: true\n", "workers must be an integer, got True"),
+            ("corpus: {negation: 1}\n", "corpus.negation must be a boolean, got 1"),
+            ("prompts_dir: 3\n", "prompts_dir must be a string or null, got 3"),
+            ("corruption: {p_bad_rule: '0.5'}\n", "corruption.p_bad_rule must be a number"),
+            ("beam: {temperature: -0.5}\n", "beam.temperature must be non-negative"),
+            ("http: {max_in_flight: 0}\n", "http.max_in_flight must be at least 1, got 0"),
+            ("http: {max_retries: 0}\n", "http.max_retries must be at least 1, got 0"),
+        ]:
+            with pytest.raises(ConfigError, match=f"^{re.escape(message)}"):
+                load_config(write(tmp_path / "bad.yaml", text))
 
     @pytest.mark.parametrize("section", ["beam", "corpus", "corruption", "http"])
     def test_section_without_value_or_not_a_mapping(self, tmp_path, section):

@@ -6,7 +6,8 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
-from oracle_forge import template
+from oracle_forge import gateway, template
+from oracle_forge.beam import BeamConfig, run_beam
 from oracle_forge.corpus import CorruptionModel, gen_chain_task, gold_step
 from oracle_forge.gateway import (
     SOURCE_UNMATCHED,
@@ -106,6 +107,35 @@ class TestScriptedNoisy:
             noisy.generate_candidates(ctx_for(task), 1)[0].step
             == oracle.generate_candidates(ctx_for(task), 1)[0].step
         )
+
+    def test_gold_steps_built_once_per_task(self, monkeypatch):
+        builds = []
+
+        def counting_gold_step(task, index):
+            builds.append(index)
+            return gold_step(task, index)
+
+        monkeypatch.setattr(gateway, "gold_step", counting_gold_step)
+        task = gen_chain_task(4, 2, seed=0)
+        corruption = CorruptionModel(p_bad_rule=0.3, p_bad_fact=0.3, seed=5)
+        backend = ScriptedNoisyBackend(task, corruption)
+        result = run_beam(task, BeamConfig(seed=0), backend)
+        assert result.sft_paths
+        assert sorted(builds) == [0, 1, 2, 3]
+        # Uncorrupted candidates at one position share one step object, across
+        # generation calls and into the beam's nodes.
+        gold = backend.gold_steps[0]
+        shared = [
+            c.step
+            for seed in (1, 2)
+            for c in backend.generate_candidates(
+                GenerationContext(question=task.question, seed=seed), 6
+            )
+            if c.step == gold
+        ]
+        shared += [n.step for n in result.nodes if n.depth == 1 and n.step == gold]
+        assert len(shared) > 3
+        assert all(s is gold for s in shared)
 
     def test_corrupted_step_fails_evaluation(self, task):
         backend = ScriptedNoisyBackend(task, CorruptionModel(p_bad_rule=1.0, seed=4))

@@ -1,9 +1,11 @@
 import itertools
+from dataclasses import fields, replace
 
+import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from conftest import reasoning_steps, structured_responses
+from conftest import nonempty_field, reasoning_steps, structured_responses
 from oracle_forge import template
 from oracle_forge.template import (
     EmptyField,
@@ -146,6 +148,52 @@ class TestEscapeTable:
     def test_pinned_escape_and_unescape(self, text, facts, escaped, unescaped):
         assert template._escape(text, facts) == escaped
         assert template._unescape(text, facts) == unescaped
+
+
+def bare_escape(body: str, facts: bool) -> str:
+    if facts:
+        return template._ESCAPE_FACTS_RE.sub(
+            lambda m: "\\n" if m[0] == "\n" else "\\" + m[0], body
+        )
+    return template._ESCAPE_RE.sub(r"\\\g<0>", body)
+
+
+def bare_unescape(body: str, facts: bool) -> str:
+    if facts:
+        return template._UNESCAPE_FACTS_RE.sub(lambda m: "\n" if m[1] == "n" else m[1], body)
+    return template._UNESCAPE_RE.sub(r"\1", body)
+
+
+_ESCAPE_PIECES = ["\\", "<", ">", "/", "\n", "a", "n", " "] + [
+    f"<{slash}{tag}>" for tag in template.TAG_ORDER for slash in ("", "/")
+]
+
+
+class TestTextCache:
+    @settings(max_examples=200)
+    @given(reasoning_steps())
+    def test_text_equals_a_rebuilt_steps_text(self, step):
+        text = serialize_step(step)
+        assert serialize_step(step) is text
+        rebuilt = ReasoningStep(**{f.name: getattr(step, f.name) for f in fields(step)})
+        assert rebuilt is not step
+        assert serialize_step(rebuilt) == text
+
+    @settings(max_examples=200)
+    @given(reasoning_steps(), nonempty_field, nonempty_field)
+    def test_edited_copy_gets_its_own_text(self, step, result, rule):
+        text = serialize_step(step)
+        edited = step.with_reasoning_result(result)
+        body = template._escape(result)
+        assert f"<REASONING_RESULT>{body}</REASONING_RESULT>" in serialize_step(edited)
+        assert f"<RULE>{template._escape(rule)}</RULE>" in serialize_step(replace(step, rule=rule))
+        assert serialize_step(step) is text
+
+    @settings(max_examples=500)
+    @given(st.lists(st.sampled_from(_ESCAPE_PIECES), max_size=12).map("".join), st.booleans())
+    def test_guarded_escape_equals_the_bare_table(self, body, facts):
+        assert template._escape(body, facts) == bare_escape(body, facts)
+        assert template._unescape(body, facts) == bare_unescape(body, facts)
 
 
 class TestConformsStrictly:

@@ -25,6 +25,7 @@ from .gateway import (
     TranslationResult,
 )
 from .kernel import FailureKind, StepVerdict
+from .template import normalize_answer
 
 
 @dataclass(frozen=True)
@@ -106,9 +107,6 @@ class BeamResult:
     pairs: list[PreferencePair]
     nodes: list[BeamNode]
     telemetry: dict = field(default_factory=dict)
-
-    def node_by_id(self, node_id: int) -> BeamNode:
-        return self.nodes[node_id]
 
 
 _ZERO_SCORE = ScoreBreakdown(0, 0, 0, 0)
@@ -204,12 +202,8 @@ def run_beam(
     task: TaskInstance,
     cfg: BeamConfig,
     backend,
-    normalize_answer=None,
 ) -> BeamResult:
     """Full beam search for one task; deterministic under scripted backends."""
-    if normalize_answer is None:
-        from .datafactory import normalize_answer as normalize_answer
-
     nodes: list[BeamNode] = []
     counter = iter(range(10**9))
 

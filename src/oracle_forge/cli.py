@@ -52,16 +52,19 @@ def make_task_backend(cfg: PipelineConfig, task, prompts):
             api_key=cfg.http.api_key,
             prompts=prompts,
             max_retries=cfg.http.max_retries,
-            max_in_flight=cfg.http.max_in_flight,
             timeout=cfg.http.timeout,
         )
-    return gateway.make_backend(cfg.backend, task=task, corruption=cfg.corruption)
+    if cfg.backend == "scripted-noisy":
+        return gateway.ScriptedNoisyBackend(task, cfg.corruption)
+    return gateway.ScriptedOracleBackend(task)
 
 
 def _run_per_task(cfg: PipelineConfig, tasks, fn):
-    """Run fn(index, task) over tasks with a bounded pool.  A task whose
-    backend stays unavailable is left out and named on stderr; returns the
-    other tasks' results in task order and the number of tasks lost."""
+    """Run fn(index, task) over tasks: on ``cfg.effective_workers()`` threads
+    for the http backend, whose tasks wait on the network, and serially for
+    the CPU-bound scripted backends.  A task whose backend stays unavailable
+    is left out and named on stderr; returns the other tasks' results in task
+    order and the number of tasks lost."""
 
     def attempt(i, task):
         try:
@@ -69,12 +72,11 @@ def _run_per_task(cfg: PipelineConfig, tasks, fn):
         except gateway.BackendUnavailable as exc:
             return exc
 
-    workers = cfg.effective_workers()
-    if workers <= 1 or len(tasks) <= 1:
-        outcomes = [attempt(i, t) for i, t in enumerate(tasks)]
+    if cfg.backend == "http":
+        with ThreadPoolExecutor(max_workers=cfg.effective_workers()) as pool:
+            outcomes = list(pool.map(attempt, range(len(tasks)), tasks))
     else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(lambda it: attempt(*it), enumerate(tasks)))
+        outcomes = [attempt(i, t) for i, t in enumerate(tasks)]
     lost = [o for o in outcomes if isinstance(o, gateway.BackendUnavailable)]
     if lost:
         print(

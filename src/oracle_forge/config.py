@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass, field, fields, is_dataclass
 import yaml
 
 from .beam import BeamConfig
-from .corpus import CorruptionModel
+from .corpus import MAX_RULEBASE_FACTS, MAX_RULEBASE_RULES, CorruptionModel
 
 
 class ConfigError(ValueError):
@@ -55,22 +55,27 @@ class CorpusSpec:
     negation: bool = False
     path: str | None = None
 
+    def __post_init__(self):
+        if self.kind != "rulebase":
+            return
+        for name, most in (("n_facts", MAX_RULEBASE_FACTS), ("n_rules", MAX_RULEBASE_RULES)):
+            value = getattr(self, name)
+            if not 1 <= value <= most:
+                raise ValueError(f"corpus.{name} must be in 1..{most}, got {value!r}")
+
 
 @dataclass
 class HttpSpec:
     endpoint: str = ""
     model: str = ""
     api_key: str | None = None
-    max_in_flight: int = 4
     max_retries: int = 5
     timeout: float = 60.0
 
     def __post_init__(self):
-        # 0 in flight would block every request forever; 0 retries makes none.
-        for name in ("max_in_flight", "max_retries"):
-            value = getattr(self, name)
-            if value < 1:
-                raise ValueError(f"http.{name} must be at least 1, got {value!r}")
+        # 0 retries would make no request at all.
+        if self.max_retries < 1:
+            raise ValueError(f"http.max_retries must be at least 1, got {self.max_retries!r}")
 
 
 @dataclass
@@ -134,7 +139,7 @@ class PipelineConfig:
             for name in PROMPT_ASSETS:
                 if not os.path.exists(os.path.join(self.prompts_dir, name)):
                     raise ConfigError(f"missing prompt asset: {name}")
-        # BeamConfig, CorruptionModel and HttpSpec validate themselves on construction.
+        # The sections validate themselves on construction.
 
 
 _TYPE_NAMES = {
@@ -191,9 +196,9 @@ def _build(data: dict) -> PipelineConfig:
         cfg.beam = BeamConfig(**{"seed": cfg.seed, **sections["beam"]})
         cfg.corruption = CorruptionModel(**{"seed": cfg.seed, **sections["corruption"]})
         cfg.http = HttpSpec(**sections["http"])
+        cfg.corpus = CorpusSpec(**sections["corpus"])
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    cfg.corpus = CorpusSpec(**sections["corpus"])
     return cfg
 
 

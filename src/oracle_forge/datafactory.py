@@ -22,13 +22,13 @@ import contextlib
 import hashlib
 import json
 import os
-import re
 from dataclasses import dataclass, field
 
 from . import kernel, template
 from .beam import BeamResult
 from .gateway import SOURCE_UNMATCHED, CandidateStep, TranslationResult
 from .kernel import StepVerdict
+from .template import normalize_answer
 
 GENERATION_ERROR = "GenerationError"
 TRANSLATION_ERROR = "TranslationError"
@@ -92,25 +92,6 @@ class RunStats:
             "failures_translation": self.failures_translation,
             "per_task_breakdown": self.per_task_breakdown,
         }
-
-
-_TRUE_WORDS = {"yes", "true"}
-_FALSE_WORDS = {"no", "false"}
-
-
-def normalize_answer(raw: str) -> str:
-    """Trim, case-fold, strip terminal punctuation, canonicalize booleans,
-    collapse inner whitespace.  Idempotent."""
-    text = raw.strip().casefold()
-    # Strip punctuation and whitespace together so "! !" cannot leave a
-    # new terminal "!" behind for a second pass to remove.
-    text = re.sub(r"[\s.!?;:]+$", "", text)
-    text = re.sub(r"\s+", " ", text)
-    if text in _TRUE_WORDS:
-        return "true"
-    if text in _FALSE_WORDS:
-        return "false"
-    return text
 
 
 @dataclass(frozen=True)

@@ -8,14 +8,13 @@ Three backends:
   (format breaks, unmatchable facts, non-firing rules), used to measure
   engine-success rates without an LLM.
 - ``HttpBackend``: chat-completion-style JSON over HTTP with exponential
-  backoff and a bounded in-flight limit (docs/http_backend.md).
+  backoff (docs/http_backend.md).
 """
 
 from __future__ import annotations
 
 import json
 import random
-import threading
 import time
 from collections import Counter
 from dataclasses import dataclass, field, replace
@@ -26,6 +25,7 @@ from .kernel import Fact, Rule
 
 DEFAULT_GENERATION_TEMPERATURE = 1.0
 DEFAULT_EVALUATION_TEMPERATURE = 0.01
+BACKOFF_BASE_S = 0.5
 
 # Translation failure kinds; the failure taxonomy keys off these.  A symbolic
 # form that parses is always returned: its arity and safety are judged by
@@ -55,7 +55,6 @@ class GenerationContext:
 class CandidateStep:
     step: template.ReasoningStep
     raw_text: str
-    backend_id: str
 
 
 @dataclass(frozen=True)
@@ -85,8 +84,6 @@ def _prior_digest(ctx: GenerationContext) -> int:
 class ScriptedOracleBackend:
     """Replays the ground-truth proof of one task; pure in (seed, ctx)."""
 
-    backend_id = "scripted-oracle"
-
     def __init__(self, task: TaskInstance):
         self.task = task
         self.telemetry: Counter = Counter()
@@ -109,7 +106,7 @@ class ScriptedOracleBackend:
         terminal = i == len(self.gold_steps) - 1
         answer = self.task.gold_answer if terminal else ""
         raw = template.serialize_response(template.StructuredResponse((step,), answer))
-        return [CandidateStep(step=step, raw_text=raw, backend_id=self.backend_id)]
+        return [CandidateStep(step=step, raw_text=raw)]
 
     def generate_response(self, ctx: GenerationContext) -> str:
         return template.serialize_response(
@@ -152,8 +149,6 @@ class ScriptedOracleBackend:
 
 class ScriptedNoisyBackend(ScriptedOracleBackend):
     """Oracle steps with independent seeded corruption per candidate."""
-
-    backend_id = "scripted-noisy"
 
     def __init__(self, task: TaskInstance, corruption: CorruptionModel):
         super().__init__(task)
@@ -212,7 +207,7 @@ class ScriptedNoisyBackend(ScriptedOracleBackend):
                 if not template.conforms_strictly(raw):
                     self.telemetry["discarded_candidates"] += 1
                     continue
-            out.append(CandidateStep(step=step, raw_text=raw, backend_id=self.backend_id))
+            out.append(CandidateStep(step=step, raw_text=raw))
         return out
 
     def generate_response(self, ctx: GenerationContext) -> str:
@@ -224,8 +219,9 @@ class ScriptedNoisyBackend(ScriptedOracleBackend):
 
 
 class HttpBackend:
-    """Chat-completion JSON over HTTP: retries with exponential backoff and a
-    bounded number of concurrent in-flight calls.
+    """Chat-completion JSON over HTTP with retries and exponential backoff.
+    A task's beam search sends one request at a time; the stage's worker
+    threads are the only bound on requests in flight.
 
     ``transport`` is a callable ``(url, payload_dict, headers, timeout) ->
     (status_code, body_text)``.  The default posts with the stdlib's
@@ -235,19 +231,13 @@ class HttpBackend:
     fake transport for fault injection.
     """
 
-    backend_id = "http"
-
     def __init__(
         self,
         endpoint: str,
         model: str,
         api_key: str | None = None,
         prompts: dict[str, str] | None = None,
-        temperature: float = DEFAULT_GENERATION_TEMPERATURE,
-        eval_temperature: float = DEFAULT_EVALUATION_TEMPERATURE,
         max_retries: int = 5,
-        backoff_base: float = 0.5,
-        max_in_flight: int = 4,
         timeout: float = 60.0,
         transport=None,
         sleep=time.sleep,
@@ -256,12 +246,8 @@ class HttpBackend:
         self.model = model
         self.api_key = api_key
         self.prompts = prompts or {}
-        self.temperature = temperature
-        self.eval_temperature = eval_temperature
         self.max_retries = max_retries
-        self.backoff_base = backoff_base
         self.timeout = timeout
-        self._sem = threading.Semaphore(max_in_flight)
         self._sleep = sleep
         self._transport = transport or self._default_transport
         self.telemetry: Counter = Counter()
@@ -295,16 +281,13 @@ class HttpBackend:
         last_error = "no attempt made"
         for attempt in range(self.max_retries):
             if attempt:
-                self._sleep(self.backoff_base * 2 ** (attempt - 1))
-            with self._sem:
-                try:
-                    status, body = self._transport(
-                        self.endpoint, payload, headers, self.timeout
-                    )
-                except Exception as exc:
-                    last_error = f"transport error: {exc}"
-                    self.telemetry["transport_errors"] += 1
-                    continue
+                self._sleep(BACKOFF_BASE_S * 2 ** (attempt - 1))
+            try:
+                status, body = self._transport(self.endpoint, payload, headers, self.timeout)
+            except Exception as exc:
+                last_error = f"transport error: {exc}"
+                self.telemetry["transport_errors"] += 1
+                continue
             if status != 200:
                 last_error = f"HTTP {status}"
                 self.telemetry["http_errors"] += 1
@@ -340,7 +323,7 @@ class HttpBackend:
             except ValueError:
                 self.telemetry["discarded_candidates"] += 1
                 continue
-            out.append(CandidateStep(step=step, raw_text=raw, backend_id=self.backend_id))
+            out.append(CandidateStep(step=step, raw_text=raw))
         return out
 
     def generate_response(self, ctx: GenerationContext) -> str:
@@ -353,7 +336,7 @@ class HttpBackend:
         prompt = "\n\n".join(
             p for p in (self._prompt("translation"), template.serialize_step(step)) if p
         )
-        text = self._complete(prompt, self.eval_temperature, n=1)[0]
+        text = self._complete(prompt, DEFAULT_EVALUATION_TEMPERATURE, n=1)[0]
         try:
             facts, rules = kernel.parse_clauses(text)
         except kernel.KbError as exc:
@@ -375,7 +358,7 @@ class HttpBackend:
             )
             if p
         )
-        answer = self._complete(prompt, self.eval_temperature, n=1)[0].strip().upper()
+        answer = self._complete(prompt, DEFAULT_EVALUATION_TEMPERATURE, n=1)[0].strip().upper()
         if answer not in ("YES", "NO"):
             self.telemetry["unparseable_judgments"] += 1
             return False
@@ -389,15 +372,3 @@ class HttpBackend:
             feasibility_pass=self._yes_no("feasibility", step, ctx),
         )
 
-
-def make_backend(name: str, task: TaskInstance | None = None, corruption=None, **http_kwargs):
-    """Backend factory used by the CLI; scripted backends bind to one task."""
-    if name == "scripted-oracle":
-        assert task is not None
-        return ScriptedOracleBackend(task)
-    if name == "scripted-noisy":
-        assert task is not None
-        return ScriptedNoisyBackend(task, corruption or CorruptionModel())
-    if name == "http":
-        return HttpBackend(**http_kwargs)
-    raise ValueError(f"unknown backend: {name}")

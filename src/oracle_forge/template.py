@@ -37,6 +37,25 @@ TAG_ORDER = (
 
 FINAL_ANSWER_PREFIX = "FINAL ANSWER:"
 
+_TRUE_WORDS = {"yes", "true"}
+_FALSE_WORDS = {"no", "false"}
+
+
+def normalize_answer(raw: str) -> str:
+    """Trim, case-fold, strip terminal punctuation, canonicalize booleans,
+    collapse inner whitespace.  Idempotent."""
+    text = raw.strip().casefold()
+    # Strip punctuation and whitespace together so "! !" cannot leave a
+    # new terminal "!" behind for a second pass to remove.
+    text = re.sub(r"[\s.!?;:]+$", "", text)
+    text = re.sub(r"\s+", " ", text)
+    if text in _TRUE_WORDS:
+        return "true"
+    if text in _FALSE_WORDS:
+        return "false"
+    return text
+
+
 RETAINED_TOKEN = "RETAINED"
 REVISED_PREFIX = "REVISED:"
 

@@ -2,10 +2,12 @@ import hashlib
 import json
 import os
 import re
+import threading
+import time
 
 import pytest
 
-from oracle_forge import cli, gateway
+from oracle_forge import cli, gateway, template
 from oracle_forge.config import ConfigError, PipelineConfig, load_config
 from oracle_forge.datafactory import compute_stats
 
@@ -108,6 +110,18 @@ class TestConfig:
         assert err.startswith(f"config error: {label} must be ")
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "field, value, most",
+        [("n_facts", 0, 30), ("n_rules", 0, 12), ("n_facts", 31, 30), ("n_rules", 13, 12)],
+    )
+    def test_rulebase_size_out_of_bounds(self, tmp_path, capsys, field, value, most):
+        path = write(tmp_path / "cfg.yaml", f"corpus: {{kind: rulebase, {field}: {value}}}\n")
+        out = tmp_path / "out"
+        code, _, err = run_cli(capsys, "stage2", "--config", path, "--out", str(out))
+        assert code == 2
+        assert err == f"config error: corpus.{field} must be in 1..{most}, got {value}\n"
+        assert not out.exists()
+
     def test_value_types_follow_annotations(self, tmp_path):
         cfg = load_config(write(
             tmp_path / "ok.yaml",
@@ -120,7 +134,7 @@ class TestConfig:
             ("prompts_dir: 3\n", "prompts_dir must be a string or null, got 3"),
             ("corruption: {p_bad_rule: '0.5'}\n", "corruption.p_bad_rule must be a number"),
             ("beam: {temperature: -0.5}\n", "beam.temperature must be non-negative"),
-            ("http: {max_in_flight: 0}\n", "http.max_in_flight must be at least 1, got 0"),
+            ("http: {max_in_flight: 0}\n", "unknown http key: max_in_flight"),
             ("http: {max_retries: 0}\n", "http.max_retries must be at least 1, got 0"),
         ]:
             with pytest.raises(ConfigError, match=f"^{re.escape(message)}"):
@@ -294,6 +308,95 @@ class TestStage2Cli:
         assert (outs[0] / "audit.jsonl").read_bytes() == (outs[1] / "audit.jsonl").read_bytes()
 
 
+class FakeChatTransport:
+    """Chat-completion transport for http stage-2 runs without a server.
+    Answers by the prompt asset a request starts with: generation from the
+    scripted-noisy backend, translation from the tasks' NL pairings, and YES
+    to every judgment.  Holds each call 2 ms and records the peak number of
+    calls in flight."""
+
+    def __init__(self, cfg):
+        tasks = cli.build_tasks(cfg)
+        self.tasks = {t.prompt: t for t in tasks}
+        self.symbols = {nl: sym for t in tasks for nl, sym in t.nl_pairing.items()}
+        self.cfg = cfg
+        self.lock = threading.Lock()
+        self.active = self.peak = 0
+
+    def __call__(self, url, payload, headers, timeout):
+        with self.lock:
+            self.active += 1
+            self.peak = max(self.peak, self.active)
+        time.sleep(0.002)
+        with self.lock:
+            self.active -= 1
+        contents = self.reply(payload["messages"][0]["content"], payload["n"])
+        return 200, json.dumps({"choices": [{"message": {"content": c}} for c in contents]})
+
+    def reply(self, prompt, n):
+        asset, _, rest = prompt.partition("\n\n")
+        if asset == "GEN":
+            question, _, prior = rest.partition("\n\n<QUERY>")
+            steps = template.parse_response("<QUERY>" + prior).steps if prior else ()
+            ctx = gateway.GenerationContext(question, steps, seed=self.cfg.beam.seed)
+            backend = gateway.ScriptedNoisyBackend(self.tasks[question], self.cfg.corruption)
+            return [c.raw_text for c in backend.generate_candidates(ctx, n)]
+        if asset != "TRANS":
+            return ["YES"]
+        (step,) = template.parse_response(rest[rest.index("<QUERY>"):]).steps
+        symbols = [self.symbols.get(nl) for nl in (*step.facts, step.rule)]
+        if None in symbols:
+            return ["UNTRANSLATABLE"]
+        return ["".join(f"fact {f}.\n" for f in symbols[:-1]) + f"rule {symbols[-1]}\n"]
+
+
+class TestConcurrency:
+    def _http_run(self, tmp_path, capsys, monkeypatch, workers):
+        prompts = tmp_path / "prompts"
+        prompts.mkdir(exist_ok=True)
+        for name, text in (("generation", "GEN"), ("translation", "TRANS"),
+                           ("precision", "PREC"), ("feasibility", "FEAS")):
+            write(prompts / f"{name}.txt", text)
+        config = {
+            "backend": "http",
+            "seed": 3,
+            "workers": workers,
+            "prompts_dir": str(prompts),
+            "http": {"endpoint": "http://chat.invalid/v1", "model": "m"},
+            "corruption": {"p_bad_rule": 0.3, "p_bad_fact": 0.1},
+            "corpus": {"kind": "chain", "count": 6, "hops": 3},
+        }
+        path = write(tmp_path / f"cfg-{workers}.yaml", json.dumps(config))
+        transport = FakeChatTransport(load_config(path))
+        monkeypatch.setattr(gateway.HttpBackend, "_default_transport", staticmethod(transport))
+        out = tmp_path / f"w{workers}"
+        code, _, _ = run_cli(capsys, "stage2", "--config", path, "--out", str(out))
+        assert code == 0
+        return transport.peak, out
+
+    def test_workers_bound_http_requests_in_flight(self, tmp_path, capsys, monkeypatch):
+        peak1, out1 = self._http_run(tmp_path, capsys, monkeypatch, 1)
+        peak2, out2 = self._http_run(tmp_path, capsys, monkeypatch, 2)
+        assert (peak1, peak2) == (1, 2)
+        assert (out1 / "dpo.jsonl").read_text()
+        for name in ("sft.jsonl", "dpo.jsonl", "audit.jsonl"):
+            assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+    def test_scripted_backends_run_serially(self, tmp_path, capsys, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a scripted run started a thread pool")
+
+        monkeypatch.setattr(cli, "ThreadPoolExecutor", no_pool)
+        cfg = write(
+            tmp_path / "cfg.yaml",
+            "backend: scripted-noisy\ncorruption: {p_bad_rule: 0.3}\n"
+            "corpus: {kind: chain, count: 6, hops: 3}\nworkers: 4\n",
+        )
+        code, stdout, _ = run_cli(capsys, "stage2", "--config", cfg, "--out", str(tmp_path / "o"))
+        assert code == 0
+        assert "tasks 6" in stdout
+
+
 class TestStatsCli:
     def _audit(self, tmp_path, capsys):
         cfg = write(
@@ -393,13 +496,13 @@ GOLDEN_DIGESTS = {
         "sft.jsonl": "6b01b287990ca9e6b1aa84da3463995c776ab4e64856ca97e5e7d71bc5a4bfbe",
         "dpo.jsonl": "440e113a69126457232411d04ed10a7dc63c45f05af9196b3cf7575fb3c18f06",
         "audit.jsonl": "7c89e38fede27f905191eb2517016837edade82b9bbdc6c77fb3114f4b3f6c1f",
-        "manifest.json": "bc3a0c4f1fe97c6417f28112c2dbcb68daf3839ae9e3082de8dc565f20c018a7",
+        "manifest.json": "235b685f6ea323b43aa4e8c0a79a660a6c6d8034fba161022dc93cf001e9d3ce",
     },
     "rulebase": {
         "sft.jsonl": "49af24abc33490941d7acd9d4070048b6eeb3e66e035b93bf2d8324549b44eb2",
         "dpo.jsonl": "afb4007bd3024def3eb2040aed04d1ddd6418b5abde88709299ab549adef21ab",
         "audit.jsonl": "5f0937da29b8fb0623939caae4898d3309f0f622ebb9fc0704143e47d4869182",
-        "manifest.json": "7da2ecfd4fa037953b8e3298cd110ffeea489777d88ea9e51c51e556d76ae0e1",
+        "manifest.json": "706aafab0ebcbeb4273f85d8d0de6c26b210568827ddac21b0546548c97b3469",
     },
 }
 GOLDEN_CORPORA = {

@@ -17,7 +17,6 @@ from oracle_forge.gateway import (
     HttpBackend,
     ScriptedNoisyBackend,
     ScriptedOracleBackend,
-    make_backend,
 )
 from oracle_forge.kernel import Fact, Rule, verify_step
 
@@ -250,33 +249,6 @@ class TestHttpBackend:
         )
         assert backend.translate(step).error_kind == SYMBOLIC_DEFECT
 
-    def test_bounded_in_flight(self):
-        active = 0
-        peak = 0
-        lock = threading.Lock()
-
-        def entry(payload):
-            nonlocal active, peak
-            with lock:
-                active += 1
-                peak = max(peak, active)
-            threading.Event().wait(0.01)
-            with lock:
-                active -= 1
-            return (200, chat_response("YES"))
-
-        transport = FakeTransport([entry])
-        backend = http_backend(transport, max_in_flight=2)
-        threads = [
-            threading.Thread(target=lambda: backend._complete("hi", 0.0))
-            for _ in range(8)
-        ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert peak <= 2
-
     def test_auth_header_sent(self):
         transport = FakeTransport([(200, chat_response("YES"))])
         backend = http_backend(transport)
@@ -385,11 +357,3 @@ class TestDefaultTransport:
             backend._complete("hi", 0.0)
         assert backend.telemetry["http_errors"] == 3
         assert len(server.received) == 3
-
-
-class TestFactory:
-    def test_make_backends(self, task):
-        assert isinstance(make_backend("scripted-oracle", task), ScriptedOracleBackend)
-        assert isinstance(make_backend("scripted-noisy", task), ScriptedNoisyBackend)
-        with pytest.raises(ValueError):
-            make_backend("mystery")

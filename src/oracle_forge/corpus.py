@@ -200,40 +200,43 @@ def gen_rulebase_task(
 
 
 def _try_rulebase(rng, n_facts, n_rules, negation, seed) -> TaskInstance | None:
-    n_preds = rng.randint(5, 8)
-    preds = _nonsense_words(rng, n_preds)
-    consts = [const(n) for n in rng.sample(_NAMES, rng.randint(3, 5))]
-    x = var("X")
+    # Names are drawn before any term is built, since most rule bases fail
+    # to stratify.  random.sample picks by index, so sampling cell indices
+    # draws what sampling the ground atoms themselves would.
+    preds = _nonsense_words(rng, rng.randint(5, 8))
+    names = rng.sample(_NAMES, rng.randint(3, 5))
+    n_cells = len(preds) * len(names)
+    fact_cells = rng.sample(range(n_cells), min(n_facts, n_cells))
 
-    all_ground = [Atom(p, (c,)) for p in preds for c in consts]
-    facts = frozenset(Fact(a) for a in rng.sample(all_ground, min(n_facts, len(all_ground))))
-
-    rules: list[Rule] = []
-    seen_rules = set()
+    drawn: dict[tuple, None] = {}  # (head, body_pos, body_neg) names, in order
     for _ in range(n_rules * 3):
-        if len(rules) >= n_rules:
+        if len(drawn) >= n_rules:
             break
-        head = Atom(rng.choice(preds), (x,))
+        head = rng.choice(preds)
         body_preds = rng.sample(preds, rng.randint(1, 2))
-        body_pos = tuple(Atom(p, (x,)) for p in body_preds if p != head.predicate)
+        body_pos = tuple(p for p in body_preds if p != head)
         if not body_pos:
             continue
         body_neg = ()
         if negation and rng.random() < 0.4:
-            neg_choices = [
-                p for p in preds
-                if p != head.predicate and p not in body_preds
-            ]
+            neg_choices = [p for p in preds if p != head and p not in body_preds]
             if neg_choices:
-                body_neg = (Atom(rng.choice(neg_choices), (x,)),)
-        r = Rule(head, body_pos, body_neg)
-        if str(r) in seen_rules:
-            continue
-        seen_rules.add(str(r))
-        rules.append(r)
-    if len(rules) < n_rules:
+                body_neg = (rng.choice(neg_choices),)
+        drawn.setdefault((head, body_pos, body_neg))
+    if len(drawn) < n_rules:
         return None
 
+    x = var("X")
+    unary = {p: Atom(p, (x,)) for p in preds}
+    rules = [
+        Rule(unary[h], tuple(map(unary.get, pos)), tuple(map(unary.get, neg)))
+        for h, pos, neg in drawn
+    ]
+    consts = [const(n) for n in names]
+    facts = frozenset(
+        Fact(Atom(preds[i // len(names)], (consts[i % len(names)],)))
+        for i in fact_cells
+    )
     try:
         kb = KnowledgeBase(facts, tuple(rules))
         closure, trace = kernel.forward_chain_with_trace(kb)
@@ -242,9 +245,20 @@ def _try_rulebase(rng, n_facts, n_rules, negation, seed) -> TaskInstance | None:
     if not trace:
         return None
 
+    # Every ground atom, as the closure's own fact where it has one.
+    in_closure = {(f.atom.predicate, f.atom.args[0].name): f for f in closure}
+    grid, underivable = [], []
+    for p in preds:
+        for c in consts:
+            f = in_closure.get((p, c.name))
+            if f is None:
+                f = Fact(Atom(p, (c,)))
+                underivable.append(f.atom)
+            grid.append(f)
+
     gold_true = seed % 2 == 0
     derived = sorted(f.atom for f in closure - facts)
-    underivable = sorted(a for a in all_ground if Fact(a) not in closure)
+    underivable.sort()
     if gold_true:
         query = rng.choice(derived)
         proof = _proof_for(query, trace, facts)
@@ -260,8 +274,8 @@ def _try_rulebase(rng, n_facts, n_rules, negation, seed) -> TaskInstance | None:
     gold_answer = "true" if gold_true else "false"
 
     pairing: dict[str, Fact | Rule] = {}
-    for a in all_ground:
-        pairing[_fact_nl(a)] = Fact(a)
+    for f in grid:
+        pairing[_fact_nl(f.atom)] = f
     nl_rules = {}
     for r in rules:
         nl = _rule_nl(r)

@@ -17,7 +17,10 @@ constant.  Zero-arity atoms may omit parentheses.
 
 from __future__ import annotations
 
+import bisect
+import functools
 import itertools
+import operator
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -31,11 +34,34 @@ class EngineError(Exception):
 
 
 class NonStratifiable(EngineError):
-    def __init__(self, predicates):
-        super().__init__(
-            "negation cycle through predicates: " + ", ".join(sorted(predicates))
-        )
-        self.predicates = tuple(sorted(predicates))
+    """Some predicate depends negatively on itself.  ``predicates`` names the
+    predicates of each strongly connected component of the dependency graph
+    that holds a negated edge.  They are found when first read, since the
+    rule-base generator drops most of these errors unread."""
+
+    def __init__(self, rules):
+        super().__init__(rules)
+        self.rules = rules
+
+    @functools.cached_property
+    def predicates(self) -> tuple[str, ...]:
+        reach: dict[str, set[str]] = {}  # predicates reached in one or more steps
+        for r in self.rules:
+            for a in itertools.chain(r.body_pos, r.body_neg):
+                reach.setdefault(a.predicate, set()).add(r.head.predicate)
+        for k in reach:  # Warshall's transitive closure
+            for targets in reach.values():
+                if k in targets:
+                    targets |= reach[k]
+        on_cycle: set[str] = set()
+        for r in self.rules:
+            h = r.head.predicate
+            if any(a.predicate in reach.get(h, ()) for a in r.body_neg):
+                on_cycle.update(p for p in reach[h] if h in reach.get(p, ()))
+        return tuple(sorted(on_cycle))
+
+    def __str__(self):
+        return "negation cycle through predicates: " + ", ".join(self.predicates)
 
 
 class IterationLimitExceeded(EngineError):
@@ -370,66 +396,115 @@ def parse_atom(src: str) -> Atom:
 # Matching and forward chaining
 
 
-def _index(atoms) -> dict[str, list[Atom]]:
-    """The atoms grouped by predicate, each group sorted.  Sorted groups keep
-    match (and hence trace) order independent of hash randomization."""
-    index: dict[str, list[Atom]] = {}
-    for atom in sorted(atoms):
-        index.setdefault(atom.predicate, []).append(atom)
+_name = operator.attrgetter("name")
+
+
+def _index(facts) -> dict[str, list[tuple[tuple[str, ...], Fact]]]:
+    """The facts grouped by predicate, each group sorted by constant names.
+    For the ground atoms of one predicate that is the dataclass order, so
+    match (and hence trace) order is independent of hash randomization."""
+    index: dict[str, list] = {}
+    for f in facts:
+        index.setdefault(f.atom.predicate, []).append(
+            (tuple(map(_name, f.atom.args)), f)
+        )
+    for group in index.values():
+        group.sort()
     return index
 
 
-def _join(rule: Rule, index: dict[str, list[Atom]], known):
-    """Yield (head, body atoms) for each grounding of rule's positive body in
-    index, in lexicographic order, whose negated atoms are absent from known.
-    No predicate, arity or groundness check is needed: index groups by
-    predicate, KnowledgeBase fixes arities, and rule safety grounds heads."""
+def _join(rule: Rule, sources, known):
+    """Yield (head, body facts) for each grounding of rule's positive body, in
+    lexicographic order, whose negated atoms are absent from known.  Body
+    atom i is matched in the index sources[i], among the facts _narrow
+    leaves.  No predicate, arity or groundness check is needed: index groups
+    by predicate, KnowledgeBase fixes arities, and rule safety grounds heads."""
 
-    def extend(i: int, theta: dict, body: tuple[Atom, ...]):
+    def extend(i: int, theta: dict, body: tuple[Fact, ...]):
         if i == len(rule.body_pos):
             if not any(na.substitute(theta) in known for na in rule.body_neg):
                 yield rule.head.substitute(theta), body
             return
         pattern = rule.body_pos[i]
-        for atom in index.get(pattern.predicate, ()):
+        group = sources[i].get(pattern.predicate, ())
+        if len(group) > 1:
+            group = _narrow(group, pattern, theta)
+        for _, fact in group:
             bound = dict(theta)
-            for p, c in zip(pattern.args, atom.args):
+            for p, c in zip(pattern.args, fact.atom.args):
                 if p.is_variable:
-                    if bound.setdefault(p, c) != c:
-                        break
-                elif p != c:
+                    p = bound.setdefault(p, c)
+                if p is not c and p != c:  # identity first: facts share terms
                     break
             else:
-                yield from extend(i + 1, bound, body + (atom,))
+                yield from extend(i + 1, bound, body + (fact,))
 
     yield from extend(0, {}, ())
 
 
+def _narrow(group, pattern: Atom, theta: dict):
+    """The entries of a sorted index group whose constants agree with the
+    leading arguments of pattern that are constants or bound in theta, found
+    by binary search.  A pattern bound throughout leaves at most one."""
+    key = []
+    for t in pattern.args:
+        if t.is_variable:
+            t = theta.get(t)
+            if t is None:
+                break
+        key.append(t.name)
+    if not key:
+        return group
+    key, k = tuple(key), len(key)
+    lo = bisect.bisect_left(group, (key,))
+    return group[lo:bisect.bisect_right(group, key, lo, key=lambda e: e[0][:k])]
+
+
+def _delta_join(rule: Rule, old, delta, full, known):
+    """The groundings of rule that use a fact of the index delta, in
+    lexicographic order: one join per body position i whose predicate delta
+    holds, with the atoms before i matched in old, the atom at i in delta
+    and the atoms after it in full (Bancilhon & Ramakrishnan, SIGMOD 1986).
+    Each grounding comes from the position of its first delta fact only."""
+    n = len(rule.body_pos)
+    joins = [
+        _join(rule, [old] * i + [delta] + [full] * (n - i - 1), known)
+        for i, pattern in enumerate(rule.body_pos)
+        if pattern.predicate in delta
+    ]
+    if len(joins) == 1:
+        return joins[0]
+    return sorted(itertools.chain(*joins), key=lambda grounding: grounding[1])
+
+
 def _stratify(kb: KnowledgeBase) -> dict[str, int]:
-    """Assign stratum numbers; raises NonStratifiable on a negative cycle."""
-    preds = {f.atom.predicate for f in kb.facts}
-    for r in kb.rules:
-        preds.add(r.head.predicate)
-        for a in itertools.chain(r.body_pos, r.body_neg):
-            preds.add(a.predicate)
-    stratum = {p: 0 for p in preds}
-    n = max(1, len(preds))
-    # Bellman-Ford style relaxation: positive edge >=, negative edge >.
-    for _ in range(n + 1):
-        changed_preds: set[str] = set()
-        for r in kb.rules:
-            h = r.head.predicate
-            for a in r.body_pos:
-                if stratum[h] < stratum[a.predicate]:
-                    stratum[h] = stratum[a.predicate]
-                    changed_preds.add(h)
-            for a in r.body_neg:
-                if stratum[h] < stratum[a.predicate] + 1:
-                    stratum[h] = stratum[a.predicate] + 1
-                    changed_preds.add(h)
-        if not changed_preds:
-            return stratum
-    raise NonStratifiable(changed_preds)
+    """The least stratum of each predicate: a rule's head is at least as high
+    as each positive body predicate and above each negated one.  Raises
+    NonStratifiable when a negation cycle leaves no such numbering."""
+    edges = [
+        (r.head.predicate, a.predicate, step)
+        for r in kb.rules
+        for body, step in ((r.body_pos, 0), (r.body_neg, 1))
+        for a in body
+    ]
+    stratum = {f.atom.predicate: 0 for f in kb.facts}
+    stratum.update((r.head.predicate, 0) for r in kb.rules)
+    stratum.update((b, 0) for _, b, _ in edges)
+    # Bellman-Ford relaxation from 0 (positive edge >=, negative edge >)
+    # stays at or below the least strata.  Those count the negated atoms on
+    # some simple path, so a value above the number of negated atoms proves
+    # a negation cycle; without one the relaxation settles.
+    top = sum(len(r.body_neg) for r in kb.rules)
+    changed = True
+    while changed:
+        changed = False
+        for h, b, step in edges:
+            if stratum[h] < stratum[b] + step:
+                stratum[h] = stratum[b] + step
+                if stratum[h] > top:
+                    raise NonStratifiable(kb.rules)
+                changed = True
+    return stratum
 
 
 @dataclass(frozen=True)
@@ -445,36 +520,39 @@ def forward_chain_with_trace(
     kb: KnowledgeBase, max_iterations: int = DEFAULT_MAX_ITERATIONS
 ) -> tuple[frozenset[Fact], tuple[Derivation, ...]]:
     """Least fixpoint plus the derivation trace, semi-naive per stratum: the
-    first round of a stratum keeps every grounding, so body-less rules fire
-    there; later rounds keep only groundings that use an atom derived in the
-    round before (Bancilhon & Ramakrishnan, SIGMOD 1986)."""
+    first round of a stratum joins every rule with all facts, so body-less
+    rules fire there; later rounds join each rule only with the facts
+    derived in the round before, through _delta_join.  The index is built
+    once.  Each round merges its new facts into fresh copies of their
+    predicates' groups, so the index of the round before stays intact for
+    the body positions that match older facts."""
     stratum = _stratify(kb)
-    n_strata = max(stratum.values(), default=0) + 1
+    rules = sorted(kb.rules, key=str)
     known = {f.atom for f in kb.facts}
+    full = _index(kb.facts)
     trace: list[Derivation] = []
     iterations = 0
-    for s in range(n_strata):
-        layer_rules = sorted(
-            (r for r in kb.rules if stratum[r.head.predicate] == s), key=str
-        )
-        first_round, delta = True, set()
-        while first_round or delta:
+    for s in range(max(stratum.values(), default=0) + 1):
+        layer_rules = [r for r in rules if stratum[r.head.predicate] == s]
+        old = delta = None
+        while delta is None or delta:
             iterations += 1
             if iterations > max_iterations:
                 raise IterationLimitExceeded(f"exceeded {max_iterations} rounds")
-            index = _index(known)
-            new: set[Atom] = set()
+            new: dict[Atom, Fact] = {}
             for r in layer_rules:
-                for head, body in _join(r, index, known):
-                    if head in known or head in new:
-                        continue
-                    if first_round or not delta.isdisjoint(body):
-                        new.add(head)
-                        trace.append(
-                            Derivation(r, tuple(map(Fact, body)), Fact(head))
-                        )
-            known |= new
-            first_round, delta = False, new
+                if delta is None:
+                    groundings = _join(r, [full] * len(r.body_pos), known)
+                else:
+                    groundings = _delta_join(r, old, delta, full, known)
+                for head, body in groundings:
+                    if head not in known and head not in new:
+                        new[head] = fact = Fact(head)
+                        trace.append(Derivation(r, body, fact))
+            known.update(new)
+            old, delta, full = full, _index(new.values()), dict(full)
+            for p, group in delta.items():
+                full[p] = sorted(old.get(p, []) + group)
     return frozenset(kb.facts).union(d.conclusion for d in trace), tuple(trace)
 
 
@@ -504,8 +582,9 @@ def verify_step(facts: list[Fact] | tuple[Fact, ...], rule: Rule) -> StepVerdict
         return StepVerdict(False, failure=FailureKind.ARITY_MISMATCH, detail=str(exc))
     except UnsafeRuleError as exc:
         return StepVerdict(False, failure=FailureKind.UNSAFE_RULE, detail=str(exc))
+    sources = [_index(fact_set)] * len(rule.body_pos)
     known = {f.atom for f in fact_set}
-    heads = {Fact(head) for head, _ in _join(rule, _index(known), known)}
+    heads = {Fact(head) for head, _ in _join(rule, sources, known)}
     if not heads:
         return StepVerdict(False, failure=FailureKind.NO_RULE_FIRING)
     return StepVerdict(True, conclusions=tuple(sorted(heads)))

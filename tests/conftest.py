@@ -226,3 +226,67 @@ def enumerate_step_verdict(facts, rule: Rule):
         if all(a in fact_atoms for a in pos) and not any(a in fact_atoms for a in neg):
             heads.add(Fact(head))
     return heads
+
+
+def _unify(patterns, atoms):
+    """The substitution that maps each pattern onto its atom, or None."""
+    theta: dict[Term, Term] = {}
+    for pattern, atom in zip(patterns, atoms):
+        for p, c in zip(pattern.args, atom.args):
+            if p.is_variable:
+                if theta.setdefault(p, c) != c:
+                    return None
+            elif p != c:
+                return None
+    return theta
+
+
+def reference_trace(kb: KnowledgeBase):
+    """The semi-naive derivation trace by brute force, as (rule text, body
+    facts, conclusion) strings.  Strata are the least ones, found by
+    relaxation; within a stratum, rules go in the order of their text, and
+    each round tries the groundings of a rule in the order of
+    itertools.product over the sorted facts for each body atom.  A grounding
+    is kept when it uses a fact derived in the round before (any fact, in a
+    stratum's first round) and its head is new.  Only for stratifiable KBs."""
+    stratum = {f.atom.predicate: 0 for f in kb.facts}
+    for r in kb.rules:
+        for a in itertools.chain((r.head,), r.body_pos, r.body_neg):
+            stratum[a.predicate] = 0
+    changed = True
+    while changed:
+        changed = False
+        for r in kb.rules:
+            for body, step in ((r.body_pos, 0), (r.body_neg, 1)):
+                for a in body:
+                    if stratum[r.head.predicate] < stratum[a.predicate] + step:
+                        stratum[r.head.predicate] = stratum[a.predicate] + step
+                        changed = True
+
+    known = {f.atom for f in kb.facts}
+    trace = []
+    for s in range(max(stratum.values(), default=0) + 1):
+        rules = sorted((r for r in kb.rules if stratum[r.head.predicate] == s), key=str)
+        delta = None
+        while delta is None or delta:
+            facts = sorted(known)
+            new: set[Atom] = set()
+            for r in rules:
+                choices = [
+                    [a for a in facts if a.predicate == p.predicate] for p in r.body_pos
+                ]
+                for body in itertools.product(*choices):
+                    theta = _unify(r.body_pos, body)
+                    if theta is None or any(
+                        a.substitute(theta) in known for a in r.body_neg
+                    ):
+                        continue
+                    head = r.head.substitute(theta)
+                    if head in known or head in new:
+                        continue
+                    if delta is None or not delta.isdisjoint(body):
+                        new.add(head)
+                        trace.append((str(r), tuple(map(str, body)), str(head)))
+            known |= new
+            delta = new
+    return trace

@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import pytest
 
 from oracle_forge import corpus, kernel, template
@@ -12,6 +15,7 @@ from oracle_forge.corpus import (
     load_tasks,
     planted_stage1_corpus,
     save_tasks,
+    task_to_dict,
 )
 from oracle_forge.kernel import answer_query, parse_atom, verify_step
 
@@ -86,6 +90,41 @@ class TestRulebaseTask:
             gen_rulebase_task(n_facts=31)
         with pytest.raises(ValueError):
             gen_rulebase_task(n_rules=13)
+
+    # For (n_facts, n_rules, negation), over seeds 0-24: the sha256 of the
+    # task_to_dict JSON lines (a seed whose attempts run out contributes its
+    # RetryExhausted message instead), and the number of
+    # forward_chain_with_trace calls the generator made.
+    GENERATOR_PINS = {
+        (1, 1, False): ("f0a4944d439e5c9fb981def5f1f67131ba0baba797d2faa054e9db0a5515d280", 341),
+        (6, 5, False): ("6d003d9364d409a7e95df3106d417d93ee24762bd5d35916bf56b96d3275a79f", 27),
+        (12, 8, True): ("0122417f82866553c3428c6f52c849a214c7059ae235e8c028be1818245b7306", 148),
+        (30, 12, True): ("f87239d751f352e70505fa947d7f939571e3dc4681d6ce8c5cb22ee4cf70cf35", 1997),
+    }
+
+    @pytest.mark.parametrize("n_facts, n_rules, negation", sorted(GENERATOR_PINS))
+    def test_tasks_and_engine_calls_are_pinned(
+        self, monkeypatch, n_facts, n_rules, negation
+    ):
+        calls = 0
+        chain = kernel.forward_chain_with_trace
+
+        def counting(*args, **kwargs):
+            nonlocal calls
+            calls += 1
+            return chain(*args, **kwargs)
+
+        monkeypatch.setattr(kernel, "forward_chain_with_trace", counting)
+        digest = hashlib.sha256()
+        for seed in range(25):
+            try:
+                task = gen_rulebase_task(n_facts, n_rules, negation, seed=seed)
+                line = json.dumps(task_to_dict(task), sort_keys=True)
+            except corpus.RetryExhausted as exc:
+                line = str(exc)
+            digest.update((line + "\n").encode("utf-8"))
+        pin = self.GENERATOR_PINS[n_facts, n_rules, negation]
+        assert (digest.hexdigest(), calls) == pin
 
 
 class TestGoldResponse:

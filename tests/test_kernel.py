@@ -7,6 +7,7 @@ from conftest import (
     naive_closure,
     naive_closure_positive,
     random_kb,
+    reference_trace,
 )
 from oracle_forge import kernel
 from oracle_forge.kernel import (
@@ -95,6 +96,13 @@ class TestForwardChain:
     def test_nonstratifiable(self):
         with pytest.raises(kernel.NonStratifiable):
             forward_chain(parse_program("fact r(a). rule p(X) :- r(X), not p(X)."))
+        # c and e only depend on the cycle through a and b; they are not on it.
+        with pytest.raises(kernel.NonStratifiable) as exc:
+            forward_chain(parse_program(
+                "fact d. rule a :- d, not b. rule b :- a. rule c :- a. rule e :- c."
+            ))
+        assert exc.value.predicates == ("a", "b")
+        assert str(exc.value) == "negation cycle through predicates: a, b"
 
     def test_iteration_limit(self):
         kb = parse_program(
@@ -137,6 +145,37 @@ class TestForwardChain:
         assert [str(d.conclusion) for d in trace] == [
             "s(a)", "s(b)", "s(c)", "t(a, c)", "t(b, d)"
         ]
+
+    @staticmethod
+    def trace_of(kb):
+        _, trace = kernel.forward_chain_with_trace(kb)
+        return [
+            (str(d.rule), tuple(map(str, d.body_facts)), str(d.conclusion))
+            for d in trace
+        ]
+
+    def test_trace_matches_reference_on_random_stratified_kbs(self):
+        rng = random.Random(2024)
+        derivations = 0
+        for _ in range(250):
+            kb = random_kb(rng)
+            trace = self.trace_of(kb)
+            assert trace == reference_trace(kb)
+            derivations += len(trace)
+        assert derivations > 50
+
+    @pytest.mark.parametrize(
+        "recursive_rule",
+        ["rule t(X, Z) :- t(X, Y), e(Y, Z).", "rule t(X, Z) :- t(X, Y), t(Y, Z)."],
+    )
+    def test_trace_matches_reference_on_path_closure(self, recursive_rule):
+        # The second form puts new facts at both body positions of a rule.
+        edges = [f"fact e(c{i}, c{i + 1})." for i in range(20)]
+        rules = ["rule t(X, Y) :- e(X, Y).", recursive_rule]
+        kb = parse_program("\n".join(edges + rules))
+        trace = self.trace_of(kb)
+        assert len(trace) == 210
+        assert trace == reference_trace(kb)
 
     def test_matches_fully_naive_closure_without_negation(self):
         rng = random.Random(7)

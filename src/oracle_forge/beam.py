@@ -19,7 +19,6 @@ from . import kernel, template
 from .corpus import TaskInstance
 from .gateway import (
     BackendUnavailable,
-    CandidateStep,
     EvalVerdict,
     GenerationContext,
     TranslationResult,
@@ -69,7 +68,6 @@ class BeamNode:
     score: ScoreBreakdown
     verdict: StepVerdict | None = None
     eval_verdict: EvalVerdict | None = None
-    candidate: CandidateStep | None = None
     translation: TranslationResult | None = None
     terminal: bool = False
     answer: str | None = None
@@ -167,7 +165,6 @@ def expand_node(
                 score=score_candidate(verdict.executed, ev, cfg),
                 verdict=verdict,
                 eval_verdict=ev,
-                candidate=cand,
                 translation=translation,
                 terminal=answer is not None,
                 answer=answer,

@@ -44,6 +44,17 @@ def build_tasks(cfg: PipelineConfig) -> list[corpus.TaskInstance]:
     return tasks
 
 
+def _build_tasks_or_report(cfg: PipelineConfig) -> list[corpus.TaskInstance] | None:
+    """build_tasks, or None after a one-line error on stderr when the corpus
+    cannot be built: a rule base that exhausts its retries, or a corpus file
+    that cannot be read or holds a line that is not a task."""
+    try:
+        return build_tasks(cfg)
+    except (corpus.RetryExhausted, ValueError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return None
+
+
 def make_task_backend(cfg: PipelineConfig, task, prompts):
     if cfg.backend == "http":
         return gateway.HttpBackend(
@@ -90,7 +101,9 @@ def _run_per_task(cfg: PipelineConfig, tasks, fn):
 
 def cmd_stage1(cfg: PipelineConfig) -> int:
     prompts = cfg.load_prompts()
-    tasks = build_tasks(cfg)
+    tasks = _build_tasks_or_report(cfg)
+    if tasks is None:
+        return EXIT_FAILURE
 
     def one(i, task):
         backend = make_task_backend(cfg, task, prompts)
@@ -117,7 +130,9 @@ def cmd_stage1(cfg: PipelineConfig) -> int:
 
 def cmd_stage2(cfg: PipelineConfig) -> int:
     prompts = cfg.load_prompts()
-    tasks = build_tasks(cfg)
+    tasks = _build_tasks_or_report(cfg)
+    if tasks is None:
+        return EXIT_FAILURE
     beam_cfg = cfg.beam
     if prompts.get("few_shot"):
         beam_cfg = replace(beam_cfg, few_shot_asset=prompts["few_shot"])

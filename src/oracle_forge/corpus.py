@@ -430,7 +430,8 @@ def _rule_src(rule: Rule) -> str:
 
 def _parse_rule(src: str) -> Rule:
     kb = kernel.parse_program(src)
-    assert len(kb.rules) == 1
+    if len(kb.rules) != 1:
+        raise kernel.KbError(f"expected exactly 1 rule, got {len(kb.rules)}: {src!r}")
     return kb.rules[0]
 
 
@@ -460,6 +461,10 @@ def task_to_dict(task: TaskInstance) -> dict:
 
 
 def task_from_dict(d: dict) -> TaskInstance:
+    for key in ("id", "question", "context", "gold_answer"):
+        if not isinstance(d[key], str):
+            raise TypeError(f"{key} is not a string: {d[key]!r}")
+
     def load_sym(entry):
         if entry["kind"] == "fact":
             return Fact(kernel.parse_atom(entry["src"]))
@@ -491,11 +496,19 @@ def save_tasks(tasks, path) -> None:
 
 
 def load_tasks(path) -> list[TaskInstance]:
+    """The tasks of a JSONL file, one per non-blank line.  A line that does
+    not hold a task raises ValueError naming the file and the line."""
     out = []
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            if line.strip():
+        for lineno, line in enumerate(fh, 1):
+            if not line.strip():
+                continue
+            try:
                 out.append(task_from_dict(json.loads(line)))
+            except (ValueError, LookupError, TypeError, AttributeError) as exc:
+                raise ValueError(
+                    f"{path}, line {lineno}: {type(exc).__name__}: {exc}"
+                ) from exc
     return out
 
 

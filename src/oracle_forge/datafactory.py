@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 from . import kernel, template
 from .beam import BeamResult
-from .gateway import SOURCE_UNMATCHED, CandidateStep, TranslationResult
+from .gateway import SOURCE_UNMATCHED, TranslationResult
 from .kernel import StepVerdict
 from .template import normalize_answer
 
@@ -128,20 +128,13 @@ def stage1_filter(samples) -> tuple[list[SftRecord], list[RejectReason]]:
     return kept, rejected
 
 
-def classify_failure(
-    candidate: CandidateStep | None,
-    translation: TranslationResult | None,
-    verdict: StepVerdict,
-) -> str:
+def classify_failure(translation: TranslationResult | None, verdict: StepVerdict) -> str:
     """Split engine failures into the two reported classes: defects in the
-    generated step itself vs defects introduced going symbolic."""
+    generated step itself vs defects introduced going symbolic.  A stage-2
+    step is validated before it becomes a candidate, so only its translation
+    can show a generation defect."""
     if verdict.executed:
         raise ValueError("classify_failure requires a failed verdict")
-    if candidate is not None:
-        try:
-            candidate.step.validate()
-        except ValueError:
-            return GENERATION_ERROR
     if translation is not None and not translation.ok:
         if translation.error_kind == SOURCE_UNMATCHED:
             return GENERATION_ERROR
@@ -159,7 +152,7 @@ def node_to_audit(node, task_id: str) -> dict:
     failure_class = None
     failure_kind = None
     if node.step is not None and not executed:
-        failure_class = classify_failure(node.candidate, node.translation, node.verdict)
+        failure_class = classify_failure(node.translation, node.verdict)
         if node.verdict and node.verdict.failure:
             failure_kind = node.verdict.failure.value
     return {
@@ -185,12 +178,6 @@ def _audit_lines(results: list[BeamResult]):
     for result in results:
         for node in result.nodes:
             yield json.dumps(node_to_audit(node, result.task.id), sort_keys=True)
-
-
-def write_audit(results: list[BeamResult], path) -> int:
-    out_dir, name = os.path.split(os.fspath(path))
-    write_outputs(out_dir or ".", {name: _audit_lines(results)})
-    return sum(len(r.nodes) for r in results)
 
 
 def read_audit(path) -> list[dict]:

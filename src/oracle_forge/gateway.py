@@ -293,8 +293,11 @@ class HttpBackend:
                 self.telemetry["http_errors"] += 1
                 continue
             try:
-                data = json.loads(body)
-                return [c["message"]["content"] for c in data["choices"]]
+                texts = [c["message"]["content"] for c in json.loads(body)["choices"]]
+                # An empty choice list or a null content is no completion.
+                if not texts or not all(isinstance(t, str) for t in texts):
+                    raise ValueError("no text in choices")
+                return texts
             except (ValueError, KeyError, TypeError) as exc:
                 last_error = f"bad response body: {exc}"
                 self.telemetry["malformed_responses"] += 1

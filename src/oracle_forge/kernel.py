@@ -21,6 +21,7 @@ import bisect
 import functools
 import itertools
 import operator
+import re
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -225,73 +226,49 @@ class StepVerdict:
 
 
 # --------------------------------------------------------------------------
-# Rule-language parser (recursive descent over a hand-rolled tokenizer)
+# Rule-language parser (recursive descent over one compiled token pattern)
 
-
-class _Tokenizer:
-    PUNCT = (":-", "(", ")", ",", ".")
-
-    def __init__(self, src: str):
-        self.src = src
-        self.pos = 0
-        self.line = 1
-        self.col = 1
-
-    def _advance(self, n: int):
-        for _ in range(n):
-            if self.src[self.pos] == "\n":
-                self.line += 1
-                self.col = 1
-            else:
-                self.col += 1
-            self.pos += 1
-
-    def skip_trivia(self):
-        while self.pos < len(self.src):
-            c = self.src[self.pos]
-            if c in " \t\r\n":
-                self._advance(1)
-            elif c == "#":
-                while self.pos < len(self.src) and self.src[self.pos] != "\n":
-                    self._advance(1)
-            else:
-                break
-
-    def next(self) -> tuple[str, str, int, int]:
-        """Returns (kind, text, line, col); kind in {ident, var, punct, eof}."""
-        self.skip_trivia()
-        line, col = self.line, self.col
-        if self.pos >= len(self.src):
-            return ("eof", "", line, col)
-        for p in self.PUNCT:
-            if self.src.startswith(p, self.pos):
-                self._advance(len(p))
-                return ("punct", p, line, col)
-        c = self.src[self.pos]
-        if c == "?" or c.isalpha() or c == "_":
-            start = self.pos
-            if c == "?":
-                self._advance(1)
-            while self.pos < len(self.src) and (
-                self.src[self.pos].isalnum() or self.src[self.pos] == "_"
-            ):
-                self._advance(1)
-            text = self.src[start:self.pos]
-            if text == "?" :
-                raise KblSyntaxError(line, col, "name after '?'")
-            first = text[1] if text[0] == "?" else text[0]
-            kind = "var" if (text[0] == "?" or first.isupper()) else "ident"
-            return (kind, text, line, col)
-        raise KblSyntaxError(line, col, "identifier or punctuation")
+# Trivia (blanks and '#' comments), then the token that starts there, if any:
+# group 1 is punctuation, group 2 a name ('?' or a word character, then word
+# characters).  The token is optional, so a match never backtracks into the
+# trivia, and one that reads no token stops at eof or at a character that
+# starts none.
+_TOKEN_RE = re.compile(r"(?:[ \t\r\n]|#[^\n]*)*(?:(:-|[(),.])|(\?\w*|\w+))?")
 
 
 class _Parser:
     def __init__(self, src: str):
-        self.tok = _Tokenizer(src)
-        self.cur = self.tok.next()
+        self.src = src
+        self.pos = 0  # where the next token's trivia starts
+        self.line = 1
+        self.line_start = 0  # offset of the first character of self.line
+        self._bump()
 
     def _bump(self):
-        self.cur = self.tok.next()
+        """Read the next token into cur: (kind, text, line, col), with kind in
+        {ident, var, punct, eof}."""
+        src = self.src
+        m = _TOKEN_RE.match(src, self.pos)
+        punct, name = m.groups()
+        start = m.end() - len(punct or name or "")
+        # Only trivia holds newlines.
+        newlines = src.count("\n", self.pos, start)
+        if newlines:
+            self.line += newlines
+            self.line_start = src.rindex("\n", self.pos, start) + 1
+        line, col = self.line, start - self.line_start + 1
+        self.pos = m.end()
+        if punct:
+            self.cur = ("punct", punct, line, col)
+        elif name == "?":
+            raise KblSyntaxError(line, col, "name after '?'")
+        elif name and (name[0] in "?_" or name[0].isalpha()):
+            kind = "var" if name[0] == "?" or name[0].isupper() else "ident"
+            self.cur = (kind, name, line, col)
+        elif start == len(src):
+            self.cur = ("eof", "", line, col)
+        else:  # a name that starts with a digit, or no token at all
+            raise KblSyntaxError(line, col, "identifier or punctuation")
 
     def _expect(self, kind: str, text: str | None = None) -> str:
         k, t, line, col = self.cur

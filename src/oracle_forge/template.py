@@ -23,7 +23,7 @@ grammar.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 TAG_ORDER = (
@@ -70,6 +70,9 @@ _ESCAPE_RE = re.compile(r"\\|" + _TAG_RE)
 _ESCAPE_FACTS_RE = re.compile(r"\\|\n|" + _TAG_RE)
 _UNESCAPE_RE = re.compile(r"\\([\\<])")
 _UNESCAPE_FACTS_RE = re.compile(r"\\([\\<n])")
+# Blanks, then the opening tag that starts there, if any (group 1 names it).
+# The tag is optional, so a match never backtracks into the blanks.
+_OPEN_TAG_RE = re.compile(r"[ \t\r\n]*(?:<(" + "|".join(TAG_ORDER) + ")>)?")
 
 
 class ParseError(ValueError):
@@ -178,9 +181,6 @@ class ReasoningStep:
         )
         return "\n".join(lines) + "\n"
 
-    def with_reasoning_result(self, text: str) -> "ReasoningStep":
-        return replace(self, reasoning_result=text)
-
 
 @dataclass(frozen=True)
 class StructuredResponse:
@@ -247,38 +247,6 @@ def serialize_response(resp: StructuredResponse) -> str:
     return text
 
 
-class _Scanner:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-
-    def skip_ws(self) -> None:
-        while self.pos < len(self.text) and self.text[self.pos] in " \t\r\n":
-            self.pos += 1
-
-    def at_end(self) -> bool:
-        return self.pos >= len(self.text)
-
-    def peek_tag(self) -> str | None:
-        """Name of the opening tag at the cursor, if any known tag starts here."""
-        for tag in TAG_ORDER:
-            if self.text.startswith(f"<{tag}>", self.pos):
-                return tag
-        return None
-
-    def take_block(self, tag: str) -> str:
-        open_s = f"<{tag}>"
-        close_s = f"</{tag}>"
-        assert self.text.startswith(open_s, self.pos)
-        body_start = self.pos + len(open_s)
-        end = _find_unescaped(self.text, close_s, body_start)
-        if end < 0:
-            raise UnclosedBlock(tag)
-        body = self.text[body_start:end]
-        self.pos = end + len(close_s)
-        return body
-
-
 def _parse_facts_body(body: str) -> tuple[str, ...]:
     # Body layout: newline, then "- entry" lines (newlines inside entries are
     # escaped), then a trailing newline before the closing tag.
@@ -313,21 +281,25 @@ def _parse_revision_result(body: str) -> RevisionResult:
     )
 
 
-def _parse_step(sc: _Scanner, step_index: int) -> ReasoningStep:
+def _parse_step(raw: str, pos: int, step_index: int) -> tuple[ReasoningStep, int]:
+    """The step whose blocks start at pos (after blanks), and the offset after
+    its last closing tag."""
     fields: dict[str, object] = {}
     for k, tag in enumerate(TAG_ORDER):
-        sc.skip_ws()
-        seen = sc.peek_tag()
+        m = _OPEN_TAG_RE.match(raw, pos)
+        seen = m[1]
         if seen != tag:
-            if seen is None:
-                raise MissingTag(tag, step_index)
-            seen_pos = TAG_ORDER.index(seen)
-            if seen_pos > k:
+            if seen is None or TAG_ORDER.index(seen) > k:
                 raise MissingTag(tag, step_index)
             raise TagOrderViolation(
                 f"<{seen}> appears where <{tag}> was expected in step {step_index}"
             )
-        body = sc.take_block(tag)
+        close = f"</{tag}>"
+        end = _find_unescaped(raw, close, m.end())
+        if end < 0:
+            raise UnclosedBlock(tag)
+        body = raw[m.end():end]
+        pos = end + len(close)
         if tag == "FACTS":
             fields["facts"] = _parse_facts_body(body)
         elif tag == "REVISION_RESULT":
@@ -345,7 +317,7 @@ def _parse_step(sc: _Scanner, step_index: int) -> ReasoningStep:
         revision_result=fields["revision_result"],
         reasoning_result=fields["reasoning_result"],
         step_index=step_index,
-    )
+    ), pos
 
 
 _FINAL_RE = re.compile(
@@ -361,33 +333,32 @@ def parse_response(raw: str, require_final_answer: bool = False) -> StructuredRe
     blocks.  ``require_final_answer`` additionally demands a terminal
     FINAL ANSWER line.
     """
-    sc = _Scanner(raw)
     steps: list[ReasoningStep] = []
     final_answer = ""
+    pos = 0
     while True:
-        sc.skip_ws()
-        if sc.at_end():
-            break
-        if sc.text.startswith(FINAL_ANSWER_PREFIX, sc.pos):
-            m = _FINAL_RE.match(sc.text, sc.pos)
-            final_answer = m.group("answer").strip()
-            if not final_answer:
-                raise NoFinalAnswer()
-            sc.pos = m.end()
-            sc.skip_ws()
-            if not sc.at_end():
-                raise TagOrderViolation("content after FINAL ANSWER line")
-            break
-        tag = sc.peek_tag()
-        if tag is None:
-            raise TagOrderViolation(
-                f"unexpected content at offset {sc.pos}: "
-                f"{sc.text[sc.pos:sc.pos + 30]!r}"
-            )
-        if tag != "QUERY":
+        m = _OPEN_TAG_RE.match(raw, pos)
+        if m[1] == "QUERY":
+            step, pos = _parse_step(raw, pos, len(steps))
+            steps.append(step)
+            continue
+        if m[1] is not None:
             # A non-leading tag at step start means the step lost its QUERY.
             raise MissingTag("QUERY", len(steps))
-        steps.append(_parse_step(sc, len(steps)))
+        pos = m.end()
+        if pos == len(raw):
+            break
+        if not raw.startswith(FINAL_ANSWER_PREFIX, pos):
+            raise TagOrderViolation(
+                f"unexpected content at offset {pos}: {raw[pos:pos + 30]!r}"
+            )
+        m = _FINAL_RE.match(raw, pos)
+        final_answer = m.group("answer").strip()
+        if not final_answer:
+            raise NoFinalAnswer()
+        if raw[m.end():].lstrip(" \t\r\n"):
+            raise TagOrderViolation("content after FINAL ANSWER line")
+        break
     if not steps:
         raise MissingTag("QUERY", 0)
     if require_final_answer and not final_answer:

@@ -345,7 +345,7 @@ def test_10_failure_taxonomy_determinism():
 
                 verdict = StepVerdict(False, failure=FailureKind.PARSE_FAILURE)
             gate.check(not verdict.executed, f"injected defect {n} still executed")
-            got = classify_failure(None, t, verdict)
+            got = classify_failure(t, verdict)
             gate.check(got == want, f"defect {n}: classified {got}, wanted {want}")
             n += 1
     gate.finish()

@@ -486,6 +486,54 @@ class TestCorpusFileRoundTrip:
         assert code == 0
         assert "tasks 4" in stdout
 
+    @pytest.mark.parametrize(
+        "edit, reason",
+        [
+            (lambda d: {"id": "x"}, "KeyError: 'question'"),
+            (lambda d: "{not json", "JSONDecodeError: Expecting property name"),
+            (lambda d: [], "TypeError: list indices"),
+            (lambda d: dict(d, question=None), "TypeError: question is not a string: None"),
+            (
+                lambda d: dict(d, kb="fact p(a).\nfact @."),
+                "KblSyntaxError: line 2, col 6: expected identifier or punctuation",
+            ),
+            (
+                lambda d: dict(d, proof=[dict(d["proof"][0], rule="fact p(a).")]),
+                "KbError: expected exactly 1 rule, got 0: 'fact p(a).'",
+            ),
+        ],
+        ids=["missing-key", "bad-json", "not-an-object", "null-text", "bad-kbl", "no-rule"],
+    )
+    def test_malformed_line_is_a_one_line_error(self, tmp_path, capsys, edit, reason):
+        from oracle_forge.corpus import gen_rulebase_task, task_to_dict
+
+        good = task_to_dict(gen_rulebase_task(seed=1))
+        bad = edit(good)
+        path = tmp_path / "tasks.jsonl"
+        lines = [json.dumps(good), "", bad if isinstance(bad, str) else json.dumps(bad)]
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        cfg = write(tmp_path / "cfg.yaml", f"corpus: {{kind: file, path: {path}}}\n")
+        out = tmp_path / "out"
+        code, stdout, stderr = run_cli(capsys, "stage2", "--config", cfg, "--out", str(out))
+        assert code == cli.EXIT_FAILURE
+        assert stderr.startswith(f"error: {path}, line 3: {reason}")
+        assert stderr.count("\n") == 1 and stdout == ""
+        assert not out.exists()
+
+
+def test_rulebase_that_exhausts_its_retries_is_a_one_line_error(tmp_path, capsys):
+    cfg = write(
+        tmp_path / "cfg.yaml",
+        "corpus: {kind: rulebase, count: 1, n_facts: 30, n_rules: 12, negation: true}\n",
+    )
+    out = tmp_path / "out"
+    code, stdout, stderr = run_cli(
+        capsys, "stage2", "--config", cfg, "--out", str(out), "--seed", "0"
+    )
+    assert code == cli.EXIT_FAILURE
+    assert stderr == "error: no satisfiable rulebase after 100 attempts (seed 0)\n"
+    assert stdout == "" and not out.exists()
+
 
 # sha256 of each stage-2 output at seed 3 for 40 tasks, under the
 # scripted-noisy config of perfbench/run.py:corpus_config.  Any change to

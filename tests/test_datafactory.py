@@ -35,7 +35,6 @@ from oracle_forge.datafactory import (
     normalize_answer,
     read_audit,
     stage1_filter,
-    write_audit,
 )
 from oracle_forge.gateway import (
     SOURCE_UNMATCHED,
@@ -122,11 +121,11 @@ class TestClassifyFailure:
 
     def test_unmatched_translation_is_generation_error(self):
         t = TranslationResult(error_kind=SOURCE_UNMATCHED, detail="no pairing")
-        assert classify_failure(None, t, self._failed()) == GENERATION_ERROR
+        assert classify_failure(t, self._failed()) == GENERATION_ERROR
 
     def test_symbolic_defect_is_translation_error(self):
         t = TranslationResult(error_kind=SYMBOLIC_DEFECT, detail="unsafe")
-        assert classify_failure(None, t, self._failed()) == TRANSLATION_ERROR
+        assert classify_failure(t, self._failed()) == TRANSLATION_ERROR
 
     def test_engine_failure_with_ok_translation_is_translation_error(self):
         task = gen_chain_task(2, seed=0)
@@ -135,14 +134,14 @@ class TestClassifyFailure:
 
         t = backend.translate(gold_step(task, 0))
         assert t.ok
-        assert classify_failure(None, t, self._failed()) == TRANSLATION_ERROR
+        assert classify_failure(t, self._failed()) == TRANSLATION_ERROR
 
     def test_executed_verdict_rejected(self):
         from oracle_forge.kernel import Fact, parse_atom
 
         ok = StepVerdict(True, conclusions=(Fact(parse_atom("p(a)")),))
         with pytest.raises(ValueError):
-            classify_failure(None, None, ok)
+            classify_failure(None, ok)
 
 
 def _results(n_tasks=5, p_bad_rule=0.3, seed=0):
@@ -159,9 +158,8 @@ def _results(n_tasks=5, p_bad_rule=0.3, seed=0):
 class TestAuditAndStats:
     def test_stats_arithmetic(self, tmp_path):
         results = _results()
-        path = tmp_path / "audit.jsonl"
-        write_audit(results, path)
-        stats = compute_stats(str(path))
+        emit_datasets(results, tmp_path, seed=0, config={})
+        stats = compute_stats(str(tmp_path / "audit.jsonl"))
         executed = failed = 0
         for r in results:
             for n in r.nodes:
@@ -178,8 +176,8 @@ class TestAuditAndStats:
 
     def test_stats_from_records_list(self, tmp_path):
         results = _results(2)
+        emit_datasets(results, tmp_path, seed=0, config={})
         path = tmp_path / "audit.jsonl"
-        write_audit(results, path)
         assert compute_stats(read_audit(path)).to_dict() == compute_stats(
             str(path)
         ).to_dict()
@@ -247,14 +245,9 @@ class TestAuditAndStats:
         record = node_to_audit(child, "t")
         assert (record["failure_kind"], record["failure_class"]) == (kind, TRANSLATION_ERROR)
 
-    def test_tables_render(self):
-        results = _results(2)
-        import tempfile, os
-
-        with tempfile.TemporaryDirectory() as d:
-            p = os.path.join(d, "a.jsonl")
-            write_audit(results, p)
-            text = format_stats_tables(compute_stats(p))
+    def test_tables_render(self, tmp_path):
+        emit_datasets(_results(2), tmp_path, seed=0, config={})
+        text = format_stats_tables(compute_stats(tmp_path / "audit.jsonl"))
         assert "success rate" in text
         assert "Generation Error" in text
         assert "Translation Error" in text

@@ -215,6 +215,40 @@ class TestHttpBackend:
             backend._complete("hi", 0.0)
         assert len(transport.calls) == 3
 
+    @pytest.mark.parametrize(
+        "body",
+        [
+            json.dumps({"choices": []}),
+            json.dumps({"choices": [{"message": {"content": None}}]}),
+            json.dumps({"choices": [{"message": {"content": "YES"}},
+                                    {"message": {"content": None}}]}),
+        ],
+        ids=["no-choices", "null-content", "one-null-of-two"],
+    )
+    def test_reply_without_text_retries(self, body, task):
+        step = gold_step(task, 0)
+        translation = "fact a(b).\nrule c(X) :- a(X)."
+        transport = FakeTransport([(200, body), (200, chat_response(translation))])
+        backend = http_backend(transport)
+        result = backend.translate(step)
+        assert result.ok and str(result.rule) == "c(X) :- a(X)."
+        assert backend.telemetry["malformed_responses"] == 1
+        assert len(transport.calls) == 2
+
+        # Only such replies: every call site gets BackendUnavailable, which
+        # the stage turns into a lost task, not a crash.
+        backend = http_backend(FakeTransport([(200, body)]), max_retries=2)
+        ctx = GenerationContext(question="Q")
+        for call in (
+            lambda: backend.translate(step),
+            lambda: backend.evaluate(step, ctx),
+            lambda: backend.generate_candidates(ctx, 2),
+            lambda: backend.generate_response(ctx),
+        ):
+            with pytest.raises(BackendUnavailable, match="no text in choices"):
+                call()
+        assert backend.telemetry["malformed_responses"] == 8
+
     def test_malformed_judgment_is_both_fail(self):
         transport = FakeTransport([(200, chat_response("maybe?"))])
         backend = http_backend(transport)

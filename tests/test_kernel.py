@@ -1,6 +1,8 @@
 import random
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from conftest import (
     enumerate_step_verdict,
@@ -73,6 +75,148 @@ class TestParser:
         for _ in range(500):
             kb = random_kb(rng, max_facts=10, max_rules=6)
             assert parse_program(kb.pretty()) == kb
+
+
+# KblSyntaxError (line, col, expected) for malformed sources, taken from the
+# character-by-character tokenizer that the compiled token pattern replaced.
+PINNED_SYNTAX_ERRORS = [
+    ("fact p(?).", (1, 8, "name after '?'")),
+    ("rule q(?) :- p(a).", (1, 8, "name after '?'")),
+    ("fact p(1a).", (1, 8, "identifier or punctuation")),
+    ("fact 9lives.", (1, 6, "identifier or punctuation")),
+    ("fact p(²).", (1, 8, "identifier or punctuation")),
+    ("fact p(@).", (1, 8, "identifier or punctuation")),
+    ("fact p(a) :", (1, 11, "identifier or punctuation")),
+    ("fact p(\u00a0a).", (1, 8, "identifier or punctuation")),
+    ("fact p(a)", (1, 10, ".")),
+    ("fact p(a).\nrule q(X) :- p(X)", (2, 18, ".")),
+    ("fact p(a). # c\n  fact q(b) # no dot", (2, 21, ".")),
+    ("fact p(a).\r\nfact q(b)\r\n", (3, 1, ".")),
+    ("fact p(a).\r\nfact @.", (2, 6, "identifier or punctuation")),
+    ("\tfact\tp(a)\t:-\tq.", (1, 12, ".")),
+    ("fact p(a).\r\n\trule q(X) :- p(X) ,, r(X).", (2, 21, "predicate name")),
+    ("fact p(ß, é²).\n\tfact Éa.", (2, 7, "predicate name (lowercase)")),
+]
+
+
+_word_char = st.characters(categories=("L", "N")).filter(str.isalnum) | st.sampled_from(
+    "_ßé²"
+)
+_rest = st.lists(_word_char, max_size=4).map("".join)
+_lower_name = st.builds(
+    str.__add__,
+    st.characters(categories=("L",)).filter(lambda c: not c.isupper()) | st.just("_"),
+    _rest,
+).filter(lambda n: n != "not")
+_var_name = st.builds(
+    str.__add__,
+    st.characters(categories=("Lu",)).filter(str.isupper) | st.just("?"),
+    _rest,
+).filter(lambda n: n != "?")
+_trivia = st.lists(
+    st.sampled_from([" ", "\t", "\r", "\n", "\r\n"])
+    | st.text(st.characters(exclude_characters="\n"), max_size=6).map(
+        lambda t: "#" + t + "\n"
+    ),
+    max_size=3,
+).map("".join)
+
+
+@st.composite
+def _rendered_kbs(draw):
+    """A random KB (consistent arities, safe rules) and its source as
+    (text, token kind) pieces, with trivia pieces (kind None) drawn between
+    tokens.  Two names in a row get at least a space between them."""
+    preds = draw(st.lists(_lower_name, min_size=1, max_size=4, unique=True))
+    arity = {p: draw(st.integers(0, 2)) for p in preds}
+    consts = draw(st.lists(_lower_name, min_size=1, max_size=3))
+    variables = draw(st.lists(_var_name, min_size=1, max_size=3))
+
+    def atom(pool):
+        p = draw(st.sampled_from(preds))
+        return Atom(p, tuple(draw(st.sampled_from(pool)) for _ in range(arity[p])))
+
+    facts, rules = [], []
+    for _ in range(draw(st.integers(0, 5))):
+        if draw(st.booleans()):
+            facts.append(Fact(atom([const(c) for c in consts])))
+            continue
+        body_pos = [atom([var(v) for v in variables] + [const(c) for c in consts])]
+        bound = sorted({t for a in body_pos for t in a.args}) or [const(consts[0])]
+        body_neg = [atom(bound) for _ in range(draw(st.integers(0, 1)))]
+        rules.append(Rule(atom(bound), tuple(body_pos), tuple(body_neg)))
+
+    pieces = []
+
+    def token(text, kind):
+        gap = draw(_trivia)
+        if not gap and pieces and kind != "punct" and pieces[-1][1] in ("ident", "var"):
+            gap = " "
+        pieces.extend([(gap, None), (text, kind)])
+
+    def render(a):
+        token(a.predicate, "ident")
+        if a.args or draw(st.booleans()):
+            token("(", "punct")
+            for i, t in enumerate(a.args):
+                if i:
+                    token(",", "punct")
+                token(t.name, "var" if t.is_variable else "ident")
+            token(")", "punct")
+
+    clauses = [("fact", f.atom, ()) for f in facts] + [("rule", r.head, r) for r in rules]
+    order = draw(st.permutations(clauses))
+    for keyword, head, rule in order:
+        token(keyword, "ident")
+        render(head)
+        if rule and (rule.body_pos or rule.body_neg):
+            token(":-", "punct")
+            body = [(a, False) for a in rule.body_pos] + [(a, True) for a in rule.body_neg]
+            for i, (a, negated) in enumerate(body):
+                if i:
+                    token(",", "punct")
+                if negated:
+                    token("not", "ident")
+                render(a)
+        token(".", "punct")
+    pieces.append((draw(_trivia), None))
+    rendered_rules = tuple(rule for keyword, _, rule in order if keyword == "rule")
+    return KnowledgeBase(frozenset(facts), rendered_rules), pieces
+
+
+class TestLexer:
+    @pytest.mark.parametrize("src, where", PINNED_SYNTAX_ERRORS)
+    def test_pinned_error_positions(self, src, where):
+        with pytest.raises(kernel.KblSyntaxError) as exc:
+            parse_program(src)
+        e = exc.value
+        assert (e.line, e.col, e.expected) == where
+        assert str(e) == f"line {where[0]}, col {where[1]}: expected {where[2]}"
+
+    @settings(max_examples=300, deadline=None)
+    @given(_rendered_kbs())
+    def test_rendered_kb_parses_back_with_token_positions(self, rendered):
+        kb, pieces = rendered
+        src = "".join(text for text, _ in pieces)
+        assert parse_program(src) == kb
+        expected, offset = [], 0
+        for text, kind in pieces:
+            if kind is not None:
+                line = src.count("\n", 0, offset) + 1
+                col = offset - (src.rfind("\n", 0, offset) + 1) + 1
+                expected.append((kind, text, line, col))
+            offset += len(text)
+        lines = src.split("\n")
+        expected.append(("eof", "", len(lines), len(lines[-1]) + 1))
+        parser, tokens = kernel._Parser(src), []
+        while True:
+            tokens.append(parser.cur)
+            if parser.cur[0] == "eof":
+                break
+            parser._bump()
+        assert tokens == expected
+        for kind, text, line, col in tokens:  # each position points at its text
+            assert lines[line - 1][col - 1:col - 1 + len(text)] == text
 
 
 class TestForwardChain:

@@ -79,6 +79,90 @@ class TestParseResponse:
         assert parsed.revision_result == RevisionResult.revised_to("use rule B")
 
 
+# A step whose RULE body holds an escaped closing tag, and parse outcomes of
+# edits to it.  The error types and messages were taken from the
+# character-by-character scanner that the compiled opening-tag pattern
+# replaced.
+_PINNED_STEP = serialize_step(
+    ReasoningStep("q?", ("f1", "f2"), "r </RULE> x", "", RevisionResult.retained(), "c")
+)
+_PINNED_FACTS = "<FACTS>\n- f1\n- f2\n</FACTS>\n"
+_PINNED_RULE = "<RULE>r \\</RULE> x</RULE>\n"
+PINNED_PARSE_ERRORS = {
+    "unclosed-block": (
+        _PINNED_STEP.replace("<REVISION></REVISION>", "<REVISION>"),
+        "UnclosedBlock", "unclosed <REVISION> block",
+    ),
+    "only-an-escaped-close-tag": (
+        _PINNED_STEP.replace(" x</RULE>", " x"),
+        "UnclosedBlock", "unclosed <RULE> block",
+    ),
+    "escaped-backslash-before-close-tag": (
+        _PINNED_STEP.replace("r \\</RULE>", "r \\\\</RULE>"),
+        "MissingTag", "missing <REVISION> in step 0",
+    ),
+    "tag-from-later-in-the-order": (
+        _PINNED_STEP.replace(_PINNED_FACTS + _PINNED_RULE, _PINNED_RULE + _PINNED_FACTS),
+        "MissingTag", "missing <FACTS> in step 0",
+    ),
+    "tag-from-earlier-in-the-order": (
+        _PINNED_STEP.replace("<FACTS>", "<QUERY>again</QUERY>\n<FACTS>"),
+        "TagOrderViolation", "<QUERY> appears where <FACTS> was expected in step 0",
+    ),
+    "text-after-final-answer": (
+        _PINNED_STEP + "\nFINAL ANSWER: yes\n\t<QUERY>",
+        "TagOrderViolation", "content after FINAL ANSWER line",
+    ),
+    "empty-final-answer": (
+        _PINNED_STEP + "\nFINAL ANSWER:   \nx",
+        "NoFinalAnswer", "response has no FINAL ANSWER line",
+    ),
+    "stray-text-between-steps": (
+        _PINNED_STEP + "\n  stray text that goes on and on past thirty chars",
+        "TagOrderViolation",
+        "unexpected content at offset 179: 'stray text that goes on and on'",
+    ),
+    "second-step-without-query": (
+        _PINNED_STEP + "\n" + _PINNED_STEP.replace("<QUERY>q?</QUERY>\n", ""),
+        "MissingTag", "missing <QUERY> in step 1",
+    ),
+    "lowercase-tag": (
+        _PINNED_STEP.replace("<QUERY>", "<query>"),
+        "TagOrderViolation",
+        "unexpected content at offset 0: '<query>q?</QUERY>\\n<FACTS>\\n- f1'",
+    ),
+    "only-blanks": (" \r\n\t", "MissingTag", "missing <QUERY> in step 0"),
+    # Only space, tab, CR and LF are blanks.
+    "no-break-space-before-tag": (
+        _PINNED_STEP.replace("\n<RULE>", "\n\u00a0<RULE>"),
+        "MissingTag", "missing <RULE> in step 0",
+    ),
+    "form-feed-after-final-answer": (
+        _PINNED_STEP + "\nFINAL ANSWER: yes\n\f",
+        "TagOrderViolation", "content after FINAL ANSWER line",
+    ),
+}
+
+
+class TestPinnedParseOutcomes:
+    @pytest.mark.parametrize("name", sorted(PINNED_PARSE_ERRORS))
+    def test_error_type_and_message(self, name):
+        raw, kind, message = PINNED_PARSE_ERRORS[name]
+        with pytest.raises(template.ParseError) as exc:
+            parse_response(raw)
+        assert (type(exc.value).__name__, str(exc.value)) == (kind, message)
+
+    def test_escaped_close_tag_stays_in_the_body(self):
+        (step,) = parse_response(_PINNED_STEP).steps
+        assert step.rule == "r </RULE> x"
+
+    def test_blanks_between_blocks_and_after_the_answer(self):
+        raw = _PINNED_STEP.replace(">\n<", ">\r\n\t<") + "\nFINAL ANSWER:  yes \r\n\t \n"
+        resp = parse_response(raw, require_final_answer=True)
+        assert resp == parse_response(_PINNED_STEP + "FINAL ANSWER: yes\n")
+        assert resp.final_answer == "yes"
+
+
 class TestSerializeStep:
     def test_facts_order_preserved(self):
         raw = serialize_step(make_step(facts=("A", "B")))
@@ -183,7 +267,7 @@ class TestTextCache:
     @given(reasoning_steps(), nonempty_field, nonempty_field)
     def test_edited_copy_gets_its_own_text(self, step, result, rule):
         text = serialize_step(step)
-        edited = step.with_reasoning_result(result)
+        edited = replace(step, reasoning_result=result)
         body = template._escape(result)
         assert f"<REASONING_RESULT>{body}</REASONING_RESULT>" in serialize_step(edited)
         assert f"<RULE>{template._escape(rule)}</RULE>" in serialize_step(replace(step, rule=rule))

@@ -82,7 +82,6 @@ class BeamNode:
 
 @dataclass(frozen=True)
 class ReasoningPath:
-    task_id: str
     node_ids: tuple[int, ...]
     steps: tuple[template.ReasoningStep, ...]
     answer: str
@@ -131,9 +130,10 @@ def expand_node(
     fanout: int,
     backend,
     cfg: BeamConfig,
-    next_id,
+    first_id: int,
 ) -> list[BeamNode]:
-    """Generate, verify, evaluate, and score up to ``fanout`` children."""
+    """Generate, verify, evaluate, and score up to ``fanout`` children,
+    numbered from ``first_id`` in generation order."""
     children: list[BeamNode] = []
     candidates = backend.generate_candidates(ctx, fanout)
     for cand in candidates[:fanout]:
@@ -158,7 +158,7 @@ def expand_node(
         answer = _extract_answer(cand.raw_text)
         children.append(
             BeamNode(
-                id=next_id(),
+                id=first_id + len(children),
                 parent=node.id,
                 depth=node.depth + 1,
                 step=step,
@@ -200,26 +200,17 @@ def run_beam(
     cfg: BeamConfig,
     backend,
 ) -> BeamResult:
-    """Full beam search for one task; deterministic under scripted backends."""
-    nodes: list[BeamNode] = []
-    counter = iter(range(10**9))
-
-    def next_id() -> int:
-        nid = next(counter)
-        return nid
-
-    root = BeamNode(
-        id=next_id(), parent=None, depth=0, step=None, score=_ZERO_SCORE
-    )
-    nodes.append(root)
+    """Full beam search for one task; deterministic under scripted backends.
+    A node's id is its position in ``nodes``."""
+    root = BeamNode(id=0, parent=None, depth=0, step=None, score=_ZERO_SCORE)
+    nodes: list[BeamNode] = [root]
     gold = normalize_answer(task.gold_answer)
     harvested: list[BeamNode] = []
     frontier: list[BeamNode] = [root]
     telemetry = {"expansions": 0, "discarded_terminals": 0}
 
     for _depth in range(cfg.max_depth):
-        expandable = [n for n in frontier if not n.terminal]
-        to_expand = select_frontier(expandable, cfg.top_k)
+        to_expand = select_frontier(frontier, cfg.top_k)
         if not to_expand:
             break
         new_frontier: list[BeamNode] = []
@@ -235,7 +226,7 @@ def run_beam(
                 temperature=cfg.temperature,
                 seed=cfg.seed,
             )
-            children = expand_node(node, ctx, cfg.fanout, backend, cfg, next_id)
+            children = expand_node(node, ctx, cfg.fanout, backend, cfg, len(nodes))
             telemetry["expansions"] += 1
             for child in children:
                 nodes.append(child)
@@ -253,7 +244,6 @@ def run_beam(
         chain = _path_to(leaf, nodes)
         sft_paths.append(
             ReasoningPath(
-                task_id=task.id,
                 node_ids=tuple(n.id for n in chain),
                 steps=tuple(n.step for n in chain),
                 answer=leaf.answer,
@@ -274,7 +264,8 @@ def backtrack_pairs(
     max_pairs_per_node: int = 2,
 ) -> list[PreferencePair]:
     """Pair each engine-verified node on a correct path against failed
-    siblings (same parent), earliest siblings first, capped per node."""
+    siblings (same parent), earliest siblings first, capped per node.
+    ``nodes[i].id == i``, so each parent's children are gathered in id order."""
     children_by_parent: dict[int, list[BeamNode]] = {}
     for n in nodes:
         if n.parent is not None:
@@ -288,7 +279,7 @@ def backtrack_pairs(
                 continue
             siblings = [
                 s
-                for s in sorted(children_by_parent.get(node.parent, []), key=lambda m: m.id)
+                for s in children_by_parent[node.parent]
                 if s.id != node.id
                 and s.step is not None
                 and (s.verdict is None or not s.verdict.executed)

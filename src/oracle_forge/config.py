@@ -153,12 +153,12 @@ def _fits(value, tp) -> bool:
     return isinstance(value, (int, float) if tp is float else tp)
 
 
-def _check(data: dict, cls, where: str = "", exclude: str = "") -> None:
+def _check(data: dict, cls, where: str = "", exclude: frozenset = frozenset()) -> None:
     """Check ``data`` against the fields of ``cls``: every key names a field,
     every value fits the field's annotated type (a bool is no integer, an
     integer is a number), and every number but a seed is non-negative.
     Fields that are sections (dataclasses) are checked on their own."""
-    unknown = set(data) - ({f.name for f in fields(cls)} - {exclude})
+    unknown = set(data) - ({f.name for f in fields(cls)} - exclude)
     if unknown:
         label = f"{where} key" if where else "top-level key"
         raise ConfigError(f"unknown {label}: {', '.join(sorted(map(str, unknown)))}")
@@ -178,6 +178,9 @@ def _check(data: dict, cls, where: str = "", exclude: str = "") -> None:
 _SECTIONS = {
     "beam": BeamConfig, "corpus": CorpusSpec, "corruption": CorruptionModel, "http": HttpSpec
 }
+# few_shot_asset comes from the prompts directory and a section's seed from the
+# top-level seed, never from a section of the file.
+_NOT_IN_SECTIONS = frozenset({"few_shot_asset", "seed"})
 
 
 def _build(data: dict) -> PipelineConfig:
@@ -187,14 +190,13 @@ def _build(data: dict) -> PipelineConfig:
     for name, section in sections.items():
         if not isinstance(section, dict):
             raise ConfigError(f"{name} must be a mapping")
-        # few_shot_asset comes from the prompts directory, never from the file.
-        _check(section, _SECTIONS[name], name, exclude="few_shot_asset")
+        _check(section, _SECTIONS[name], name, exclude=_NOT_IN_SECTIONS)
     cfg = PipelineConfig()
     for key in data.keys() - set(_SECTIONS):
         setattr(cfg, key, data[key])
     try:
-        cfg.beam = BeamConfig(**{"seed": cfg.seed, **sections["beam"]})
-        cfg.corruption = CorruptionModel(**{"seed": cfg.seed, **sections["corruption"]})
+        cfg.beam = BeamConfig(seed=cfg.seed, **sections["beam"])
+        cfg.corruption = CorruptionModel(seed=cfg.seed, **sections["corruption"])
         cfg.http = HttpSpec(**sections["http"])
         cfg.corpus = CorpusSpec(**sections["corpus"])
     except ValueError as exc:

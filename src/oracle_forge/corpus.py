@@ -19,7 +19,8 @@ from __future__ import annotations
 import hashlib
 import json
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 from . import kernel, template
 from .kernel import Atom, Fact, KnowledgeBase, Rule, const, var
@@ -45,25 +46,18 @@ class TaskInstance:
     ground_truth_proof: tuple[ProofStep, ...]
     nl_pairing: dict[str, Fact | Rule]
     kb: KnowledgeBase | None = None
-    nl_by_symbol: dict[str, str] = field(default_factory=dict)
-
-    def __post_init__(self):
-        if not self.nl_by_symbol:
-            self.nl_by_symbol = {
-                _symbol_key(sym): nl for nl, sym in self.nl_pairing.items()
-            }
 
     @property
     def prompt(self) -> str:
         """The task as the model sees it: the context, then the question."""
         return f"{self.context}\n\n{self.question}"
 
+    @cached_property
+    def _nl_by_symbol(self) -> dict[Fact | Rule, str]:
+        return {sym: nl for nl, sym in self.nl_pairing.items()}
+
     def nl_of(self, sym: Fact | Rule) -> str:
-        return self.nl_by_symbol[_symbol_key(sym)]
-
-
-def _symbol_key(sym: Fact | Rule) -> str:
-    return str(sym)
+        return self._nl_by_symbol[sym]
 
 
 # --------------------------------------------------------------------------

@@ -71,6 +71,9 @@ class RejectReason:
     detail: str = ""
 
 
+_STAT_COUNTS = ("steps_total", "steps_executed", "failures_generation", "failures_translation")
+
+
 @dataclass
 class RunStats:
     steps_total: int = 0
@@ -197,38 +200,28 @@ def read_audit(path) -> list[dict]:
 
 
 def compute_stats(audit: list[dict] | str | os.PathLike) -> RunStats:
-    """Aggregate engine successes and failure classes from an audit dump."""
+    """Aggregate engine successes and failure classes from an audit dump.
+    Each step counts once, in its task's row; the run totals sum the rows."""
     records = read_audit(audit) if isinstance(audit, (str, os.PathLike)) else audit
-    stats = RunStats()
+    rows: dict[str, dict[str, int]] = {}
     for rec in records:
         if not rec.get("has_step"):
             continue
-        task_id = rec["task_id"]
-        per = stats.per_task_breakdown.setdefault(
-            task_id,
-            {
-                "steps_total": 0,
-                "steps_executed": 0,
-                "failures_generation": 0,
-                "failures_translation": 0,
-            },
-        )
-        stats.steps_total += 1
-        per["steps_total"] += 1
         if rec["executed"]:
-            stats.steps_executed += 1
-            per["steps_executed"] += 1
+            outcome = "steps_executed"
         elif rec.get("failure_class") == GENERATION_ERROR:
-            stats.failures_generation += 1
-            per["failures_generation"] += 1
+            outcome = "failures_generation"
         elif rec.get("failure_class") == TRANSLATION_ERROR:
-            stats.failures_translation += 1
-            per["failures_translation"] += 1
+            outcome = "failures_translation"
         else:
             raise MalformedAudit(
-                f"failed step without failure_class in task {task_id}"
+                f"failed step without failure_class in task {rec['task_id']}"
             )
-    return stats
+        per = rows.setdefault(rec["task_id"], dict.fromkeys(_STAT_COUNTS, 0))
+        per["steps_total"] += 1
+        per[outcome] += 1
+    totals = {key: sum(per[key] for per in rows.values()) for key in _STAT_COUNTS}
+    return RunStats(**totals, per_task_breakdown=rows)
 
 
 def format_stats_tables(stats: RunStats) -> str:
@@ -263,17 +256,16 @@ def format_stats_tables(stats: RunStats) -> str:
 def sft_records_from_result(result: BeamResult) -> list[SftRecord]:
     prompt = result.task.prompt
     records = []
-    seen: set[tuple[str, str]] = set()
+    seen: set[str] = set()
     for path in result.sft_paths:
         response = template.serialize_response(
             template.StructuredResponse(steps=path.steps, final_answer=path.answer)
         )
-        key = (path.task_id, hashlib.sha256(response.encode("utf-8")).hexdigest())
-        if key in seen:
+        if response in seen:
             continue
-        seen.add(key)
+        seen.add(response)
         records.append(
-            SftRecord(prompt=prompt, response=response, task_id=path.task_id)
+            SftRecord(prompt=prompt, response=response, task_id=result.task.id)
         )
     return records
 

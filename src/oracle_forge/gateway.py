@@ -306,23 +306,22 @@ class HttpBackend:
             f"{self.endpoint}: retries exhausted ({last_error})"
         )
 
-    def _prompt(self, name: str) -> str:
-        return self.prompts.get(name, "")
+    def _prompt(self, asset: str, *parts: str) -> str:
+        """The request prompt: the named prompt asset, then the parts, empty
+        ones dropped, one blank line apart."""
+        return "\n\n".join(p for p in (self.prompts.get(asset, ""), *parts) if p)
 
     def generate_candidates(self, ctx: GenerationContext, n: int) -> list[CandidateStep]:
         if n < 1:
             raise ValueError("n must be >= 1")
         prior = "\n".join(template.serialize_step(s) for s in ctx.prior_steps)
-        prompt = "\n\n".join(
-            p for p in (self._prompt("generation"), ctx.few_shot_asset, ctx.question, prior) if p
-        )
+        prompt = self._prompt("generation", ctx.few_shot_asset, ctx.question, prior)
         out: list[CandidateStep] = []
         for raw in self._complete(prompt, ctx.temperature, n=n):
             # A candidate is one step; the FINAL ANSWER it may carry belongs to
             # that step, so a completion with more steps is discarded whole.
             try:
                 (step,) = template.parse_response(raw).steps
-                step.validate()
             except ValueError:
                 self.telemetry["discarded_candidates"] += 1
                 continue
@@ -330,15 +329,11 @@ class HttpBackend:
         return out
 
     def generate_response(self, ctx: GenerationContext) -> str:
-        prompt = "\n\n".join(
-            p for p in (self._prompt("generation"), ctx.few_shot_asset, ctx.question) if p
-        )
+        prompt = self._prompt("generation", ctx.few_shot_asset, ctx.question)
         return self._complete(prompt, ctx.temperature, n=1)[0]
 
     def translate(self, step: template.ReasoningStep) -> TranslationResult:
-        prompt = "\n\n".join(
-            p for p in (self._prompt("translation"), template.serialize_step(step)) if p
-        )
+        prompt = self._prompt("translation", template.serialize_step(step))
         text = self._complete(prompt, DEFAULT_EVALUATION_TEMPERATURE, n=1)[0]
         try:
             facts, rules = kernel.parse_clauses(text)
@@ -352,15 +347,7 @@ class HttpBackend:
         return TranslationResult(facts=tuple(sorted(facts)), rule=rules[0])
 
     def _yes_no(self, prompt_name: str, step: template.ReasoningStep, ctx) -> bool:
-        prompt = "\n\n".join(
-            p
-            for p in (
-                self._prompt(prompt_name),
-                ctx.question,
-                template.serialize_step(step),
-            )
-            if p
-        )
+        prompt = self._prompt(prompt_name, ctx.question, template.serialize_step(step))
         answer = self._complete(prompt, DEFAULT_EVALUATION_TEMPERATURE, n=1)[0].strip().upper()
         if answer not in ("YES", "NO"):
             self.telemetry["unparseable_judgments"] += 1

@@ -362,10 +362,13 @@ def parse_program(src: str) -> KnowledgeBase:
 
 
 def parse_atom(src: str) -> Atom:
+    """Parse one atom, optionally followed by ``.``, and nothing else."""
     p = _Parser(src)
     atom = p.parse_atom()
-    if p.cur[0] != "eof" and p.cur[:2] != ("punct", "."):
-        raise KblSyntaxError(p.cur[2], p.cur[3], "end of atom")
+    if p.cur[:2] == ("punct", "."):
+        p._bump()
+    if p.cur[0] != "eof":
+        raise KblSyntaxError(p.cur[2], p.cur[3], "end of input")
     return atom
 
 

@@ -1,9 +1,10 @@
-import itertools
 import json
 import random
 from collections import Counter
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from oracle_forge import template
 from oracle_forge.beam import (
@@ -198,6 +199,25 @@ class TestRunBeam:
             totals = {n.score.total for n in result.nodes if n.step is not None}
             assert totals <= allowed
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(1, 4),
+        st.integers(1, 3),
+        st.integers(1, 6),
+        st.booleans(),
+        st.integers(0, 10**6),
+        st.sampled_from([0.0, 0.3, 1.0]),
+    )
+    def test_node_ids_are_list_positions(self, top_k, fanout, depth, rulebase, seed, p_bad):
+        task = gen_rulebase_task(8, 5, seed=seed) if rulebase else gen_chain_task(3, seed=seed)
+        backend = ScriptedNoisyBackend(
+            task, CorruptionModel(p_bad_rule=p_bad, p_bad_fact=p_bad / 3, seed=seed)
+        )
+        cfg = BeamConfig(width=top_k * fanout, top_k=top_k, max_depth=depth, seed=seed)
+        result = run_beam(task, cfg, backend)
+        assert [n.id for n in result.nodes] == list(range(len(result.nodes)))
+        assert all(n.parent < n.id for n in result.nodes[1:])
+
     def test_rulebase_tasks_also_complete(self):
         task = gen_rulebase_task(8, 5, seed=0)
         result = run_beam(task, BeamConfig(), ScriptedOracleBackend(task))
@@ -244,10 +264,7 @@ class TestPrecisionSkip:
         )
         cfg = BeamConfig()
         root = BeamNode(id=0, parent=None, depth=0, step=None, score=ScoreBreakdown(0, 0, 0, 0))
-        ids = itertools.count(1)
-        (child,) = expand_node(
-            root, GenerationContext(question="q"), 1, backend, cfg, lambda: next(ids)
-        )
+        (child,) = expand_node(root, GenerationContext(question="q"), 1, backend, cfg, 1)
         assert child.verdict.executed is executes
         assert asked[0] == "g"
         assert asked[1:] == (["t", "f"] if executes else ["t", "p", "f"])
@@ -300,7 +317,7 @@ class TestBacktrackPairs:
         from oracle_forge.beam import ReasoningPath
 
         paths = [
-            ReasoningPath(task_id="t", node_ids=(1,), steps=(good.step,), answer="true")
+            ReasoningPath(node_ids=(1,), steps=(good.step,), answer="true")
         ]
         return nodes, paths
 

@@ -9,7 +9,12 @@ import pytest
 
 from oracle_forge import cli, gateway, template
 from oracle_forge.config import ConfigError, PipelineConfig, load_config
-from oracle_forge.datafactory import compute_stats
+from oracle_forge.datafactory import (
+    GENERATION_ERROR,
+    TRANSLATION_ERROR,
+    compute_stats,
+    read_audit,
+)
 
 
 def write(path, text):
@@ -108,6 +113,16 @@ class TestConfig:
         code, _, err = run_cli(capsys, "stage2", "--config", path, "--out", str(out))
         assert code == 2
         assert err.startswith(f"config error: {label} must be ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("section", ["beam", "corruption"])
+    def test_section_seed_is_a_config_error(self, tmp_path, capsys, section):
+        # One run seed: the sections take theirs from the top-level seed.
+        path = write(tmp_path / "cfg.yaml", f"{section}: {{seed: 1}}\n")
+        out = tmp_path / "out"
+        code, _, err = run_cli(capsys, "stage2", "--config", path, "--out", str(out))
+        assert code == 2
+        assert err == f"config error: unknown {section} key: seed\n"
         assert not out.exists()
 
     @pytest.mark.parametrize(
@@ -501,8 +516,15 @@ class TestCorpusFileRoundTrip:
                 lambda d: dict(d, proof=[dict(d["proof"][0], rule="fact p(a).")]),
                 "KbError: expected exactly 1 rule, got 0: 'fact p(a).'",
             ),
+            (
+                lambda d: dict(d, proof=[dict(d["proof"][0], conclusion="p(a). q(b)")]),
+                "KblSyntaxError: line 1, col 7: expected end of input",
+            ),
         ],
-        ids=["missing-key", "bad-json", "not-an-object", "null-text", "bad-kbl", "no-rule"],
+        ids=[
+            "missing-key", "bad-json", "not-an-object", "null-text", "bad-kbl", "no-rule",
+            "atom-then-text",
+        ],
     )
     def test_malformed_line_is_a_one_line_error(self, tmp_path, capsys, edit, reason):
         from oracle_forge.corpus import gen_rulebase_task, task_to_dict
@@ -559,8 +581,8 @@ GOLDEN_CORPORA = {
 }
 
 
-@pytest.mark.parametrize("kind", sorted(GOLDEN_DIGESTS))
-def test_stage2_outputs_match_golden_digests(tmp_path, capsys, kind):
+def golden_run(tmp_path, capsys, kind):
+    """The output directory of the golden stage-2 run of ``kind``."""
     config = {
         "backend": "scripted-noisy",
         "seed": 3,
@@ -573,11 +595,38 @@ def test_stage2_outputs_match_golden_digests(tmp_path, capsys, kind):
     out = tmp_path / "out"
     code, _, _ = run_cli(capsys, "stage2", "--config", cfg, "--out", str(out))
     assert code == 0
+    return out
+
+
+@pytest.mark.parametrize("kind", sorted(GOLDEN_DIGESTS))
+def test_stage2_outputs_match_golden_digests(tmp_path, capsys, kind):
+    out = golden_run(tmp_path, capsys, kind)
     digests = {
         name: hashlib.sha256((out / name).read_bytes()).hexdigest()
         for name in GOLDEN_DIGESTS[kind]
     }
     assert digests == GOLDEN_DIGESTS[kind]
+
+
+@pytest.mark.parametrize("kind", sorted(GOLDEN_DIGESTS))
+def test_stats_rows_match_a_brute_force_count(tmp_path, capsys, kind):
+    records = read_audit(golden_run(tmp_path, capsys, kind) / "audit.jsonl")
+
+    def count(rows):
+        return {
+            "steps_total": len(rows),
+            "steps_executed": sum(r["executed"] for r in rows),
+            "failures_generation": sum(r["failure_class"] == GENERATION_ERROR for r in rows),
+            "failures_translation": sum(r["failure_class"] == TRANSLATION_ERROR for r in rows),
+        }
+
+    steps = [r for r in records if r["has_step"]]
+    stats = compute_stats(records)
+    assert stats.per_task_breakdown == {
+        task_id: count([r for r in steps if r["task_id"] == task_id])
+        for task_id in {r["task_id"] for r in steps}
+    }
+    assert {key: getattr(stats, key) for key in count(steps)} == count(steps)
 
 
 def test_module_entry_point():

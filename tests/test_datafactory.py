@@ -238,9 +238,8 @@ class TestAuditAndStats:
             sleep=lambda _t: None,
         )
         root = BeamNode(id=0, parent=None, depth=0, step=None, score=ScoreBreakdown(0, 0, 0, 0))
-        ids = itertools.count(1)
         (child,) = expand_node(
-            root, GenerationContext(question="q"), 1, backend, BeamConfig(), lambda: next(ids)
+            root, GenerationContext(question="q"), 1, backend, BeamConfig(), 1
         )
         record = node_to_audit(child, "t")
         assert (record["failure_kind"], record["failure_class"]) == (kind, TRANSLATION_ERROR)

@@ -283,6 +283,49 @@ class TestHttpBackend:
         )
         assert backend.translate(step).error_kind == SYMBOLIC_DEFECT
 
+    def test_prompt_strings_are_pinned(self):
+        # Each prompt is its asset, then its parts with empty ones dropped,
+        # one blank line apart; perfbench/stub.py parses this layout.
+        first = template.ReasoningStep(
+            query="q?", facts=("f",), rule="r", revision="",
+            revision_result=template.RevisionResult.retained(), reasoning_result="c",
+        )
+        second = template.ReasoningStep(
+            query="Is <b> so?", facts=("f", "g\nh"), rule="r2", revision="ok",
+            revision_result=template.RevisionResult.revised_to("x"), reasoning_result="d",
+            step_index=1,
+        )
+        first_text = (
+            "<QUERY>q?</QUERY>\n<FACTS>\n- f\n</FACTS>\n<RULE>r</RULE>\n"
+            "<REVISION></REVISION>\n<REVISION_RESULT>RETAINED</REVISION_RESULT>\n"
+            "<REASONING_RESULT>c</REASONING_RESULT>\n"
+        )
+        second_text = (
+            "<QUERY>Is <b> so?</QUERY>\n<FACTS>\n- f\n- g\\nh\n</FACTS>\n<RULE>r2</RULE>\n"
+            "<REVISION>ok</REVISION>\n<REVISION_RESULT>REVISED: x</REVISION_RESULT>\n"
+            "<REASONING_RESULT>d</REASONING_RESULT>\n"
+        )
+        replies = iter([first_text, first_text, "fact a(b).\nrule c(X) :- a(X).", "NO", "YES"])
+        transport = FakeTransport([lambda payload: (200, chat_response(next(replies)))])
+        backend = http_backend(transport)
+        ctx = GenerationContext(
+            question="Q", prior_steps=(first, second), few_shot_asset="S", temperature=0.5
+        )
+        backend.generate_candidates(ctx, 2)
+        backend.generate_response(GenerationContext(question="Q"))
+        backend.translate(first)
+        backend.evaluate(first, ctx)
+        sent = [
+            (c["messages"][0]["content"], c["temperature"], c["n"]) for c in transport.calls
+        ]
+        assert sent == [
+            ("g\n\nS\n\nQ\n\n" + first_text + "\n" + second_text, 0.5, 2),
+            ("g\n\nQ", 1.0, 1),
+            ("t\n\n" + first_text, 0.01, 1),
+            ("p\n\nQ\n\n" + first_text, 0.01, 1),
+            ("f\n\nQ\n\n" + first_text, 0.01, 1),
+        ]
+
     def test_auth_header_sent(self):
         transport = FakeTransport([(200, chat_response("YES"))])
         backend = http_backend(transport)

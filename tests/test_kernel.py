@@ -58,6 +58,23 @@ class TestParser:
             parse_program("fact p(a)\nfact q(b).")
         assert exc.value.line == 2  # missing dot noticed at next token
 
+    def test_atom_with_optional_final_dot(self):
+        assert parse_atom("p(a).") == parse_atom(" p(a) ") == Atom("p", (const("a"),))
+
+    @pytest.mark.parametrize(
+        "src, where",
+        [
+            ("p(a). @@@ garbage", (1, 7, "identifier or punctuation")),
+            ("p(a). q(b)", (1, 7, "end of input")),
+            ("p(a) q(b)", (1, 6, "end of input")),
+            ("p(a)..", (1, 6, "end of input")),
+        ],
+    )
+    def test_atom_followed_by_text_rejected(self, src, where):
+        with pytest.raises(kernel.KblSyntaxError) as exc:
+            parse_atom(src)
+        assert (exc.value.line, exc.value.col, exc.value.expected) == where
+
     def test_nonground_fact_rejected(self):
         with pytest.raises(kernel.KbError):
             parse_program("fact p(X).")

@@ -1,4 +1,5 @@
 import itertools
+import re
 from dataclasses import fields, replace
 
 import hypothesis.strategies as st
@@ -280,6 +281,39 @@ class TestTextCache:
         assert template._unescape(body, facts) == bare_unescape(body, facts)
 
 
+# Pieces a mutation inserts: tags, backslashes, blank fact entries, blanks.
+_MUTATION_PIECES = _ESCAPE_PIECES + ["\\\\", "- \n", "\n- \n", "\t", "\n\n", "FINAL ANSWER: "]
+# Bodies a mutation puts after an opening tag: blanks, blank fact entries,
+# lone backslashes and half-written REVISION_RESULT forms.
+_MUTATION_BODIES = [
+    "", " ", "\t", "\n", "\\", "\\ ", "\n- \n", "\n- a\n- \n", "\n-  \n- b\n", "\n- \t\n",
+    "REVISED:", "REVISED: ", " RETAINED",
+]
+
+
+@st.composite
+def mutated_responses(draw):
+    """A serialized response after one to four edits: insert a piece, delete
+    a few characters, or replace the body after an opening tag (up to the
+    next ``<``)."""
+    raw = serialize_response(draw(structured_responses()))
+    for _ in range(draw(st.integers(1, 4))):
+        edit = draw(st.sampled_from(["insert", "delete", "body"]))
+        i = draw(st.integers(0, len(raw)))
+        if edit == "insert":
+            raw = raw[:i] + draw(st.sampled_from(_MUTATION_PIECES)) + raw[i:]
+        elif edit == "delete":
+            raw = raw[:i] + raw[i + draw(st.integers(1, 8)):]
+        else:
+            tags = [m.end() for m in re.finditer(r"<[A-Z_]+>", raw)]
+            if tags:
+                start = draw(st.sampled_from(tags))
+                end = raw.find("<", start)
+                body = draw(st.sampled_from(_MUTATION_BODIES))
+                raw = raw[:start] + body + raw[end if end >= 0 else len(raw):]
+    return raw
+
+
 class TestConformsStrictly:
     def test_serializer_output_conforms(self):
         assert conforms_strictly(serialize_step(make_step()))
@@ -311,6 +345,18 @@ class TestConformsStrictly:
         raw = serialize_step(make_step())
         assert conforms_strictly(raw)
         parse_response(raw)
+
+    @settings(max_examples=300, deadline=None)
+    @given(mutated_responses())
+    def test_accepted_text_holds_only_valid_steps(self, raw):
+        # Strict parsing is the only structural check on model text, so it
+        # must reject every step that ReasoningStep.validate would.
+        try:
+            resp = parse_response(raw)
+        except template.ParseError:
+            return
+        for step in resp.steps:
+            step.validate()
 
     def test_single_tag_deletion_breaks_conformance(self):
         raw = serialize_response(

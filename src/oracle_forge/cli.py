@@ -180,17 +180,22 @@ def cmd_stats(audit_path: str, as_json: bool) -> int:
 def cmd_verify_step(facts_path: str, rule_path: str) -> int:
     try:
         with open(facts_path, encoding="utf-8") as fh:
-            facts, _ = kernel.parse_clauses(fh.read())
+            facts, stray_rules = kernel.parse_clauses(fh.read())
         with open(rule_path, encoding="utf-8") as fh:
-            _, rules = kernel.parse_clauses(fh.read())
+            stray_facts, rules = kernel.parse_clauses(fh.read())
     except (kernel.KbError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAILURE
-    if len(rules) != 1:
-        print(
-            f"error: rule file must contain exactly 1 rule, got {len(rules)}",
-            file=sys.stderr,
+    problem = None
+    if stray_rules:
+        problem = f"{facts_path}: facts file must contain no rule, got {len(stray_rules)}"
+    elif len(rules) != 1 or stray_facts:
+        problem = (
+            f"{rule_path}: rule file must contain exactly 1 rule and no fact, "
+            f"got {len(rules)} rules and {len(stray_facts)} facts"
         )
+    if problem:
+        print(f"error: {problem}", file=sys.stderr)
         return EXIT_FAILURE
     verdict = kernel.verify_step(sorted(facts), rules[0])
     if verdict.executed:
@@ -201,17 +206,9 @@ def cmd_verify_step(facts_path: str, rule_path: str) -> int:
 
 
 def _load_cfg(args) -> PipelineConfig:
-    cfg = load_config(args.config) if args.config else PipelineConfig()
-    if args.seed is not None:
-        cfg.seed = args.seed
-        cfg.beam = replace(cfg.beam, seed=args.seed)
-        cfg.corruption = replace(cfg.corruption, seed=args.seed)
-    if args.backend:
-        cfg.backend = args.backend
-    if args.out:
-        cfg.out_dir = args.out
-    cfg.validate()
-    return cfg
+    flags = {"seed": args.seed, "backend": args.backend, "out_dir": args.out or None}
+    overrides = {key: value for key, value in flags.items() if value is not None}
+    return load_config(args.config or None, **overrides)
 
 
 def main(argv=None) -> int:

@@ -73,9 +73,12 @@ class HttpSpec:
     timeout: float = 60.0
 
     def __post_init__(self):
-        # 0 retries would make no request at all.
+        # 0 retries would make no request at all, and no request can
+        # complete within a timeout of 0.
         if self.max_retries < 1:
             raise ValueError(f"http.max_retries must be at least 1, got {self.max_retries!r}")
+        if self.timeout <= 0:
+            raise ValueError(f"http.timeout must be greater than 0, got {self.timeout!r}")
 
 
 @dataclass
@@ -204,16 +207,22 @@ def _build(data: dict) -> PipelineConfig:
     return cfg
 
 
-def load_config(path: str) -> PipelineConfig:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            data = yaml.safe_load(fh) or {}
-    except OSError as exc:
-        raise ConfigError(f"cannot read config: {exc}") from exc
-    except yaml.YAMLError as exc:
-        raise ConfigError(f"invalid YAML: {exc}") from exc
-    if not isinstance(data, dict):
-        raise ConfigError("config root must be a mapping")
-    cfg = _build(_interpolate(data))
+def load_config(path: str | None = None, **overrides) -> PipelineConfig:
+    """The config of the YAML file at ``path``, or the defaults when there is
+    none, with each override in place of the top-level key it names; built
+    and validated once, so a file value that an override replaces is never
+    checked."""
+    data = {}
+    if path is not None:
+        try:
+            with open(path, encoding="utf-8") as fh:
+                data = yaml.safe_load(fh) or {}
+        except OSError as exc:
+            raise ConfigError(f"cannot read config: {exc}") from exc
+        except yaml.YAMLError as exc:
+            raise ConfigError(f"invalid YAML: {exc}") from exc
+        if not isinstance(data, dict):
+            raise ConfigError("config root must be a mapping")
+    cfg = _build({**_interpolate(data), **overrides})
     cfg.validate()
     return cfg

@@ -23,18 +23,11 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from . import kernel, template
-from .kernel import Atom, Fact, KnowledgeBase, Rule, const, var
+from .kernel import Atom, Derivation, Fact, KnowledgeBase, Rule, const, var
 
 
 class RetryExhausted(RuntimeError):
     pass
-
-
-@dataclass(frozen=True)
-class ProofStep:
-    facts: tuple[Fact, ...]
-    rule: Rule
-    conclusion: Fact
 
 
 @dataclass
@@ -43,7 +36,7 @@ class TaskInstance:
     question: str
     context: str
     gold_answer: str
-    ground_truth_proof: tuple[ProofStep, ...]
+    ground_truth_proof: tuple[Derivation, ...]
     nl_pairing: dict[str, Fact | Rule]
     kb: KnowledgeBase | None = None
 
@@ -112,7 +105,7 @@ def gen_chain_task(hops: int, distractors: int = 2, seed: int = 0) -> TaskInstan
     subject = const(rng.choice(_NAMES))
     x = var("X")
 
-    facts = [Fact(Atom(chain[0], (subject,)))]
+    chain_facts = [Fact(Atom(p, (subject,))) for p in chain]
     rules = [
         Rule(Atom(chain[i + 1], (x,)), (Atom(chain[i], (x,)),))
         for i in range(hops)
@@ -122,45 +115,17 @@ def gen_chain_task(hops: int, distractors: int = 2, seed: int = 0) -> TaskInstan
         src = words[hops + 1 + 2 * i]
         dst = words[hops + 2 + 2 * i]
         distractor_rules.append(Rule(Atom(dst, (x,)), (Atom(src, (x,)),)))
-    kb = KnowledgeBase(frozenset(facts), tuple(rules + distractor_rules))
+    kb = KnowledgeBase(frozenset(chain_facts[:1]), tuple(rules + distractor_rules))
 
     gold_true = seed % 2 == 0
     if gold_true:
-        query = Atom(chain[hops], (subject,))
+        query = chain_facts[hops].atom
     else:
         query = Atom(distractor_rules[0].head.predicate, (subject,))
-    gold_answer = "true" if gold_true else "false"
-
     proof = tuple(
-        ProofStep(
-            facts=(Fact(Atom(chain[i], (subject,))),),
-            rule=rules[i],
-            conclusion=Fact(Atom(chain[i + 1], (subject,))),
-        )
-        for i in range(hops)
+        Derivation(rules[i], (chain_facts[i],), chain_facts[i + 1]) for i in range(hops)
     )
-
-    pairing: dict[str, Fact | Rule] = {}
-    for i in range(hops + 1):
-        f = Fact(Atom(chain[i], (subject,)))
-        pairing[_fact_nl(f.atom)] = f
-    for r in rules + distractor_rules:
-        pairing[_rule_nl(r)] = r
-
-    context_sentences = [_fact_nl(f.atom) for f in facts]
-    context_sentences += [_rule_nl(r) for r in rules + distractor_rules]
-    context = " ".join(context_sentences)
-    question = f"Is it true that {_fact_nl(Atom(query.predicate, (subject,)))[:-1].lower()}?"
-
-    return TaskInstance(
-        id=f"chain-{hops}h-{seed}",
-        question=question,
-        context=context,
-        gold_answer=gold_answer,
-        ground_truth_proof=proof,
-        nl_pairing=pairing,
-        kb=kb,
-    )
+    return _task(f"chain-{hops}h-{seed}", kb, chain_facts, query, gold_true, proof)
 
 
 # --------------------------------------------------------------------------
@@ -265,35 +230,32 @@ def _try_rulebase(rng, n_facts, n_rules, negation, seed) -> TaskInstance | None:
         proof = _proof_for(derived[-1], trace, facts)
     if not proof:
         return None
-    gold_answer = "true" if gold_true else "false"
+    # Two rules that read alike would share one pairing entry.
+    if len({_rule_nl(r) for r in rules}) < len(rules):
+        return None
+    return _task(f"rulebase-{n_facts}f{n_rules}r-{seed}", kb, grid, query, gold_true, proof)
 
-    pairing: dict[str, Fact | Rule] = {}
-    for f in grid:
-        pairing[_fact_nl(f.atom)] = f
-    nl_rules = {}
-    for r in rules:
-        nl = _rule_nl(r)
-        if nl in nl_rules:
-            return None
-        nl_rules[nl] = r
-    pairing.update(nl_rules)
 
-    context = " ".join(
-        [_fact_nl(f.atom) for f in sorted(facts)] + [_rule_nl(r) for r in rules]
-    )
-    question = f"Is it true that {_fact_nl(query)[:-1].lower()}?"
+def _task(task_id, kb, paired_facts, query, gold_true, proof) -> TaskInstance:
+    """The task over ``kb`` asking whether ``query`` holds: its pairing holds
+    ``paired_facts``, then the KB's rules; its context states the KB's sorted
+    facts, then its rules."""
+    rule_nl = [_rule_nl(r) for r in kb.rules]
+    pairing: dict[str, Fact | Rule] = {_fact_nl(f.atom): f for f in paired_facts}
+    pairing.update(zip(rule_nl, kb.rules))
+    context = " ".join([_fact_nl(f.atom) for f in sorted(kb.facts)] + rule_nl)
     return TaskInstance(
-        id=f"rulebase-{n_facts}f{n_rules}r-{seed}",
-        question=question,
+        id=task_id,
+        question=f"Is it true that {_fact_nl(query)[:-1].lower()}?",
         context=context,
-        gold_answer=gold_answer,
-        ground_truth_proof=tuple(proof),
+        gold_answer="true" if gold_true else "false",
+        ground_truth_proof=proof,
         nl_pairing=pairing,
         kb=kb,
     )
 
 
-def _proof_for(goal: Atom, trace, base_facts) -> list[ProofStep]:
+def _proof_for(goal: Atom, trace, base_facts) -> tuple[Derivation, ...]:
     """Minimal derivation chain ending at goal, in dependency order."""
     by_conclusion = {}
     order = {}
@@ -317,7 +279,7 @@ def _proof_for(goal: Atom, trace, base_facts) -> list[ProofStep]:
 
     visit(goal)
     needed.sort(key=lambda d: order[d.conclusion.atom])
-    return [ProofStep(d.body_facts, d.rule, d.conclusion) for d in needed]
+    return tuple(needed)
 
 
 # --------------------------------------------------------------------------
@@ -330,7 +292,7 @@ def gold_step(task: TaskInstance, index: int) -> template.ReasoningStep:
     conclusion_nl = task.nl_of(ps.conclusion)
     return template.ReasoningStep(
         query=f"Can we establish that {conclusion_nl[:-1].lower()}?",
-        facts=tuple(task.nl_of(f) for f in ps.facts),
+        facts=tuple(task.nl_of(f) for f in ps.body_facts),
         rule=task.nl_of(ps.rule),
         revision="The selected facts and rule are sufficient for this step.",
         revision_result=template.RevisionResult.retained(),
@@ -437,7 +399,7 @@ def task_to_dict(task: TaskInstance) -> dict:
         "gold_answer": task.gold_answer,
         "proof": [
             {
-                "facts": [str(f.atom) for f in ps.facts],
+                "facts": [str(f.atom) for f in ps.body_facts],
                 "rule": _rule_src(ps.rule),
                 "conclusion": str(ps.conclusion.atom),
             }
@@ -465,9 +427,9 @@ def task_from_dict(d: dict) -> TaskInstance:
         return _parse_rule(entry["src"])
 
     proof = tuple(
-        ProofStep(
-            facts=tuple(Fact(kernel.parse_atom(s)) for s in ps["facts"]),
+        Derivation(
             rule=_parse_rule(ps["rule"]),
+            body_facts=tuple(Fact(kernel.parse_atom(s)) for s in ps["facts"]),
             conclusion=Fact(kernel.parse_atom(ps["conclusion"])),
         )
         for ps in d["proof"]
@@ -491,19 +453,23 @@ def save_tasks(tasks, path) -> None:
 
 def load_tasks(path) -> list[TaskInstance]:
     """The tasks of a JSONL file, one per non-blank line.  A line that does
-    not hold a task raises ValueError naming the file and the line."""
-    out = []
+    not hold a task, or holds one whose id an earlier line took, raises
+    ValueError naming the file and the line."""
+    tasks: dict[str, TaskInstance] = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
             if not line.strip():
                 continue
             try:
-                out.append(task_from_dict(json.loads(line)))
+                task = task_from_dict(json.loads(line))
             except (ValueError, LookupError, TypeError, AttributeError) as exc:
                 raise ValueError(
                     f"{path}, line {lineno}: {type(exc).__name__}: {exc}"
                 ) from exc
-    return out
+            if task.id in tasks:
+                raise ValueError(f"{path}, line {lineno}: repeated task id: {task.id}")
+            tasks[task.id] = task
+    return list(tasks.values())
 
 
 def stable_digest(*parts) -> int:

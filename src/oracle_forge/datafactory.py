@@ -1,11 +1,12 @@
 """Stage-1 filtering, SFT/DPO emission, run statistics, failure taxonomy.
 
-Emitted files (all UTF-8, LF, fixed key order, no timestamps in records):
+Emitted files (all UTF-8, LF, fixed key order, no timestamps in records).
+A line of a record file holds its record's fields, in declaration order:
 
-- ``sft.jsonl``:  {"prompt", "response", "task_id", "stage"}
-- ``dpo.jsonl``:  {"prompt", "chosen", "rejected", "task_id"}
+- ``sft.jsonl``:  SftRecord {"prompt", "response", "task_id", "stage"}
+- ``dpo.jsonl``:  DpoRecord {"prompt", "chosen", "rejected", "task_id"}
 - ``audit.jsonl``: one beam node per line (schema in docs/audit_schema.md)
-- ``rejections.jsonl`` (stage 1 only): {"task_id", "label", "detail"}
+- ``rejections.jsonl`` (stage 1 only): RejectReason {"task_id", "label", "detail"}
 - ``manifest.json``: counts, seed, config hash, rule-language version (stage
   2) or stage name (stage 1), and ``partial``: true when ``max_sft`` or
   ``max_dpo`` cut records.
@@ -22,7 +23,7 @@ import contextlib
 import hashlib
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from . import kernel, template
 from .beam import BeamResult
@@ -49,7 +50,7 @@ class SftRecord:
     prompt: str
     response: str
     task_id: str
-    source_stage: str = STAGE2
+    stage: str = STAGE2
 
 
 @dataclass(frozen=True)
@@ -87,14 +88,7 @@ class RunStats:
         return self.steps_executed / self.steps_total if self.steps_total else 0.0
 
     def to_dict(self) -> dict:
-        return {
-            "steps_total": self.steps_total,
-            "steps_executed": self.steps_executed,
-            "success_rate": self.success_rate,
-            "failures_generation": self.failures_generation,
-            "failures_translation": self.failures_translation,
-            "per_task_breakdown": self.per_task_breakdown,
-        }
+        return {**asdict(self), "success_rate": self.success_rate}
 
 
 @dataclass(frozen=True)
@@ -124,9 +118,7 @@ def stage1_filter(samples) -> tuple[list[SftRecord], list[RejectReason]]:
             )
             continue
         kept.append(
-            SftRecord(
-                prompt=s.prompt, response=s.raw, task_id=s.task_id, source_stage=STAGE1
-            )
+            SftRecord(prompt=s.prompt, response=s.raw, task_id=s.task_id, stage=STAGE1)
         )
     return kept, rejected
 
@@ -138,11 +130,8 @@ def classify_failure(translation: TranslationResult | None, verdict: StepVerdict
     can show a generation defect."""
     if verdict.executed:
         raise ValueError("classify_failure requires a failed verdict")
-    if translation is not None and not translation.ok:
-        if translation.error_kind == SOURCE_UNMATCHED:
-            return GENERATION_ERROR
-        return TRANSLATION_ERROR
-    # Symbolic form existed but the engine rejected it or nothing fired.
+    if translation is not None and translation.error_kind == SOURCE_UNMATCHED:
+        return GENERATION_ERROR
     return TRANSLATION_ERROR
 
 
@@ -318,30 +307,8 @@ def write_outputs(out_dir, files: dict, manifest: dict | None = None) -> None:
                 os.remove(tmp)
 
 
-def _sft_line(r: SftRecord) -> str:
-    return json.dumps(
-        {
-            "prompt": r.prompt,
-            "response": r.response,
-            "task_id": r.task_id,
-            "stage": r.source_stage,
-        }
-    )
-
-
-def _dpo_line(r: DpoRecord) -> str:
-    return json.dumps(
-        {
-            "prompt": r.prompt,
-            "chosen": r.chosen,
-            "rejected": r.rejected,
-            "task_id": r.task_id,
-        }
-    )
-
-
-def _rejection_line(r: RejectReason) -> str:
-    return json.dumps({"task_id": r.task_id, "label": r.label, "detail": r.detail})
+def _line(record) -> str:
+    return json.dumps(vars(record))
 
 
 def emit_stage1(
@@ -359,8 +326,8 @@ def emit_stage1(
         "partial": lost_tasks > 0 or len(sft) < len(kept),
     }
     files = {
-        "sft.jsonl": map(_sft_line, sft),
-        "rejections.jsonl": map(_rejection_line, rejected),
+        "sft.jsonl": map(_line, sft),
+        "rejections.jsonl": map(_line, rejected),
     }
     write_outputs(out_dir, files, manifest)
     return manifest
@@ -391,8 +358,8 @@ def emit_datasets(
         "partial": lost_tasks > 0 or len(sft) < len(all_sft) or len(dpo) < len(all_dpo),
     }
     files = {
-        "sft.jsonl": map(_sft_line, sft),
-        "dpo.jsonl": map(_dpo_line, dpo),
+        "sft.jsonl": map(_line, sft),
+        "dpo.jsonl": map(_line, dpo),
         "audit.jsonl": _audit_lines(results),
     }
     write_outputs(out_dir, files, manifest)

@@ -151,6 +151,7 @@ class TestConfig:
             ("beam: {temperature: -0.5}\n", "beam.temperature must be non-negative"),
             ("http: {max_in_flight: 0}\n", "unknown http key: max_in_flight"),
             ("http: {max_retries: 0}\n", "http.max_retries must be at least 1, got 0"),
+            ("http: {timeout: 0}\n", "http.timeout must be greater than 0, got 0"),
         ]:
             with pytest.raises(ConfigError, match=f"^{re.escape(message)}"):
                 load_config(write(tmp_path / "bad.yaml", text))
@@ -483,6 +484,26 @@ class TestVerifyStepCli:
         assert code == cli.EXIT_FAILURE
         assert "error" in stderr
 
+    @pytest.mark.parametrize(
+        "facts_src, rule_src, culprit",
+        [
+            ("", "fact man(socrates).\nrule mortal(X) :- man(X).\n", "rule.kbl"),
+            ("fact man(socrates).\nrule mortal(X) :- man(X).\n", "rule god(X) :- man(X).\n",
+             "facts.kbl"),
+        ],
+        ids=["fact-in-rule-file", "rule-in-facts-file"],
+    )
+    def test_clause_in_the_wrong_file_is_an_error(
+        self, tmp_path, capsys, facts_src, rule_src, culprit
+    ):
+        facts = write(tmp_path / "facts.kbl", facts_src)
+        rule = write(tmp_path / "rule.kbl", rule_src)
+        code, stdout, stderr = run_cli(capsys, "verify-step", facts, rule)
+        assert code == cli.EXIT_FAILURE
+        assert stdout == ""
+        assert stderr.startswith(f"error: {tmp_path / culprit}: ")
+        assert stderr.count("\n") == 1
+
 
 class TestCorpusFileRoundTrip:
     def test_stage2_from_saved_tasks(self, tmp_path, capsys):
@@ -542,6 +563,19 @@ class TestCorpusFileRoundTrip:
         assert stderr.count("\n") == 1 and stdout == ""
         assert not out.exists()
 
+    @pytest.mark.parametrize("stage", ["stage1", "stage2"])
+    def test_repeated_task_id_is_a_one_line_error(self, tmp_path, capsys, stage):
+        from oracle_forge.corpus import gen_chain_task, save_tasks
+
+        path = tmp_path / "tasks.jsonl"
+        save_tasks([gen_chain_task(2, seed=4), gen_chain_task(3, seed=1)] * 2, str(path))
+        cfg = write(tmp_path / "cfg.yaml", f"corpus: {{kind: file, path: {path}}}\n")
+        out = tmp_path / "out"
+        code, stdout, stderr = run_cli(capsys, stage, "--config", cfg, "--out", str(out))
+        assert code == cli.EXIT_FAILURE
+        assert stderr == f"error: {path}, line 3: repeated task id: chain-2h-4\n"
+        assert stdout == "" and not out.exists()
+
 
 def test_rulebase_that_exhausts_its_retries_is_a_one_line_error(tmp_path, capsys):
     cfg = write(
@@ -581,8 +615,8 @@ GOLDEN_CORPORA = {
 }
 
 
-def golden_run(tmp_path, capsys, kind):
-    """The output directory of the golden stage-2 run of ``kind``."""
+def golden_config(tmp_path, kind):
+    """The path of the config file of the golden stage-2 run of ``kind``."""
     config = {
         "backend": "scripted-noisy",
         "seed": 3,
@@ -591,7 +625,12 @@ def golden_run(tmp_path, capsys, kind):
         "corruption": {"p_bad_rule": 0.3, "p_bad_fact": 0.1},
         "corpus": dict(GOLDEN_CORPORA[kind], count=40),
     }
-    cfg = write(tmp_path / "cfg.yaml", json.dumps(config))
+    return write(tmp_path / "cfg.yaml", json.dumps(config))
+
+
+def golden_run(tmp_path, capsys, kind):
+    """The output directory of the golden stage-2 run of ``kind``."""
+    cfg = golden_config(tmp_path, kind)
     out = tmp_path / "out"
     code, _, _ = run_cli(capsys, "stage2", "--config", cfg, "--out", str(out))
     assert code == 0
@@ -606,6 +645,80 @@ def test_stage2_outputs_match_golden_digests(tmp_path, capsys, kind):
         for name in GOLDEN_DIGESTS[kind]
     }
     assert digests == GOLDEN_DIGESTS[kind]
+
+
+# sha256 of the stdout of ``oracle-forge stats`` and ``stats --json`` on the
+# audit of each golden run.
+GOLDEN_STATS_DIGESTS = {
+    "chain": {
+        "table": "a72d1e24c605e0eb656ecfac5a5dccdb2ca56f68b2a8ca5bf635fcaf2be423d5",
+        "json": "2d8907e3f63b80300e89eb3369ab5387cf8d373e509b09f9daab27a5205b1cd8",
+    },
+    "rulebase": {
+        "table": "8614e3b45eab39dde8a0bd7d8ea3fdfd5ff36fc7ce69e90ba67b8e6273ed0624",
+        "json": "ce68c9b3df54e7552c65ad50425039452e63a4d9660883a465f589f064ddcbf5",
+    },
+}
+
+
+@pytest.mark.parametrize("kind", sorted(GOLDEN_STATS_DIGESTS))
+def test_stats_output_matches_golden_digests(tmp_path, capsys, kind):
+    audit = str(golden_run(tmp_path, capsys, kind) / "audit.jsonl")
+    digests = {}
+    for name, flags in (("table", ()), ("json", ("--json",))):
+        code, stdout, _ = run_cli(capsys, "stats", audit, *flags)
+        assert code == 0
+        digests[name] = hashlib.sha256(stdout.encode("utf-8")).hexdigest()
+    assert digests == GOLDEN_STATS_DIGESTS[kind]
+
+
+# sha256 of each stage-1 output at seed 3 for the 40 golden chain tasks,
+# scripted-noisy with format breaks, so that some samples are rejected.
+STAGE1_DIGESTS = {
+    "sft.jsonl": "ee685203d73870901147ecdbf299157e1574b775509a5091de65dd2f7f0775aa",
+    "rejections.jsonl": "44fe8fecf38c2d03e5e1177b9f6eb31780cdbcca954514c995280e2bde0206ce",
+    "manifest.json": "ce82b817aeb42017cb70288d726b8cae4df8a6bb5c116e7049976577f4c0c26f",
+}
+
+
+def test_stage1_outputs_match_golden_digests(tmp_path, capsys):
+    config = {
+        "backend": "scripted-noisy",
+        "seed": 3,
+        "corruption": {"p_format_break": 0.3},
+        "corpus": dict(GOLDEN_CORPORA["chain"], count=40),
+    }
+    cfg = write(tmp_path / "cfg.yaml", json.dumps(config))
+    out = tmp_path / "out"
+    code, stdout, _ = run_cli(capsys, "stage1", "--config", cfg, "--out", str(out))
+    assert code == 0
+    assert stdout == "stage1: kept 29, rejected 11\n"
+    digests = {
+        name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in STAGE1_DIGESTS
+    }
+    assert digests == STAGE1_DIGESTS
+
+
+# sha256 of the manifest, whose config_hash covers every config value, of
+# stage-2 runs that take their seed and backend from flags: with no config
+# file, and with the golden chain config (seed 3) run at seed 5.
+OVERRIDE_MANIFEST_DIGESTS = {
+    "config-and-seed": "c55b8a556e5b381915ee62dad6cc6811f6ef5a12494b8c21bd8b15ecc2f803b0",
+    "no-config": "a3665859d0e449dd5420f124eaee81ef465c29c3a7207c6d180f25f1d7c4b66b",
+}
+
+
+@pytest.mark.parametrize("case", sorted(OVERRIDE_MANIFEST_DIGESTS))
+def test_flag_overrides_match_golden_manifests(tmp_path, capsys, case):
+    out = tmp_path / "out"
+    if case == "no-config":
+        argv = ["--backend", "scripted-noisy", "--seed", "3"]
+    else:
+        argv = ["--config", golden_config(tmp_path, "chain"), "--seed", "5"]
+    code, _, _ = run_cli(capsys, "stage2", *argv, "--out", str(out))
+    assert code == 0
+    digest = hashlib.sha256((out / "manifest.json").read_bytes()).hexdigest()
+    assert digest == OVERRIDE_MANIFEST_DIGESTS[case]
 
 
 @pytest.mark.parametrize("kind", sorted(GOLDEN_DIGESTS))

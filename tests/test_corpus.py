@@ -22,7 +22,7 @@ from oracle_forge.kernel import answer_query, parse_atom, verify_step
 
 def replay_proof(task):
     for ps in task.ground_truth_proof:
-        verdict = verify_step(ps.facts, ps.rule)
+        verdict = verify_step(ps.body_facts, ps.rule)
         assert verdict.executed
         assert ps.conclusion in verdict.conclusions
 
@@ -56,13 +56,24 @@ class TestChainTask:
     def test_pairing_covers_proof(self):
         task = gen_chain_task(4, 3, seed=2)
         for ps in task.ground_truth_proof:
-            for f in ps.facts:
+            for f in ps.body_facts:
                 assert task.nl_of(f) in task.nl_pairing
             assert task.nl_of(ps.rule) in task.nl_pairing
 
     def test_hops_zero_rejected(self):
         with pytest.raises(ValueError):
             gen_chain_task(0)
+
+    # sha256 of the task_to_dict JSON lines for hops 1-4 over seeds 0-24.
+    TASKS_PIN = "c10105254aff9c9dcbf748185204a45a0d87fe496f0e22bb76ef1c56fc5f3927"
+
+    def test_tasks_are_pinned(self):
+        digest = hashlib.sha256()
+        for hops in range(1, 5):
+            for seed in range(25):
+                line = json.dumps(task_to_dict(gen_chain_task(hops, seed=seed)), sort_keys=True)
+                digest.update((line + "\n").encode("utf-8"))
+        assert digest.hexdigest() == self.TASKS_PIN
 
 
 class TestRulebaseTask:

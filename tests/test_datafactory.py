@@ -80,7 +80,7 @@ class TestStage1Filter:
             [Stage1Sample(task.id, task.question, raw, task.gold_answer)]
         )
         assert len(kept) == 1 and rejected == []
-        assert kept[0].source_stage == "stage1"
+        assert kept[0].stage == "stage1"
 
     def test_malformed_sample_rejected(self):
         task = gen_chain_task(2, seed=0)

@@ -69,15 +69,16 @@ class BeamNode:
     verdict: StepVerdict | None = None
     eval_verdict: EvalVerdict | None = None
     translation: TranslationResult | None = None
-    terminal: bool = False
     answer: str | None = None
     selected: bool = False
 
     def __post_init__(self):
         if self.parent is None:
             assert self.depth == 0 and self.step is None
-        if self.terminal:
-            assert self.answer is not None
+
+    @property
+    def terminal(self) -> bool:
+        return self.answer is not None
 
 
 @dataclass(frozen=True)
@@ -141,16 +142,14 @@ def expand_node(
         if translation.ok:
             verdict = kernel.verify_step(translation.facts, translation.rule)
         else:
-            verdict = StepVerdict(
-                False, failure=FailureKind.PARSE_FAILURE, detail=translation.detail
-            )
+            verdict = StepVerdict(failure=FailureKind.PARSE_FAILURE, detail=translation.detail)
         step = cand.step
         result = (
             kernel.render_conclusions(verdict) if verdict.executed else step.reasoning_result
         )
         # A step that needs no edit is kept, and with it its rendered text.
-        if (step.step_index, step.reasoning_result) != (node.depth, result):
-            step = replace(step, step_index=node.depth, reasoning_result=result)
+        if step.reasoning_result != result:
+            step = replace(step, reasoning_result=result)
         try:
             ev = backend.evaluate(step, ctx, verdict.executed)
         except BackendUnavailable:
@@ -166,7 +165,6 @@ def expand_node(
                 verdict=verdict,
                 eval_verdict=ev,
                 translation=translation,
-                terminal=answer is not None,
                 answer=answer,
             )
         )
@@ -189,8 +187,8 @@ def _path_to(node: BeamNode, nodes: list[BeamNode]) -> list[BeamNode]:
     return chain
 
 
-def _prefix_prompt(question: str, prefix_steps) -> str:
-    parts = [question]
+def _prefix_prompt(task_prompt: str, prefix_steps) -> str:
+    parts = [task_prompt]
     parts += [template.serialize_step(s) for s in prefix_steps]
     return "\n\n".join(parts)
 
@@ -249,7 +247,7 @@ def run_beam(
                 answer=leaf.answer,
             )
         )
-    pairs = backtrack_pairs(nodes, sft_paths, task.question, cfg.max_pairs_per_node)
+    pairs = backtrack_pairs(nodes, sft_paths, task.prompt, cfg.max_pairs_per_node)
     if hasattr(backend, "telemetry"):
         telemetry["backend"] = dict(backend.telemetry)
     return BeamResult(
@@ -260,11 +258,12 @@ def run_beam(
 def backtrack_pairs(
     nodes: list[BeamNode],
     sft_paths: list[ReasoningPath],
-    question: str,
+    task_prompt: str,
     max_pairs_per_node: int = 2,
 ) -> list[PreferencePair]:
     """Pair each engine-verified node on a correct path against failed
-    siblings (same parent), earliest siblings first, capped per node.
+    siblings (same parent), earliest siblings first, capped per node.  A
+    pair's prompt is ``task_prompt``, then the steps before the pair's.
     ``nodes[i].id == i``, so each parent's children are gathered in id order."""
     children_by_parent: dict[int, list[BeamNode]] = {}
     for n in nodes:
@@ -287,7 +286,7 @@ def backtrack_pairs(
             prefix = [
                 n.step for n in _path_to(nodes[node.parent], nodes) if n.step is not None
             ]
-            prompt = _prefix_prompt(question, prefix)
+            prompt = _prefix_prompt(task_prompt, prefix)
             for sib in siblings[:max_pairs_per_node]:
                 key = (node.id, sib.id)
                 if key in seen:

@@ -35,8 +35,7 @@ def build_tasks(cfg: PipelineConfig) -> list[corpus.TaskInstance]:
     for i in range(spec.count):
         seed = cfg.seed * 1_000_003 + i
         if spec.kind == "chain":
-            hops = 1 + (i % spec.hops) if spec.hops > 1 else 1
-            tasks.append(corpus.gen_chain_task(hops, spec.distractors, seed))
+            tasks.append(corpus.gen_chain_task(1 + i % spec.hops, spec.distractors, seed))
         else:
             tasks.append(
                 corpus.gen_rulebase_task(spec.n_facts, spec.n_rules, spec.negation, seed)

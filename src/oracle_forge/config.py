@@ -56,12 +56,15 @@ class CorpusSpec:
     path: str | None = None
 
     def __post_init__(self):
-        if self.kind != "rulebase":
-            return
-        for name, most in (("n_facts", MAX_RULEBASE_FACTS), ("n_rules", MAX_RULEBASE_RULES)):
+        sizes = {
+            "chain": {"hops": None, "distractors": None},
+            "rulebase": {"n_facts": MAX_RULEBASE_FACTS, "n_rules": MAX_RULEBASE_RULES},
+        }
+        for name, most in sizes.get(self.kind, {}).items():
             value = getattr(self, name)
-            if not 1 <= value <= most:
-                raise ValueError(f"corpus.{name} must be in 1..{most}, got {value!r}")
+            if value < 1 or (most is not None and value > most):
+                span = "at least 1" if most is None else f"in 1..{most}"
+                raise ValueError(f"corpus.{name} must be {span}, got {value!r}")
 
 
 @dataclass

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from . import kernel, template
-from .kernel import Atom, Derivation, Fact, KnowledgeBase, Rule, const, var
+from .kernel import Atom, Derivation, Fact, KnowledgeBase, Rule
 
 
 class RetryExhausted(RuntimeError):
@@ -73,8 +73,7 @@ def _nonsense_words(rng: random.Random, count: int) -> list[str]:
 
 
 def _fact_nl(atom: Atom) -> str:
-    name = atom.args[0].name
-    return f"{name.capitalize()} is a {atom.predicate}."
+    return f"{atom.args[0].capitalize()} is a {atom.predicate}."
 
 
 def _rule_nl(rule: Rule) -> str:
@@ -98,23 +97,23 @@ def gen_chain_task(hops: int, distractors: int = 2, seed: int = 0) -> TaskInstan
     queried property; gold answer balanced by seed parity."""
     if hops < 1:
         raise ValueError("hops must be >= 1")
+    if distractors < 1:
+        raise ValueError("distractors must be >= 1")
     rng = random.Random(("chain", hops, distractors, seed).__repr__())
-    n_distractors = max(1, distractors)
-    words = _nonsense_words(rng, hops + 1 + 2 * n_distractors)
+    words = _nonsense_words(rng, hops + 1 + 2 * distractors)
     chain = words[: hops + 1]
-    subject = const(rng.choice(_NAMES))
-    x = var("X")
+    subject = rng.choice(_NAMES)
 
     chain_facts = [Fact(Atom(p, (subject,))) for p in chain]
     rules = [
-        Rule(Atom(chain[i + 1], (x,)), (Atom(chain[i], (x,)),))
+        Rule(Atom(chain[i + 1], ("X",)), (Atom(chain[i], ("X",)),))
         for i in range(hops)
     ]
     distractor_rules = []
-    for i in range(n_distractors):
+    for i in range(distractors):
         src = words[hops + 1 + 2 * i]
         dst = words[hops + 2 + 2 * i]
-        distractor_rules.append(Rule(Atom(dst, (x,)), (Atom(src, (x,)),)))
+        distractor_rules.append(Rule(Atom(dst, ("X",)), (Atom(src, ("X",)),)))
     kb = KnowledgeBase(frozenset(chain_facts[:1]), tuple(rules + distractor_rules))
 
     gold_true = seed % 2 == 0
@@ -185,15 +184,13 @@ def _try_rulebase(rng, n_facts, n_rules, negation, seed) -> TaskInstance | None:
     if len(drawn) < n_rules:
         return None
 
-    x = var("X")
-    unary = {p: Atom(p, (x,)) for p in preds}
+    unary = {p: Atom(p, ("X",)) for p in preds}
     rules = [
         Rule(unary[h], tuple(map(unary.get, pos)), tuple(map(unary.get, neg)))
         for h, pos, neg in drawn
     ]
-    consts = [const(n) for n in names]
     facts = frozenset(
-        Fact(Atom(preds[i // len(names)], (consts[i % len(names)],)))
+        Fact(Atom(preds[i // len(names)], (names[i % len(names)],)))
         for i in fact_cells
     )
     try:
@@ -205,11 +202,11 @@ def _try_rulebase(rng, n_facts, n_rules, negation, seed) -> TaskInstance | None:
         return None
 
     # Every ground atom, as the closure's own fact where it has one.
-    in_closure = {(f.atom.predicate, f.atom.args[0].name): f for f in closure}
+    in_closure = {(f.atom.predicate, f.atom.args[0]): f for f in closure}
     grid, underivable = [], []
     for p in preds:
-        for c in consts:
-            f = in_closure.get((p, c.name))
+        for c in names:
+            f = in_closure.get((p, c))
             if f is None:
                 f = Fact(Atom(p, (c,)))
                 underivable.append(f.atom)
@@ -229,9 +226,6 @@ def _try_rulebase(rng, n_facts, n_rules, negation, seed) -> TaskInstance | None:
         # derived fact as the demonstrative proof.
         proof = _proof_for(derived[-1], trace, facts)
     if not proof:
-        return None
-    # Two rules that read alike would share one pairing entry.
-    if len({_rule_nl(r) for r in rules}) < len(rules):
         return None
     return _task(f"rulebase-{n_facts}f{n_rules}r-{seed}", kb, grid, query, gold_true, proof)
 
@@ -296,10 +290,7 @@ def gold_step(task: TaskInstance, index: int) -> template.ReasoningStep:
         rule=task.nl_of(ps.rule),
         revision="The selected facts and rule are sufficient for this step.",
         revision_result=template.RevisionResult.retained(),
-        reasoning_result=kernel.render_conclusions(
-            kernel.StepVerdict(True, conclusions=(ps.conclusion,))
-        ),
-        step_index=index,
+        reasoning_result=kernel.render_conclusions(kernel.StepVerdict((ps.conclusion,))),
     )
 
 

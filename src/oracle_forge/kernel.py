@@ -20,7 +20,6 @@ from __future__ import annotations
 import bisect
 import functools
 import itertools
-import operator
 import re
 from dataclasses import dataclass, field
 from enum import Enum
@@ -83,7 +82,7 @@ class ArityMismatchError(KbError):
 
 class UnsafeRuleError(KbError):
     def __init__(self, rule: "Rule", variables):
-        names = ", ".join(sorted(v.name for v in variables))
+        names = ", ".join(sorted(variables))
         super().__init__(f"unsafe rule {rule}: unbound variables {names}")
         self.rule = rule
 
@@ -96,50 +95,37 @@ class KblSyntaxError(KbError):
         self.expected = expected
 
 
-@dataclass(frozen=True, order=True)
-class Term:
-    name: str
-    is_variable: bool = False
-
-    def __post_init__(self):
-        if not self.name:
-            raise KbError("empty term name")
-
-    def __str__(self):
-        return self.name
-
-
-def var(name: str) -> Term:
-    return Term(name, is_variable=True)
-
-
-def const(name: str) -> Term:
-    return Term(name, is_variable=False)
+def _is_variable(name: str) -> bool:
+    """A term is its name, and a name that starts with '?' or an uppercase
+    letter is a variable; any other is a constant."""
+    return name[0] == "?" or name[0].isupper()
 
 
 @dataclass(frozen=True, order=True)
 class Atom:
     predicate: str
-    args: tuple[Term, ...] = ()
+    args: tuple[str, ...] = ()
 
     def __post_init__(self):
         if not self.predicate:
             raise KbError("empty predicate")
+        if "" in self.args:
+            raise KbError("empty term name")
 
     @property
     def is_ground(self) -> bool:
-        return all(not t.is_variable for t in self.args)
+        return not any(map(_is_variable, self.args))
 
-    def variables(self) -> set[Term]:
-        return {t for t in self.args if t.is_variable}
+    def variables(self) -> set[str]:
+        return set(filter(_is_variable, self.args))
 
-    def substitute(self, theta: dict[Term, Term]) -> "Atom":
+    def substitute(self, theta: dict[str, str]) -> "Atom":
         return Atom(self.predicate, tuple(theta.get(t, t) for t in self.args))
 
     def __str__(self):
         if not self.args:
             return self.predicate
-        return f"{self.predicate}({', '.join(map(str, self.args))})"
+        return f"{self.predicate}({', '.join(self.args)})"
 
 
 @dataclass(frozen=True, order=True)
@@ -161,7 +147,7 @@ class Rule:
     body_neg: tuple[Atom, ...] = ()
 
     def check_safety(self) -> None:
-        bound: set[Term] = set()
+        bound: set[str] = set()
         for a in self.body_pos:
             bound |= a.variables()
         need = set(self.head.variables())
@@ -215,14 +201,13 @@ class FailureKind(Enum):
 
 @dataclass(frozen=True)
 class StepVerdict:
-    executed: bool
     conclusions: tuple[Fact, ...] = ()
     failure: FailureKind | None = None
     detail: str = field(default="", compare=False)
 
-    def __post_init__(self):
-        ok = self.executed
-        assert ok == (bool(self.conclusions) and self.failure is None)
+    @property
+    def executed(self) -> bool:
+        return bool(self.conclusions)
 
 
 # --------------------------------------------------------------------------
@@ -263,8 +248,7 @@ class _Parser:
         elif name == "?":
             raise KblSyntaxError(line, col, "name after '?'")
         elif name and (name[0] in "?_" or name[0].isalpha()):
-            kind = "var" if name[0] == "?" or name[0].isupper() else "ident"
-            self.cur = (kind, name, line, col)
+            self.cur = ("var" if _is_variable(name) else "ident", name, line, col)
         elif start == len(src):
             self.cur = ("eof", "", line, col)
         else:  # a name that starts with a digit, or no token at all
@@ -277,15 +261,12 @@ class _Parser:
         self._bump()
         return t
 
-    def parse_term(self) -> Term:
+    def parse_term(self) -> str:
         k, t, line, col = self.cur
-        if k == "var":
-            self._bump()
-            return var(t)
-        if k == "ident":
-            self._bump()
-            return const(t)
-        raise KblSyntaxError(line, col, "term")
+        if k not in ("ident", "var"):
+            raise KblSyntaxError(line, col, "term")
+        self._bump()
+        return t
 
     def parse_atom(self) -> Atom:
         k, t, line, col = self.cur
@@ -294,7 +275,7 @@ class _Parser:
         if k == "var":
             raise KblSyntaxError(line, col, "predicate name (lowercase)")
         self._bump()
-        args: list[Term] = []
+        args: list[str] = []
         if self.cur[:2] == ("punct", "("):
             self._bump()
             if self.cur[:2] != ("punct", ")"):
@@ -376,18 +357,13 @@ def parse_atom(src: str) -> Atom:
 # Matching and forward chaining
 
 
-_name = operator.attrgetter("name")
-
-
 def _index(facts) -> dict[str, list[tuple[tuple[str, ...], Fact]]]:
-    """The facts grouped by predicate, each group sorted by constant names.
-    For the ground atoms of one predicate that is the dataclass order, so
+    """The facts grouped by predicate, each group sorted by arguments.  For
+    the ground atoms of one predicate that is the dataclass order, so
     match (and hence trace) order is independent of hash randomization."""
     index: dict[str, list] = {}
     for f in facts:
-        index.setdefault(f.atom.predicate, []).append(
-            (tuple(map(_name, f.atom.args)), f)
-        )
+        index.setdefault(f.atom.predicate, []).append((f.atom.args, f))
     for group in index.values():
         group.sort()
     return index
@@ -412,9 +388,9 @@ def _join(rule: Rule, sources, known):
         for _, fact in group:
             bound = dict(theta)
             for p, c in zip(pattern.args, fact.atom.args):
-                if p.is_variable:
+                if _is_variable(p):
                     p = bound.setdefault(p, c)
-                if p is not c and p != c:  # identity first: facts share terms
+                if p != c:
                     break
             else:
                 yield from extend(i + 1, bound, body + (fact,))
@@ -423,16 +399,16 @@ def _join(rule: Rule, sources, known):
 
 
 def _narrow(group, pattern: Atom, theta: dict):
-    """The entries of a sorted index group whose constants agree with the
+    """The entries of a sorted index group whose arguments agree with the
     leading arguments of pattern that are constants or bound in theta, found
     by binary search.  A pattern bound throughout leaves at most one."""
     key = []
     for t in pattern.args:
-        if t.is_variable:
+        if _is_variable(t):
             t = theta.get(t)
             if t is None:
                 break
-        key.append(t.name)
+        key.append(t)
     if not key:
         return group
     key, k = tuple(key), len(key)
@@ -559,15 +535,15 @@ def verify_step(facts: list[Fact] | tuple[Fact, ...], rule: Rule) -> StepVerdict
     try:
         KnowledgeBase(fact_set, (rule,))
     except ArityMismatchError as exc:
-        return StepVerdict(False, failure=FailureKind.ARITY_MISMATCH, detail=str(exc))
+        return StepVerdict(failure=FailureKind.ARITY_MISMATCH, detail=str(exc))
     except UnsafeRuleError as exc:
-        return StepVerdict(False, failure=FailureKind.UNSAFE_RULE, detail=str(exc))
+        return StepVerdict(failure=FailureKind.UNSAFE_RULE, detail=str(exc))
     sources = [_index(fact_set)] * len(rule.body_pos)
     known = {f.atom for f in fact_set}
     heads = {Fact(head) for head, _ in _join(rule, sources, known)}
     if not heads:
-        return StepVerdict(False, failure=FailureKind.NO_RULE_FIRING)
-    return StepVerdict(True, conclusions=tuple(sorted(heads)))
+        return StepVerdict(failure=FailureKind.NO_RULE_FIRING)
+    return StepVerdict(tuple(sorted(heads)))
 
 
 def render_conclusions(verdict: StepVerdict) -> str:

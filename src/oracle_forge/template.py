@@ -142,7 +142,6 @@ class ReasoningStep:
     revision: str
     revision_result: RevisionResult
     reasoning_result: str
-    step_index: int = 0
 
     def validate(self) -> None:
         if not self.query.strip():
@@ -156,8 +155,6 @@ class ReasoningStep:
         for f in self.facts:
             if not f.strip():
                 raise InvariantViolation("blank fact entry")
-        if self.step_index < 0:
-            raise InvariantViolation("negative step_index")
 
     @cached_property
     def text(self) -> str:
@@ -316,7 +313,6 @@ def _parse_step(raw: str, pos: int, step_index: int) -> tuple[ReasoningStep, int
         revision=fields["revision"],
         revision_result=fields["revision_result"],
         reasoning_result=fields["reasoning_result"],
-        step_index=step_index,
     ), pos
 
 

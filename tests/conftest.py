@@ -13,7 +13,7 @@ import random
 import hypothesis.strategies as st
 
 from oracle_forge import template
-from oracle_forge.kernel import Atom, Fact, KnowledgeBase, Rule, Term, const, var
+from oracle_forge.kernel import Atom, Fact, KnowledgeBase, Rule
 
 # --------------------------------------------------------------------------
 # Template strategies
@@ -51,7 +51,7 @@ revision_results = st.one_of(
 
 
 @st.composite
-def reasoning_steps(draw, index: int = 0):
+def reasoning_steps(draw):
     return template.ReasoningStep(
         query=draw(nonempty_field),
         facts=tuple(draw(st.lists(nonempty_field, min_size=1, max_size=4))),
@@ -59,14 +59,13 @@ def reasoning_steps(draw, index: int = 0):
         revision=draw(field_text),
         revision_result=draw(revision_results),
         reasoning_result=draw(nonempty_field),
-        step_index=index,
     )
 
 
 @st.composite
 def structured_responses(draw):
     n = draw(st.integers(min_value=1, max_value=4))
-    steps = tuple(draw(reasoning_steps(index=i)) for i in range(n))
+    steps = tuple(draw(reasoning_steps()) for _ in range(n))
     final = draw(st.one_of(st.just(""), _answer_text))
     return template.StructuredResponse(steps=steps, final_answer=final)
 
@@ -75,8 +74,19 @@ def structured_responses(draw):
 # Random stratified knowledge bases
 
 PREDS = [f"p{i}" for i in range(8)]
-CONSTS = [const(c) for c in "abcde"]
-VARS = [var(v) for v in "XYZ"]
+CONSTS = list("abcde")
+VARS = list("XYZ")
+
+
+def is_variable(term: str) -> bool:
+    """The rule of docs/rule_language.md, written out here so that the
+    oracles below do not lean on the engine's own test: a term whose name
+    starts with '?' or an uppercase letter is a variable."""
+    return term.startswith("?") or term[:1].isupper()
+
+
+def is_ground(atom: Atom) -> bool:
+    return not any(is_variable(t) for t in atom.args)
 
 
 def random_kb(
@@ -100,14 +110,14 @@ def random_kb(
     for _ in range(rng.randint(0, max_rules)):
         h_idx = rng.randint(0, len(PREDS) - 1)
         body_pos = []
-        bound: list[Term] = []
+        bound: list[str] = []
         for _ in range(rng.randint(1, 2)):
             p = PREDS[rng.randint(0, h_idx)]
             args = []
             for _ in range(arity[p]):
                 t = rng.choice(VARS + CONSTS)
                 args.append(t)
-                if t.is_variable:
+                if is_variable(t):
                     bound.append(t)
             body_pos.append(Atom(p, tuple(args)))
         pool = bound + list(CONSTS)
@@ -135,7 +145,7 @@ def _all_constants(kb: KnowledgeBase):
         consts.update(t for t in f.atom.args)
     for r in kb.rules:
         for a in itertools.chain((r.head,), r.body_pos, r.body_neg):
-            consts.update(t for t in a.args if not t.is_variable)
+            consts.update(t for t in a.args if not is_variable(t))
     return sorted(consts)
 
 
@@ -145,7 +155,7 @@ def _ground_rule_instances(rule: Rule, consts):
             t
             for a in itertools.chain((rule.head,), rule.body_pos, rule.body_neg)
             for t in a.args
-            if t.is_variable
+            if is_variable(t)
         )
     )
     if not variables:
@@ -178,7 +188,7 @@ def naive_closure(kb: KnowledgeBase) -> frozenset[Fact]:
             changed = False
             for r in layer:
                 for head, pos, neg in _ground_rule_instances(r, consts):
-                    if not head.is_ground:
+                    if not is_ground(head):
                         continue
                     if all(a in facts for a in pos) and not any(
                         a in facts for a in neg
@@ -199,7 +209,7 @@ def naive_closure_positive(kb: KnowledgeBase) -> frozenset[Fact]:
         changed = False
         for r in kb.rules:
             for head, pos, _neg in _ground_rule_instances(r, consts):
-                if head.is_ground and all(a in facts for a in pos):
+                if is_ground(head) and all(a in facts for a in pos):
                     if head not in facts:
                         facts.add(head)
                         changed = True
@@ -216,12 +226,12 @@ def enumerate_step_verdict(facts, rule: Rule):
             t
             for a in itertools.chain((rule.head,), rule.body_pos, rule.body_neg)
             for t in a.args
-            if not t.is_variable
+            if not is_variable(t)
         }
     )
     heads = set()
     for head, pos, neg in _ground_rule_instances(rule, consts):
-        if not head.is_ground:
+        if not is_ground(head):
             continue
         if all(a in fact_atoms for a in pos) and not any(a in fact_atoms for a in neg):
             heads.add(Fact(head))
@@ -230,10 +240,10 @@ def enumerate_step_verdict(facts, rule: Rule):
 
 def _unify(patterns, atoms):
     """The substitution that maps each pattern onto its atom, or None."""
-    theta: dict[Term, Term] = {}
+    theta: dict[str, str] = {}
     for pattern, atom in zip(patterns, atoms):
         for p, c in zip(pattern.args, atom.args):
-            if p.is_variable:
+            if is_variable(p):
                 if theta.setdefault(p, c) != c:
                     return None
             elif p != c:

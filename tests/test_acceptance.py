@@ -343,7 +343,7 @@ def test_10_failure_taxonomy_determinism():
             else:
                 from oracle_forge.kernel import FailureKind, StepVerdict
 
-                verdict = StepVerdict(False, failure=FailureKind.PARSE_FAILURE)
+                verdict = StepVerdict(failure=FailureKind.PARSE_FAILURE)
             gate.check(not verdict.executed, f"injected defect {n} still executed")
             got = classify_failure(t, verdict)
             gate.check(got == want, f"defect {n}: classified {got}, wanted {want}")

@@ -84,7 +84,6 @@ def _dummy_step(index):
         revision="",
         revision_result=RevisionResult.retained(),
         reasoning_result=f"c{index}",
-        step_index=index,
     )
 
 
@@ -292,20 +291,18 @@ class TestBacktrackPairs:
             id=1, parent=0, depth=1, step=_dummy_step(0),
             score=ScoreBreakdown(3, 0, 5, 8),
             verdict=StepVerdict(
-                chosen_executed,
                 conclusions=(Fact(parse_atom("c(a)")),) if chosen_executed else (),
                 failure=None if chosen_executed else __import__(
                     "oracle_forge.kernel", fromlist=["FailureKind"]
                 ).FailureKind.NO_RULE_FIRING,
             ),
-            terminal=True, answer="true",
+            answer="true",
         )
         bads = [
             BeamNode(
                 id=i, parent=0, depth=1, step=_dummy_step(0),
                 score=ScoreBreakdown(0, 0, 0, 0),
                 verdict=StepVerdict(
-                    False,
                     failure=__import__(
                         "oracle_forge.kernel", fromlist=["FailureKind"]
                     ).FailureKind.NO_RULE_FIRING,
@@ -331,7 +328,7 @@ class TestBacktrackPairs:
     def test_no_pairs_when_siblings_valid(self):
         nodes, paths = self._tree_with_siblings()
         for n in nodes[2:]:
-            n.verdict = StepVerdict(True, conclusions=(Fact(parse_atom("c(a)")),))
+            n.verdict = StepVerdict(conclusions=(Fact(parse_atom("c(a)")),))
         pairs = backtrack_pairs(nodes, paths, "Q?")
         assert pairs == []
 

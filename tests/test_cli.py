@@ -137,6 +137,16 @@ class TestConfig:
         assert err == f"config error: corpus.{field} must be in 1..{most}, got {value}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("field", ["hops", "distractors"])
+    def test_chain_size_below_one(self, tmp_path, capsys, field):
+        # Such a corpus used to run as if the size were 1.
+        path = write(tmp_path / "cfg.yaml", f"corpus: {{kind: chain, count: 3, {field}: 0}}\n")
+        out = tmp_path / "out"
+        code, _, err = run_cli(capsys, "stage2", "--config", path, "--out", str(out))
+        assert code == 2
+        assert err == f"config error: corpus.{field} must be at least 1, got 0\n"
+        assert not out.exists()
+
     def test_value_types_follow_annotations(self, tmp_path):
         cfg = load_config(write(
             tmp_path / "ok.yaml",
@@ -598,13 +608,13 @@ def test_rulebase_that_exhausts_its_retries_is_a_one_line_error(tmp_path, capsys
 GOLDEN_DIGESTS = {
     "chain": {
         "sft.jsonl": "6b01b287990ca9e6b1aa84da3463995c776ab4e64856ca97e5e7d71bc5a4bfbe",
-        "dpo.jsonl": "440e113a69126457232411d04ed10a7dc63c45f05af9196b3cf7575fb3c18f06",
+        "dpo.jsonl": "e1092901c844cfcaa2c6a24c8237fdaaec97d52324f940085505fd01844ff3f4",
         "audit.jsonl": "7c89e38fede27f905191eb2517016837edade82b9bbdc6c77fb3114f4b3f6c1f",
         "manifest.json": "235b685f6ea323b43aa4e8c0a79a660a6c6d8034fba161022dc93cf001e9d3ce",
     },
     "rulebase": {
         "sft.jsonl": "49af24abc33490941d7acd9d4070048b6eeb3e66e035b93bf2d8324549b44eb2",
-        "dpo.jsonl": "afb4007bd3024def3eb2040aed04d1ddd6418b5abde88709299ab549adef21ab",
+        "dpo.jsonl": "0f9f45e4c714a4220f1f40554a85a1ed3037c9c4979d9dfe41f125dc588279c7",
         "audit.jsonl": "5f0937da29b8fb0623939caae4898d3309f0f622ebb9fc0704143e47d4869182",
         "manifest.json": "706aafab0ebcbeb4273f85d8d0de6c26b210568827ddac21b0546548c97b3469",
     },
@@ -645,6 +655,23 @@ def test_stage2_outputs_match_golden_digests(tmp_path, capsys, kind):
         for name in GOLDEN_DIGESTS[kind]
     }
     assert digests == GOLDEN_DIGESTS[kind]
+
+
+@pytest.mark.parametrize("kind", sorted(GOLDEN_DIGESTS))
+def test_dpo_prompts_start_with_their_task_prompt(tmp_path, capsys, kind):
+    # A DPO prompt is the task prompt (context, then question) that the task's
+    # SFT records hold, then the steps before the pair.
+    out = golden_run(tmp_path, capsys, kind)
+
+    def records(name):
+        return [json.loads(line) for line in (out / name).read_text().splitlines()]
+
+    task_prompt = {r["task_id"]: r["prompt"] for r in records("sft.jsonl")}
+    dpo = records("dpo.jsonl")
+    assert dpo
+    for r in dpo:
+        prompt = task_prompt[r["task_id"]]
+        assert r["prompt"] == prompt or r["prompt"].startswith(prompt + "\n\n")
 
 
 # sha256 of the stdout of ``oracle-forge stats`` and ``stats --json`` on the

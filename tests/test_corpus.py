@@ -1,5 +1,7 @@
 import hashlib
+import itertools
 import json
+import random
 
 import pytest
 
@@ -17,7 +19,7 @@ from oracle_forge.corpus import (
     save_tasks,
     task_to_dict,
 )
-from oracle_forge.kernel import answer_query, parse_atom, verify_step
+from oracle_forge.kernel import Atom, Rule, answer_query, parse_atom, verify_step
 
 
 def replay_proof(task):
@@ -64,6 +66,10 @@ class TestChainTask:
         with pytest.raises(ValueError):
             gen_chain_task(0)
 
+    def test_distractors_zero_rejected(self):
+        with pytest.raises(ValueError, match="distractors must be >= 1"):
+            gen_chain_task(2, distractors=0)
+
     # sha256 of the task_to_dict JSON lines for hops 1-4 over seeds 0-24.
     TASKS_PIN = "c10105254aff9c9dcbf748185204a45a0d87fe496f0e22bb76ef1c56fc5f3927"
 
@@ -95,6 +101,37 @@ class TestRulebaseTask:
         b = gen_rulebase_task(8, 5, seed=3)
         assert a.kb == b.kb
         assert a.question == b.question
+
+    # The number of (head, body_pos, body_neg) shapes over each count of
+    # predicates that the generator draws.
+    SHAPE_COUNTS = {5: 260, 6: 630, 7: 1302, 8: 2408}
+
+    @pytest.mark.parametrize("n_preds", sorted(SHAPE_COUNTS))
+    def test_rule_text_tells_every_drawable_shape_apart(self, n_preds):
+        # Every shape that _try_rulebase can draw, negation on: a head, one or
+        # two body predicates in draw order less the head, and at most one
+        # negated predicate outside both.  Distinct text for distinct shapes
+        # means no two rules of a task share a pairing entry.
+        preds = corpus._nonsense_words(random.Random(n_preds), n_preds)
+        shapes = set()
+        for head in preds:
+            for drawn in itertools.chain(
+                itertools.permutations(preds, 1), itertools.permutations(preds, 2)
+            ):
+                body_pos = tuple(p for p in drawn if p != head)
+                negated = [p for p in preds if p != head and p not in drawn]
+                if body_pos:
+                    shapes.update((head, body_pos, neg) for neg in [()] + [(p,) for p in negated])
+        assert len(shapes) == self.SHAPE_COUNTS[n_preds]
+
+        def unary(p):
+            return Atom(p, ("X",))
+
+        texts = {
+            corpus._rule_nl(Rule(unary(head), tuple(map(unary, pos)), tuple(map(unary, neg))))
+            for head, pos, neg in shapes
+        }
+        assert len(texts) == len(shapes)
 
     def test_bounds_enforced(self):
         with pytest.raises(ValueError):

@@ -117,7 +117,7 @@ class TestStage1Filter:
 
 class TestClassifyFailure:
     def _failed(self, kind=FailureKind.NO_RULE_FIRING):
-        return StepVerdict(False, failure=kind)
+        return StepVerdict(failure=kind)
 
     def test_unmatched_translation_is_generation_error(self):
         t = TranslationResult(error_kind=SOURCE_UNMATCHED, detail="no pairing")
@@ -139,7 +139,7 @@ class TestClassifyFailure:
     def test_executed_verdict_rejected(self):
         from oracle_forge.kernel import Fact, parse_atom
 
-        ok = StepVerdict(True, conclusions=(Fact(parse_atom("p(a)")),))
+        ok = StepVerdict(conclusions=(Fact(parse_atom("p(a)")),))
         with pytest.raises(ValueError):
             classify_failure(None, ok)
 

@@ -293,7 +293,6 @@ class TestHttpBackend:
         second = template.ReasoningStep(
             query="Is <b> so?", facts=("f", "g\nh"), rule="r2", revision="ok",
             revision_result=template.RevisionResult.revised_to("x"), reasoning_result="d",
-            step_index=1,
         )
         first_text = (
             "<QUERY>q?</QUERY>\n<FACTS>\n- f\n</FACTS>\n<RULE>r</RULE>\n"

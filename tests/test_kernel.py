@@ -20,11 +20,9 @@ from oracle_forge.kernel import (
     Rule,
     UnsafeRuleError,
     answer_query,
-    const,
     forward_chain,
     parse_atom,
     parse_program,
-    var,
     verify_step,
 )
 
@@ -59,7 +57,7 @@ class TestParser:
         assert exc.value.line == 2  # missing dot noticed at next token
 
     def test_atom_with_optional_final_dot(self):
-        assert parse_atom("p(a).") == parse_atom(" p(a) ") == Atom("p", (const("a"),))
+        assert parse_atom("p(a).") == parse_atom(" p(a) ") == Atom("p", ("a",))
 
     @pytest.mark.parametrize(
         "src, where",
@@ -83,9 +81,13 @@ class TestParser:
         kb = parse_program("# a comment\nfact raining.\nrule wet :- raining.")
         assert answer_query(kb, Atom("wet"))
 
+    def test_empty_term_rejected(self):
+        with pytest.raises(kernel.KbError, match="empty term name"):
+            Atom("p", ("a", ""))
+
     def test_question_mark_variables(self):
         kb = parse_program("rule q(?x) :- p(?x).")
-        assert kb.rules[0].head.args[0].is_variable
+        assert kb.rules[0].head.variables() == {"?x"}
 
     def test_pretty_print_round_trip_fuzz(self):
         rng = random.Random(1234)
@@ -156,10 +158,10 @@ def _rendered_kbs(draw):
     facts, rules = [], []
     for _ in range(draw(st.integers(0, 5))):
         if draw(st.booleans()):
-            facts.append(Fact(atom([const(c) for c in consts])))
+            facts.append(Fact(atom(consts)))
             continue
-        body_pos = [atom([var(v) for v in variables] + [const(c) for c in consts])]
-        bound = sorted({t for a in body_pos for t in a.args}) or [const(consts[0])]
+        body_pos = [atom(variables + consts)]
+        bound = sorted({t for a in body_pos for t in a.args}) or consts[:1]
         body_neg = [atom(bound) for _ in range(draw(st.integers(0, 1)))]
         rules.append(Rule(atom(bound), tuple(body_pos), tuple(body_neg)))
 
@@ -178,7 +180,7 @@ def _rendered_kbs(draw):
             for i, t in enumerate(a.args):
                 if i:
                     token(",", "punct")
-                token(t.name, "var" if t.is_variable else "ident")
+                token(t, "var" if t in variables else "ident")
             token(")", "punct")
 
     clauses = [("fact", f.atom, ()) for f in facts] + [("rule", r.head, r) for r in rules]
@@ -199,6 +201,34 @@ def _rendered_kbs(draw):
     pieces.append((draw(_trivia), None))
     rendered_rules = tuple(rule for keyword, _, rule in order if keyword == "rule")
     return KnowledgeBase(frozenset(facts), rendered_rules), pieces
+
+
+# Names, and whether docs/rule_language.md makes each a variable: one whose
+# first character is '?' or an uppercase letter.
+TERM_NAMES = [
+    ("x", False), ("socrates", False), ("_x", False), ("x1", False), ("éa", False),
+    ("ǅa", False), ("X", True), ("Xs", True), ("Éa", True), ("?x", True), ("?X", True),
+    ("?1", True),
+]
+
+
+class TestTerms:
+    @pytest.mark.parametrize("name, variable", TERM_NAMES)
+    def test_a_term_is_its_name(self, name, variable):
+        # The parser's token kind, groundness and variables follow one rule.
+        atom = parse_atom(f"p({name}, a)")
+        assert atom.args == (name, "a")
+        assert str(atom) == f"p({name}, a)"
+        assert atom.is_ground is not variable
+        assert atom.variables() == ({name} if variable else set())
+        if variable:
+            with pytest.raises(kernel.KblSyntaxError, match="predicate name"):
+                parse_atom(f"{name}(a)")
+            with pytest.raises(kernel.KbError):
+                parse_program(f"fact p({name}).")
+        else:
+            assert parse_atom(f"{name}(a)") == Atom(name, ("a",))
+            assert parse_program(f"fact p({name}).").facts == {Fact(Atom("p", (name,)))}
 
 
 class TestLexer:
@@ -366,7 +396,7 @@ class TestForwardChain:
             base = forward_chain(kb)
             # add a fresh fact for an existing predicate, preserving arity
             some = sorted(kb.facts)[0]
-            extra = Fact(Atom(some.atom.predicate, tuple(const("zz") for _ in some.atom.args)))
+            extra = Fact(Atom(some.atom.predicate, ("zz",) * len(some.atom.args)))
             grown = forward_chain(KnowledgeBase(kb.facts | {extra}, kb.rules))
             assert base <= grown
 
@@ -378,6 +408,12 @@ class TestVerifyStep:
         assert verdict.executed
         assert verdict.conclusions == (fact("mortal(socrates)"),)
 
+    def test_executed_is_having_conclusions(self):
+        # The verdict stores no flag beside its conclusions to disagree with them.
+        assert not kernel.StepVerdict().executed
+        assert not kernel.StepVerdict(failure=FailureKind.NO_RULE_FIRING).executed
+        assert kernel.StepVerdict((fact("p(a)"),)).executed
+
     def test_no_rule_firing(self):
         rule = parse_program("rule q(X) :- r(X).").rules[0]
         verdict = verify_step([fact("p(a)")], rule)
@@ -385,13 +421,13 @@ class TestVerifyStep:
         assert verdict.failure == FailureKind.NO_RULE_FIRING
 
     def test_unsafe_rule(self):
-        rule = Rule(Atom("q", (var("Y"),)), (Atom("p", (var("X"),)),))
+        rule = Rule(Atom("q", ("Y",)), (Atom("p", ("X",)),))
         verdict = verify_step([fact("p(a)")], rule)
         assert verdict.failure == FailureKind.UNSAFE_RULE
 
     def test_arity_mismatch(self):
         rule = parse_program("rule q(X) :- p(X).").rules[0]
-        verdict = verify_step([Fact(Atom("p", (const("a"), const("b"))))], rule)
+        verdict = verify_step([Fact(Atom("p", ("a", "b")))], rule)
         assert verdict.failure == FailureKind.ARITY_MISMATCH
 
     def test_negation_checked_against_given_facts_only(self):
@@ -452,4 +488,4 @@ class TestAnswerQuery:
 
     def test_nonground_goal_rejected(self):
         with pytest.raises(kernel.KbError):
-            answer_query(parse_program("fact p(a)."), Atom("p", (var("X"),)))
+            answer_query(parse_program("fact p(a)."), Atom("p", ("X",)))

@@ -29,7 +29,6 @@ def make_step(**overrides) -> ReasoningStep:
         revision="Facts and rule suffice.",
         revision_result=RevisionResult.retained(),
         reasoning_result="mortal(socrates)",
-        step_index=0,
     )
     base.update(overrides)
     return ReasoningStep(**base)

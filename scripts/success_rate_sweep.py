@@ -25,7 +25,7 @@ def measure(p_bad_rule: float, min_steps: int, seed: int) -> tuple[float, int]:
             if node.step is None:
                 continue
             total += 1
-            executed += bool(node.verdict and node.verdict.executed)
+            executed += node.verdict.executed
         task_seed += 1
     return executed / total, total
 

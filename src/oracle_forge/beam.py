@@ -179,18 +179,16 @@ def select_frontier(candidates: list[BeamNode], k: int) -> list[BeamNode]:
 
 def _path_to(node: BeamNode, nodes: list[BeamNode]) -> list[BeamNode]:
     chain = []
-    cur: BeamNode | None = node
-    while cur is not None and cur.parent is not None:
-        chain.append(cur)
-        cur = nodes[cur.parent]
+    while node.parent is not None:
+        chain.append(node)
+        node = nodes[node.parent]
     chain.reverse()
     return chain
 
 
 def _prefix_prompt(task_prompt: str, prefix_steps) -> str:
-    parts = [task_prompt]
-    parts += [template.serialize_step(s) for s in prefix_steps]
-    return "\n\n".join(parts)
+    steps = template.serialize_response(template.StructuredResponse(prefix_steps))
+    return "\n\n".join(p for p in (task_prompt, steps) if p)
 
 
 def run_beam(
@@ -214,12 +212,9 @@ def run_beam(
         new_frontier: list[BeamNode] = []
         for node in to_expand:
             node.selected = True
-            prior = tuple(
-                n.step for n in _path_to(node, nodes) if n.step is not None
-            )
             ctx = GenerationContext(
                 question=task.prompt,
-                prior_steps=prior,
+                prior_steps=tuple(n.step for n in _path_to(node, nodes)),
                 few_shot_asset=cfg.few_shot_asset,
                 temperature=cfg.temperature,
                 seed=cfg.seed,
@@ -248,8 +243,7 @@ def run_beam(
             )
         )
     pairs = backtrack_pairs(nodes, sft_paths, task.prompt, cfg.max_pairs_per_node)
-    if hasattr(backend, "telemetry"):
-        telemetry["backend"] = dict(backend.telemetry)
+    telemetry["backend"] = dict(backend.telemetry)
     return BeamResult(
         task=task, sft_paths=sft_paths, pairs=pairs, nodes=nodes, telemetry=telemetry
     )
@@ -264,28 +258,19 @@ def backtrack_pairs(
     """Pair each engine-verified node on a correct path against failed
     siblings (same parent), earliest siblings first, capped per node.  A
     pair's prompt is ``task_prompt``, then the steps before the pair's.
-    ``nodes[i].id == i``, so each parent's children are gathered in id order."""
+    Node i is ``nodes[i]``, the root first, so children gather in id order."""
     children_by_parent: dict[int, list[BeamNode]] = {}
-    for n in nodes:
-        if n.parent is not None:
-            children_by_parent.setdefault(n.parent, []).append(n)
+    for n in nodes[1:]:
+        children_by_parent.setdefault(n.parent, []).append(n)
     pairs: list[PreferencePair] = []
     seen: set[tuple[int, int]] = set()
     for path in sft_paths:
         for node_id in path.node_ids:
             node = nodes[node_id]
-            if node.verdict is None or not node.verdict.executed:
+            if not node.verdict.executed:
                 continue
-            siblings = [
-                s
-                for s in children_by_parent[node.parent]
-                if s.id != node.id
-                and s.step is not None
-                and (s.verdict is None or not s.verdict.executed)
-            ]
-            prefix = [
-                n.step for n in _path_to(nodes[node.parent], nodes) if n.step is not None
-            ]
+            siblings = [s for s in children_by_parent[node.parent] if not s.verdict.executed]
+            prefix = tuple(n.step for n in _path_to(nodes[node.parent], nodes))
             prompt = _prefix_prompt(task_prompt, prefix)
             for sib in siblings[:max_pairs_per_node]:
                 key = (node.id, sib.id)

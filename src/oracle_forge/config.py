@@ -130,7 +130,7 @@ class PipelineConfig:
     def validate(self) -> None:
         if self.backend not in ("scripted-oracle", "scripted-noisy", "http"):
             raise ConfigError(f"unknown backend: {self.backend}")
-        if self.corpus.kind not in ("chain", "rulebase", "file"):
+        if self.corpus.kind not in _CORPUS_KEYS:
             raise ConfigError(f"unknown corpus kind: {self.corpus.kind}")
         if self.corpus.kind == "file":
             if not self.corpus.path or not os.path.exists(self.corpus.path):
@@ -187,6 +187,12 @@ _SECTIONS = {
 # few_shot_asset comes from the prompts directory and a section's seed from the
 # top-level seed, never from a section of the file.
 _NOT_IN_SECTIONS = frozenset({"few_shot_asset", "seed"})
+# The corpus keys that each kind reads besides kind; it would ignore any other.
+_CORPUS_KEYS = {
+    "chain": {"count", "hops", "distractors"},
+    "rulebase": {"count", "n_facts", "n_rules", "negation"},
+    "file": {"path"},
+}
 
 
 def _build(data: dict) -> PipelineConfig:
@@ -197,6 +203,10 @@ def _build(data: dict) -> PipelineConfig:
         if not isinstance(section, dict):
             raise ConfigError(f"{name} must be a mapping")
         _check(section, _SECTIONS[name], name, exclude=_NOT_IN_SECTIONS)
+    kind = sections["corpus"].get("kind", CorpusSpec.kind)  # a string: its type is checked
+    if kind in _CORPUS_KEYS:  # an unknown kind is validate's error
+        unread = {f.name for f in fields(CorpusSpec)} - {"kind"} - _CORPUS_KEYS[kind]
+        _check(sections["corpus"], CorpusSpec, f"{kind} corpus", exclude=unread)
     cfg = PipelineConfig()
     for key in data.keys() - set(_SECTIONS):
         setattr(cfg, key, data[key])

@@ -213,20 +213,18 @@ def _try_rulebase(rng, n_facts, n_rules, negation, seed) -> TaskInstance | None:
             grid.append(f)
 
     gold_true = seed % 2 == 0
-    derived = sorted(f.atom for f in closure - facts)
+    derived = sorted(d.conclusion.atom for d in trace)
     underivable.sort()
     if gold_true:
         query = rng.choice(derived)
-        proof = _proof_for(query, trace, facts)
+        proof = _proof_for(query, trace)
     else:
         if not underivable:
             return None
         query = rng.choice(underivable)
-        # Replay still exercises the engine: use the trace of the deepest
-        # derived fact as the demonstrative proof.
-        proof = _proof_for(derived[-1], trace, facts)
-    if not proof:
-        return None
+        # Replay still exercises the engine: use the trace of the last
+        # derived atom in sort order as the demonstrative proof.
+        proof = _proof_for(derived[-1], trace)
     return _task(f"rulebase-{n_facts}f{n_rules}r-{seed}", kb, grid, query, gold_true, proof)
 
 
@@ -249,31 +247,19 @@ def _task(task_id, kb, paired_facts, query, gold_true, proof) -> TaskInstance:
     )
 
 
-def _proof_for(goal: Atom, trace, base_facts) -> tuple[Derivation, ...]:
-    """Minimal derivation chain ending at goal, in dependency order."""
-    by_conclusion = {}
-    order = {}
-    for i, d in enumerate(trace):
-        if d.conclusion.atom not in by_conclusion:
-            by_conclusion[d.conclusion.atom] = d
-            order[d.conclusion.atom] = i
-    needed: list = []
-    seen = set()
-
-    def visit(atom: Atom):
-        if atom in seen or Fact(atom) in base_facts:
-            return
-        seen.add(atom)
-        d = by_conclusion.get(atom)
-        if d is None:
-            return
-        for bf in d.body_facts:
-            visit(bf.atom)
-        needed.append(d)
-
-    visit(goal)
-    needed.sort(key=lambda d: order[d.conclusion.atom])
-    return tuple(needed)
+def _proof_for(goal: Atom, trace) -> tuple[Derivation, ...]:
+    """The entries of ``trace`` that ``goal`` depends on, in trace order.  A
+    trace concludes each atom at most once and never a KB fact, so an atom
+    without an entry is a KB fact and ends its branch."""
+    index = {d.conclusion.atom: i for i, d in enumerate(trace)}
+    needed: set[int] = set()
+    todo = [goal]
+    while todo:
+        i = index.get(todo.pop())
+        if i is not None and i not in needed:
+            needed.add(i)
+            todo.extend(f.atom for f in trace[i].body_facts)
+    return tuple(trace[i] for i in sorted(needed))
 
 
 # --------------------------------------------------------------------------

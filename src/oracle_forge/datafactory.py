@@ -145,8 +145,7 @@ def node_to_audit(node, task_id: str) -> dict:
     failure_kind = None
     if node.step is not None and not executed:
         failure_class = classify_failure(node.translation, node.verdict)
-        if node.verdict and node.verdict.failure:
-            failure_kind = node.verdict.failure.value
+        failure_kind = node.verdict.failure.value
     return {
         "id": node.id,
         "parent": node.parent,

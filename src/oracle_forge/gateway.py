@@ -314,7 +314,7 @@ class HttpBackend:
     def generate_candidates(self, ctx: GenerationContext, n: int) -> list[CandidateStep]:
         if n < 1:
             raise ValueError("n must be >= 1")
-        prior = "\n".join(template.serialize_step(s) for s in ctx.prior_steps)
+        prior = template.serialize_response(template.StructuredResponse(ctx.prior_steps))
         prompt = self._prompt("generation", ctx.few_shot_asset, ctx.question, prior)
         out: list[CandidateStep] = []
         for raw in self._complete(prompt, ctx.temperature, n=n):

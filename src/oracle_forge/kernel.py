@@ -26,14 +26,8 @@ from enum import Enum
 
 RULE_LANGUAGE_VERSION = "1"
 
-DEFAULT_MAX_ITERATIONS = 10_000
 
-
-class EngineError(Exception):
-    pass
-
-
-class NonStratifiable(EngineError):
+class NonStratifiable(Exception):
     """Some predicate depends negatively on itself.  ``predicates`` names the
     predicates of each strongly connected component of the dependency graph
     that holds a negated edge.  They are found when first read, since the
@@ -62,10 +56,6 @@ class NonStratifiable(EngineError):
 
     def __str__(self):
         return "negation cycle through predicates: " + ", ".join(self.predicates)
-
-
-class IterationLimitExceeded(EngineError):
-    pass
 
 
 class KbError(ValueError):
@@ -472,29 +462,23 @@ class Derivation:
     conclusion: Fact
 
 
-def forward_chain_with_trace(
-    kb: KnowledgeBase, max_iterations: int = DEFAULT_MAX_ITERATIONS
-) -> tuple[frozenset[Fact], tuple[Derivation, ...]]:
+def forward_chain_with_trace(kb: KnowledgeBase) -> tuple[frozenset[Fact], tuple[Derivation, ...]]:
     """Least fixpoint plus the derivation trace, semi-naive per stratum: the
     first round of a stratum joins every rule with all facts, so body-less
     rules fire there; later rounds join each rule only with the facts
-    derived in the round before, through _delta_join.  The index is built
-    once.  Each round merges its new facts into fresh copies of their
-    predicates' groups, so the index of the round before stays intact for
-    the body positions that match older facts."""
+    derived in the round before, through _delta_join.  New facts go into
+    fresh copies of their predicates' index groups, so the index of the
+    round before stays intact for body positions that match older facts.
+    Rounds end: each but a stratum's last adds one of finitely many atoms."""
     stratum = _stratify(kb)
     rules = sorted(kb.rules, key=str)
     known = {f.atom for f in kb.facts}
     full = _index(kb.facts)
     trace: list[Derivation] = []
-    iterations = 0
     for s in range(max(stratum.values(), default=0) + 1):
         layer_rules = [r for r in rules if stratum[r.head.predicate] == s]
         old = delta = None
         while delta is None or delta:
-            iterations += 1
-            if iterations > max_iterations:
-                raise IterationLimitExceeded(f"exceeded {max_iterations} rounds")
             new: dict[Atom, Fact] = {}
             for r in layer_rules:
                 if delta is None:
@@ -512,11 +496,9 @@ def forward_chain_with_trace(
     return frozenset(kb.facts).union(d.conclusion for d in trace), tuple(trace)
 
 
-def forward_chain(
-    kb: KnowledgeBase, max_iterations: int = DEFAULT_MAX_ITERATIONS
-) -> frozenset[Fact]:
+def forward_chain(kb: KnowledgeBase) -> frozenset[Fact]:
     """All derivable facts (originals included): the least fixpoint."""
-    closure, _ = forward_chain_with_trace(kb, max_iterations)
+    closure, _ = forward_chain_with_trace(kb)
     return closure
 
 

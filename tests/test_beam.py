@@ -332,6 +332,27 @@ class TestBacktrackPairs:
         pairs = backtrack_pairs(nodes, paths, "Q?")
         assert pairs == []
 
+    def test_prompt_is_the_task_prompt_then_the_prior_steps_as_a_response(self):
+        # Steps are one blank line apart, as in SFT responses and generation
+        # prompts.
+        most_prior = 0
+        for seed in range(6):
+            task = gen_chain_task(4, seed=seed)
+            backend = ScriptedNoisyBackend(task, CorruptionModel(p_bad_rule=0.4, seed=seed))
+            result = run_beam(task, BeamConfig(), backend)
+            for pair in result.pairs:
+                prior, node = [], result.nodes[pair.parent_id]
+                while node.parent is not None:
+                    prior.insert(0, node.step)
+                    node = result.nodes[node.parent]
+                expected = task.prompt
+                if prior:
+                    response = template.StructuredResponse(tuple(prior))
+                    expected += "\n\n" + template.serialize_response(response)
+                assert pair.prompt == expected
+                most_prior = max(most_prior, len(prior))
+        assert most_prior >= 2
+
     def test_matches_exhaustive_scan_under_cap(self):
         # randomized trees: same-parent (valid-on-path, invalid-sibling) scan
         rng = random.Random(31)

@@ -150,12 +150,14 @@ class TestConfig:
     def test_value_types_follow_annotations(self, tmp_path):
         cfg = load_config(write(
             tmp_path / "ok.yaml",
-            "seed: -3\nhttp: {timeout: 5}\ncorpus: {path: null, negation: true}\n",
+            "seed: -3\nhttp: {timeout: 5, api_key: null}\n"
+            "corpus: {kind: rulebase, negation: true}\n",
         ))
         assert (cfg.seed, cfg.beam.seed, cfg.http.timeout) == (-3, -3, 5)
         for text, message in [
             ("workers: true\n", "workers must be an integer, got True"),
-            ("corpus: {negation: 1}\n", "corpus.negation must be a boolean, got 1"),
+            ("corpus: {kind: rulebase, negation: 1}\n",
+             "corpus.negation must be a boolean, got 1"),
             ("prompts_dir: 3\n", "prompts_dir must be a string or null, got 3"),
             ("corruption: {p_bad_rule: '0.5'}\n", "corruption.p_bad_rule must be a number"),
             ("beam: {temperature: -0.5}\n", "beam.temperature must be non-negative"),
@@ -165,6 +167,32 @@ class TestConfig:
         ]:
             with pytest.raises(ConfigError, match=f"^{re.escape(message)}"):
                 load_config(write(tmp_path / "bad.yaml", text))
+
+    @pytest.mark.parametrize(
+        "corpus, kind, keys",
+        [
+            ("{kind: chain, n_rules: 7}", "chain", "n_rules"),
+            ("{n_facts: 3, negation: false}", "chain", "n_facts, negation"),
+            ("{kind: chain, count: 2, path: PATH}", "chain", "path"),
+            ("{kind: rulebase, hops: 9}", "rulebase", "hops"),
+            ("{kind: rulebase, distractors: 1, path: PATH}", "rulebase", "distractors, path"),
+            ("{kind: file, path: PATH, count: 1}", "file", "count"),
+            ("{kind: file, path: PATH, hops: 2, n_rules: 3}", "file", "hops, n_rules"),
+        ],
+    )
+    def test_corpus_key_that_the_kind_does_not_read(self, tmp_path, capsys, corpus, kind, keys):
+        # Such a key used to be ignored: a file corpus ran every task whatever
+        # count said.
+        from oracle_forge.corpus import gen_chain_task, save_tasks
+
+        tasks = tmp_path / "tasks.jsonl"
+        save_tasks([gen_chain_task(2, seed=0)], tasks)
+        path = write(tmp_path / "cfg.yaml", f"corpus: {corpus.replace('PATH', str(tasks))}\n")
+        out = tmp_path / "out"
+        code, _, err = run_cli(capsys, "stage2", "--config", path, "--out", str(out))
+        assert code == 2
+        assert err == f"config error: unknown {kind} corpus key: {keys}\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("section", ["beam", "corpus", "corruption", "http"])
     def test_section_without_value_or_not_a_mapping(self, tmp_path, section):
@@ -608,7 +636,7 @@ def test_rulebase_that_exhausts_its_retries_is_a_one_line_error(tmp_path, capsys
 GOLDEN_DIGESTS = {
     "chain": {
         "sft.jsonl": "6b01b287990ca9e6b1aa84da3463995c776ab4e64856ca97e5e7d71bc5a4bfbe",
-        "dpo.jsonl": "e1092901c844cfcaa2c6a24c8237fdaaec97d52324f940085505fd01844ff3f4",
+        "dpo.jsonl": "0e4b08cab1279486fd68b63cc512f9862e649d9eff6ba3a9b5b5b7cf85effb4b",
         "audit.jsonl": "7c89e38fede27f905191eb2517016837edade82b9bbdc6c77fb3114f4b3f6c1f",
         "manifest.json": "235b685f6ea323b43aa4e8c0a79a660a6c6d8034fba161022dc93cf001e9d3ce",
     },

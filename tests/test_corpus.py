@@ -4,6 +4,7 @@ import json
 import random
 
 import pytest
+from conftest import random_kb
 
 from oracle_forge import corpus, kernel, template
 from oracle_forge.corpus import (
@@ -173,6 +174,35 @@ class TestRulebaseTask:
             digest.update((line + "\n").encode("utf-8"))
         pin = self.GENERATOR_PINS[n_facts, n_rules, negation]
         assert (digest.hexdigest(), calls) == pin
+
+
+class TestProofFor:
+    def test_reads_the_goals_dependencies_off_the_trace(self):
+        # _proof_for relies on the trace concluding each atom at most once and
+        # never a KB fact; the expected proof is a brute-force fixpoint over
+        # the atoms the goal depends on, filtered in trace order.
+        rng = random.Random(13)
+        lengths = []
+        for _ in range(150):
+            # Many rules, so that proofs run several steps deep.
+            kb = random_kb(rng, max_facts=15, max_rules=60, negation=True)
+            _, trace = kernel.forward_chain_with_trace(kb)
+            conclusions = [d.conclusion for d in trace]
+            assert len(set(conclusions)) == len(conclusions)
+            assert not kb.facts.intersection(conclusions)
+            for goal in [f.atom for f in conclusions] + [f.atom for f in kb.facts]:
+                deps, changed = {goal}, True
+                while changed:
+                    changed = False
+                    for d in trace:
+                        if d.conclusion.atom in deps:
+                            body = {f.atom for f in d.body_facts}
+                            changed |= not body <= deps
+                            deps |= body
+                expected = tuple(d for d in trace if d.conclusion.atom in deps)
+                assert corpus._proof_for(goal, trace) == expected
+                lengths.append(len(expected))
+        assert max(lengths) >= 5 and 0 in lengths
 
 
 class TestGoldResponse:

@@ -295,13 +295,6 @@ class TestForwardChain:
         assert exc.value.predicates == ("a", "b")
         assert str(exc.value) == "negation cycle through predicates: a, b"
 
-    def test_iteration_limit(self):
-        kb = parse_program(
-            "fact n0(a). rule n1(X) :- n0(X). rule n2(X) :- n1(X). rule n3(X) :- n2(X)."
-        )
-        with pytest.raises(kernel.IterationLimitExceeded):
-            forward_chain(kb, max_iterations=1)
-
     def test_matches_naive_closure_on_random_stratified_kbs(self):
         rng = random.Random(42)
         for _ in range(100):

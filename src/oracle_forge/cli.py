@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
@@ -43,15 +44,20 @@ def build_tasks(cfg: PipelineConfig) -> list[corpus.TaskInstance]:
     return tasks
 
 
-def _build_tasks_or_report(cfg: PipelineConfig) -> list[corpus.TaskInstance] | None:
-    """build_tasks, or None after a one-line error on stderr when the corpus
-    cannot be built: a rule base that exhausts its retries, or a corpus file
-    that cannot be read or holds a line that is not a task."""
+def _prepare_run(cfg: PipelineConfig) -> list[corpus.TaskInstance] | None:
+    """build_tasks, then the output directory, or None after a one-line error
+    on stderr: a rule base that exhausts its retries, a corpus file that
+    cannot be read or holds a line that is not a task, or an output directory
+    that cannot be made.  The directory is made before any task runs, so a
+    bad one costs no work, and only after the corpus is built, so a bad
+    corpus leaves none behind."""
     try:
-        return build_tasks(cfg)
+        tasks = build_tasks(cfg)
+        os.makedirs(cfg.out_dir, exist_ok=True)
     except (corpus.RetryExhausted, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return None
+    return tasks
 
 
 def make_task_backend(cfg: PipelineConfig, task, prompts):
@@ -100,7 +106,7 @@ def _run_per_task(cfg: PipelineConfig, tasks, fn):
 
 def cmd_stage1(cfg: PipelineConfig) -> int:
     prompts = cfg.load_prompts()
-    tasks = _build_tasks_or_report(cfg)
+    tasks = _prepare_run(cfg)
     if tasks is None:
         return EXIT_FAILURE
 
@@ -129,7 +135,7 @@ def cmd_stage1(cfg: PipelineConfig) -> int:
 
 def cmd_stage2(cfg: PipelineConfig) -> int:
     prompts = cfg.load_prompts()
-    tasks = _build_tasks_or_report(cfg)
+    tasks = _prepare_run(cfg)
     if tasks is None:
         return EXIT_FAILURE
     beam_cfg = cfg.beam

@@ -357,8 +357,9 @@ def planted_stage1_corpus(
 # JSONL export / import (stable CI fixtures)
 
 
-def _rule_src(rule: Rule) -> str:
-    return f"rule {rule}"
+def _src(sym: Fact | Rule) -> str:
+    """A symbol as a task file writes it: an atom, or ``rule`` and the rule."""
+    return str(sym.atom) if isinstance(sym, Fact) else f"rule {sym}"
 
 
 def _parse_rule(src: str) -> Rule:
@@ -377,7 +378,7 @@ def task_to_dict(task: TaskInstance) -> dict:
         "proof": [
             {
                 "facts": [str(f.atom) for f in ps.body_facts],
-                "rule": _rule_src(ps.rule),
+                "rule": _src(ps.rule),
                 "conclusion": str(ps.conclusion.atom),
             }
             for ps in task.ground_truth_proof
@@ -385,7 +386,7 @@ def task_to_dict(task: TaskInstance) -> dict:
         "nl_pairing": {
             nl: {
                 "kind": "fact" if isinstance(sym, Fact) else "rule",
-                "src": str(sym.atom) if isinstance(sym, Fact) else _rule_src(sym),
+                "src": _src(sym),
             }
             for nl, sym in sorted(task.nl_pairing.items())
         },
@@ -411,7 +412,7 @@ def task_from_dict(d: dict) -> TaskInstance:
         )
         for ps in d["proof"]
     )
-    return TaskInstance(
+    task = TaskInstance(
         id=d["id"],
         question=d["question"],
         context=d["context"],
@@ -420,6 +421,16 @@ def task_from_dict(d: dict) -> TaskInstance:
         nl_pairing={nl: load_sym(e) for nl, e in d["nl_pairing"].items()},
         kb=kernel.parse_program(d["kb"]) if d.get("kb") else None,
     )
+    # Gold steps state each proof symbol by its sentence, and a step field
+    # is never blank.
+    for nl, sym in task.nl_pairing.items():
+        if not nl.strip():
+            raise ValueError(f"blank sentence for {_src(sym)}")
+    for ps in proof:
+        for sym in (*ps.body_facts, ps.rule, ps.conclusion):
+            if sym not in task._nl_by_symbol:
+                raise ValueError(f"no sentence for {_src(sym)}")
+    return task
 
 
 def save_tasks(tasks, path) -> None:
@@ -430,7 +441,8 @@ def save_tasks(tasks, path) -> None:
 
 def load_tasks(path) -> list[TaskInstance]:
     """The tasks of a JSONL file, one per non-blank line.  A line that does
-    not hold a task, or holds one whose id an earlier line took, raises
+    not hold a task, holds one with a blank sentence or a proof symbol
+    without a sentence, or holds one whose id an earlier line took, raises
     ValueError naming the file and the line."""
     tasks: dict[str, TaskInstance] = {}
     with open(path, encoding="utf-8") as fh:

@@ -105,8 +105,8 @@ def stage1_filter(samples) -> tuple[list[SftRecord], list[RejectReason]]:
     kept: list[SftRecord] = []
     rejected: list[RejectReason] = []
     for s in samples:
-        # The strict parser rejects every defect that ReasoningStep.validate
-        # would, so one parse decides conformance.
+        # A parsed step checks its own fields when it is built, so one
+        # parse decides conformance.
         try:
             resp = template.parse_response(s.raw, require_final_answer=True)
         except template.ParseError:

@@ -17,7 +17,6 @@ constant.  Zero-arity atoms may omit parentheses.
 
 from __future__ import annotations
 
-import bisect
 import functools
 import itertools
 import re
@@ -347,24 +346,24 @@ def parse_atom(src: str) -> Atom:
 # Matching and forward chaining
 
 
-def _index(facts) -> dict[str, list[tuple[tuple[str, ...], Fact]]]:
-    """The facts grouped by predicate, each group sorted by arguments.  For
-    the ground atoms of one predicate that is the dataclass order, so
-    match (and hence trace) order is independent of hash randomization."""
-    index: dict[str, list] = {}
-    for f in facts:
-        index.setdefault(f.atom.predicate, []).append((f.atom.args, f))
-    for group in index.values():
-        group.sort()
+def _index(facts) -> dict[str, dict[tuple[str, ...], Fact]]:
+    """The facts by predicate, then by arguments, each predicate's entries
+    inserted in argument order.  For the ground atoms of one predicate that
+    is the dataclass order, so match (and hence trace) order is independent
+    of hash randomization."""
+    index: dict[str, dict] = {}
+    for f in sorted(facts, key=lambda f: f.atom.args):
+        index.setdefault(f.atom.predicate, {})[f.atom.args] = f
     return index
 
 
 def _join(rule: Rule, sources, known):
     """Yield (head, body facts) for each grounding of rule's positive body, in
     lexicographic order, whose negated atoms are absent from known.  Body
-    atom i is matched in the index sources[i], among the facts _narrow
-    leaves.  No predicate, arity or groundness check is needed: index groups
-    by predicate, KnowledgeBase fixes arities, and rule safety grounds heads."""
+    atom i is matched in the index sources[i]: by one lookup when theta binds
+    all its arguments, else against its predicate's facts in order.  No
+    predicate, arity or groundness check is needed: index groups by
+    predicate, KnowledgeBase fixes arities, and rule safety grounds heads."""
 
     def extend(i: int, theta: dict, body: tuple[Fact, ...]):
         if i == len(rule.body_pos):
@@ -372,10 +371,13 @@ def _join(rule: Rule, sources, known):
                 yield rule.head.substitute(theta), body
             return
         pattern = rule.body_pos[i]
-        group = sources[i].get(pattern.predicate, ())
+        group = sources[i].get(pattern.predicate, {})
+        matches = group.values()
         if len(group) > 1:
-            group = _narrow(group, pattern, theta)
-        for _, fact in group:
+            key = tuple(theta.get(t, t) for t in pattern.args)
+            if not any(map(_is_variable, key)):
+                matches = (group[key],) if key in group else ()
+        for fact in matches:
             bound = dict(theta)
             for p, c in zip(pattern.args, fact.atom.args):
                 if _is_variable(p):
@@ -386,24 +388,6 @@ def _join(rule: Rule, sources, known):
                 yield from extend(i + 1, bound, body + (fact,))
 
     yield from extend(0, {}, ())
-
-
-def _narrow(group, pattern: Atom, theta: dict):
-    """The entries of a sorted index group whose arguments agree with the
-    leading arguments of pattern that are constants or bound in theta, found
-    by binary search.  A pattern bound throughout leaves at most one."""
-    key = []
-    for t in pattern.args:
-        if _is_variable(t):
-            t = theta.get(t)
-            if t is None:
-                break
-        key.append(t)
-    if not key:
-        return group
-    key, k = tuple(key), len(key)
-    lo = bisect.bisect_left(group, (key,))
-    return group[lo:bisect.bisect_right(group, key, lo, key=lambda e: e[0][:k])]
 
 
 def _delta_join(rule: Rule, old, delta, full, known):
@@ -492,7 +476,7 @@ def forward_chain_with_trace(kb: KnowledgeBase) -> tuple[frozenset[Fact], tuple[
             known.update(new)
             old, delta, full = full, _index(new.values()), dict(full)
             for p, group in delta.items():
-                full[p] = sorted(old.get(p, []) + group)
+                full[p] = dict(sorted({**old.get(p, {}), **group}.items()))
     return frozenset(kb.facts).union(d.conclusion for d in trace), tuple(trace)
 
 
@@ -503,9 +487,8 @@ def forward_chain(kb: KnowledgeBase) -> frozenset[Fact]:
 
 
 def answer_query(kb: KnowledgeBase, goal: Atom) -> bool:
-    """Closed-world truth of a ground goal."""
-    if not goal.is_ground:
-        raise KbError(f"query goal must be ground: {goal}")
+    """Closed-world truth of a ground goal; Fact raises KbError for a goal
+    that is not ground, before any chaining."""
     return Fact(goal) in forward_chain(kb)
 
 

@@ -59,9 +59,6 @@ def normalize_answer(raw: str) -> str:
 RETAINED_TOKEN = "RETAINED"
 REVISED_PREFIX = "REVISED:"
 
-# Tags whose body must be non-empty after trimming.
-_REQUIRED_NONEMPTY = {"QUERY", "RULE", "REASONING_RESULT"}
-
 # The escape table, built from TAG_ORDER.  Field bodies put a backslash before
 # every backslash and every literal tag; FACTS entries, one line each, also
 # write a newline as backslash-n.
@@ -114,10 +111,6 @@ class MalformedField(ParseError):
         self.tag = tag
 
 
-class InvariantViolation(ValueError):
-    """Raised when serializing a step that breaks its own invariants."""
-
-
 @dataclass(frozen=True)
 class RevisionResult:
     """Outcome of the reflection field: retained as-is, or revised text."""
@@ -143,25 +136,27 @@ class ReasoningStep:
     revision_result: RevisionResult
     reasoning_result: str
 
+    def __post_init__(self):
+        self.validate()
+
     def validate(self) -> None:
+        """Raise EmptyField for the first blank field in tag order: QUERY,
+        FACTS (no entry, or a blank one), RULE, REASONING_RESULT.  A step is
+        checked once, when it is built, whether parsed or made in code."""
         if not self.query.strip():
-            raise InvariantViolation("query empty")
+            raise EmptyField("QUERY")
+        if not self.facts or not all(map(str.strip, self.facts)):
+            raise EmptyField("FACTS")
         if not self.rule.strip():
-            raise InvariantViolation("rule empty")
+            raise EmptyField("RULE")
         if not self.reasoning_result.strip():
-            raise InvariantViolation("reasoning_result empty")
-        if not self.facts:
-            raise InvariantViolation("facts empty")
-        for f in self.facts:
-            if not f.strip():
-                raise InvariantViolation("blank fact entry")
+            raise EmptyField("REASONING_RESULT")
 
     @cached_property
     def text(self) -> str:
-        """Canonical template text (deterministic, LF endings), validated and
-        rendered on first use and kept on the step.  A step is frozen, so the
-        text never goes stale; ``replace`` builds a new step with its own."""
-        self.validate()
+        """Canonical template text (deterministic, LF endings), rendered on
+        first use and kept on the step.  A step is frozen, so the text never
+        goes stale; ``replace`` builds a new step with its own."""
         lines = [f"<QUERY>{_escape(self.query)}</QUERY>", "<FACTS>"]
         lines += ["- " + _escape(f, escape_newlines=True) for f in self.facts]
         lines.append("</FACTS>")
@@ -230,8 +225,8 @@ def _find_unescaped(text: str, needle: str, start: int) -> int:
 def serialize_step(step: ReasoningStep) -> str:
     """Render a step as canonical template text (deterministic, LF endings).
 
-    The step is validated and rendered once per step object
-    (``ReasoningStep.text``); later calls return the same text.
+    The step is rendered once per step object (``ReasoningStep.text``);
+    later calls return the same text.
     """
     return step.text
 
@@ -256,12 +251,7 @@ def _parse_facts_body(body: str) -> tuple[str, ...]:
     for line in inner.split("\n") if inner else []:
         if not line.startswith("- "):
             raise MalformedField("FACTS", f"fact line must start with '- ': {line!r}")
-        entry = _unescape(line[2:], unescape_newlines=True)
-        if not entry.strip():
-            raise EmptyField("FACTS")
-        entries.append(entry)
-    if not entries:
-        raise EmptyField("FACTS")
+        entries.append(_unescape(line[2:], unescape_newlines=True))
     return tuple(entries)
 
 
@@ -302,10 +292,7 @@ def _parse_step(raw: str, pos: int, step_index: int) -> tuple[ReasoningStep, int
         elif tag == "REVISION_RESULT":
             fields["revision_result"] = _parse_revision_result(body)
         else:
-            text = _unescape(body)
-            if tag in _REQUIRED_NONEMPTY and not text.strip():
-                raise EmptyField(tag)
-            fields[tag.lower()] = text
+            fields[tag.lower()] = _unescape(body)
     return ReasoningStep(
         query=fields["query"],
         facts=fields["facts"],
@@ -363,8 +350,8 @@ def parse_response(raw: str, require_final_answer: bool = False) -> StructuredRe
 
 
 def conforms_strictly(raw: str, require_final_answer: bool = False) -> bool:
-    """True iff the text parses in strict mode.  The parser rejects every
-    step that ``ReasoningStep.validate`` would."""
+    """True iff the text parses in strict mode.  Every parsed step is
+    checked by ``ReasoningStep.validate`` when it is built."""
     try:
         parse_response(raw, require_final_answer=require_final_answer)
         return True

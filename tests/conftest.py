@@ -96,42 +96,43 @@ def random_kb(
     negation: bool = True,
 ) -> KnowledgeBase:
     """Random KB, stratified by construction: every rule's body predicates
-    have index <= the head's, negated ones strictly less."""
+    have index <= the head's, negated ones strictly less.  So that rules
+    fire and chain, facts hold only for the three lowest predicates, rules
+    are drawn in head order, a body reads mostly the highest predicates that
+    hold facts or head an earlier rule, a term is mostly a variable, and a
+    second body atom joins the first on its last variable."""
     arity = {p: rng.choice((1, 2)) for p in PREDS}
 
-    def ground_atom(p):
-        return Atom(p, tuple(rng.choice(CONSTS) for _ in range(arity[p])))
+    def term(variables):
+        if variables and rng.random() < 0.8:
+            return rng.choice(variables)
+        return rng.choice(CONSTS)
 
     facts = set()
     for _ in range(rng.randint(1, max_facts)):
-        facts.add(Fact(ground_atom(rng.choice(PREDS))))
+        p = rng.choice(PREDS[:3])
+        facts.add(Fact(Atom(p, tuple(rng.choice(CONSTS) for _ in range(arity[p])))))
 
+    live = {f.atom.predicate for f in facts}
     rules = []
-    for _ in range(rng.randint(0, max_rules)):
-        h_idx = rng.randint(0, len(PREDS) - 1)
+    for h_idx in sorted(rng.randint(0, len(PREDS) - 1) for _ in range(rng.randint(0, max_rules))):
+        choices = [p for p in PREDS[: h_idx + 1] if p in live] or PREDS[: h_idx + 1]
         body_pos = []
         bound: list[str] = []
         for _ in range(rng.randint(1, 2)):
-            p = PREDS[rng.randint(0, h_idx)]
-            args = []
-            for _ in range(arity[p]):
-                t = rng.choice(VARS + CONSTS)
-                args.append(t)
-                if is_variable(t):
-                    bound.append(t)
+            p = choices[max(rng.randrange(len(choices)), rng.randrange(len(choices)))]
+            args = bound[-1:] or [rng.choice(VARS)]
+            args += [term(VARS) for _ in range(arity[p] - 1)]
+            bound += [t for t in args if is_variable(t)]
             body_pos.append(Atom(p, tuple(args)))
-        pool = bound + list(CONSTS)
-        head = Atom(
-            PREDS[h_idx],
-            tuple(rng.choice(pool) for _ in range(arity[PREDS[h_idx]])),
-        )
+        head = Atom(PREDS[h_idx], tuple(term(bound) for _ in range(arity[PREDS[h_idx]])))
         body_neg = []
         if negation and h_idx > 0 and rng.random() < 0.4:
             p = PREDS[rng.randint(0, h_idx - 1)]
-            body_neg.append(
-                Atom(p, tuple(rng.choice(pool) for _ in range(arity[p])))
-            )
+            body_neg.append(Atom(p, tuple(term(bound) for _ in range(arity[p]))))
         rules.append(Rule(head, tuple(body_pos), tuple(body_neg)))
+        live.add(head.predicate)
+    rng.shuffle(rules)  # the engine must not depend on rules coming in head order
     return KnowledgeBase(frozenset(facts), tuple(rules))
 
 

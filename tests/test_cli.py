@@ -545,20 +545,29 @@ class TestVerifyStepCli:
 
 class TestCorpusFileRoundTrip:
     def test_stage2_from_saved_tasks(self, tmp_path, capsys):
-        from oracle_forge.corpus import gen_chain_task, save_tasks
+        # A run on a saved corpus writes what the run on the generated one
+        # does, so loading accepts every task the generators make.
+        from oracle_forge.corpus import save_tasks
 
-        tasks = [gen_chain_task(2, seed=i) for i in range(4)]
-        path = tmp_path / "tasks.jsonl"
-        save_tasks(tasks, str(path))
-        cfg = write(
-            tmp_path / "cfg.yaml", f"corpus: {{kind: file, path: {path}}}\n"
-        )
-        out = tmp_path / "out"
-        code, stdout, _ = run_cli(
-            capsys, "stage2", "--config", cfg, "--out", str(out)
-        )
-        assert code == 0
-        assert "tasks 4" in stdout
+        base = "backend: scripted-noisy\nseed: 3\ncorruption: {p_bad_rule: 0.3, p_bad_fact: 0.1}\n"
+        for kind, spec in [
+            ("chain", "{kind: chain, count: 40, hops: 4}"),
+            ("rulebase", "{kind: rulebase, count: 40, n_facts: 12, n_rules: 8, negation: true}"),
+        ]:
+            generated = write(tmp_path / f"{kind}.yaml", base + f"corpus: {spec}\n")
+            path = tmp_path / f"{kind}.jsonl"
+            save_tasks(cli.build_tasks(load_config(generated)), str(path))
+            saved = write(
+                tmp_path / f"{kind}-file.yaml", base + f"corpus: {{kind: file, path: {path}}}\n"
+            )
+            outputs = []
+            for cfg in (generated, saved):
+                out = tmp_path / f"out-{len(outputs)}-{kind}"
+                code, stdout, _ = run_cli(capsys, "stage2", "--config", cfg, "--out", str(out))
+                assert code == 0 and "tasks 40" in stdout
+                names = ("sft.jsonl", "dpo.jsonl", "audit.jsonl")
+                outputs.append([(out / n).read_bytes() for n in names])
+            assert outputs[0] == outputs[1], kind
 
     @pytest.mark.parametrize(
         "edit, reason",
@@ -579,10 +588,23 @@ class TestCorpusFileRoundTrip:
                 lambda d: dict(d, proof=[dict(d["proof"][0], conclusion="p(a). q(b)")]),
                 "KblSyntaxError: line 1, col 7: expected end of input",
             ),
+            (
+                lambda d: dict(d, nl_pairing={
+                    nl: e for nl, e in d["nl_pairing"].items() if e["src"] != "vaxpus(polly)"
+                }),
+                "ValueError: no sentence for vaxpus(polly)",
+            ),
+            (
+                lambda d: dict(d, nl_pairing={
+                    " " if e["src"] == "vaxpus(polly)" else nl: e
+                    for nl, e in d["nl_pairing"].items()
+                }),
+                "ValueError: blank sentence for vaxpus(polly)",
+            ),
         ],
         ids=[
             "missing-key", "bad-json", "not-an-object", "null-text", "bad-kbl", "no-rule",
-            "atom-then-text",
+            "atom-then-text", "unpaired-proof-symbol", "blank-sentence",
         ],
     )
     def test_malformed_line_is_a_one_line_error(self, tmp_path, capsys, edit, reason):
@@ -627,6 +649,25 @@ def test_rulebase_that_exhausts_its_retries_is_a_one_line_error(tmp_path, capsys
     assert code == cli.EXIT_FAILURE
     assert stderr == "error: no satisfiable rulebase after 100 attempts (seed 0)\n"
     assert stdout == "" and not out.exists()
+
+
+@pytest.mark.parametrize("stage", ["stage1", "stage2"])
+@pytest.mark.parametrize("out", ["F", "F/x"], ids=["out-is-a-file", "out-under-a-file"])
+def test_unusable_out_dir_is_a_one_line_error_before_any_task(
+    tmp_path, capsys, monkeypatch, stage, out
+):
+    (tmp_path / "F").write_text("", encoding="utf-8")
+    started = []
+    make_backend = cli.make_task_backend
+    monkeypatch.setattr(
+        cli, "make_task_backend", lambda *args: started.append(args) or make_backend(*args)
+    )
+    cfg = write(tmp_path / "cfg.yaml", "corpus: {kind: chain, count: 2}\n")
+    code, stdout, stderr = run_cli(capsys, stage, "--config", cfg, "--out", str(tmp_path / out))
+    assert code == cli.EXIT_FAILURE
+    assert stderr.startswith("error: [Errno ") and stderr.endswith(f"'{tmp_path / out}'\n")
+    assert stderr.count("\n") == 1 and stdout == ""
+    assert started == []
 
 
 # sha256 of each stage-2 output at seed 3 for 40 tasks, under the

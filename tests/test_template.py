@@ -141,6 +141,14 @@ PINNED_PARSE_ERRORS = {
         _PINNED_STEP + "\nFINAL ANSWER: yes\n\f",
         "TagOrderViolation", "content after FINAL ANSWER line",
     ),
+    # Blank fields; the error comes from building the step.
+    "blank-fact-entry": (
+        _PINNED_STEP.replace("- f2\n", "- \t\n"), "EmptyField", "empty <FACTS> field",
+    ),
+    "no-fact-entry": (
+        _PINNED_STEP.replace(_PINNED_FACTS, "<FACTS>\n</FACTS>\n"),
+        "EmptyField", "empty <FACTS> field",
+    ),
 }
 
 
@@ -175,8 +183,11 @@ class TestSerializeStep:
         assert a == b
 
     def test_invariant_violation_on_empty_rule(self):
-        with pytest.raises(template.InvariantViolation):
-            serialize_step(make_step(rule="  "))
+        # A step checks its fields when it is built, so a blank rule never
+        # reaches the serializer.
+        with pytest.raises(EmptyField) as exc:
+            make_step(rule="  ")
+        assert exc.value.tag == "RULE"
 
     def test_lf_line_endings(self):
         assert "\r" not in serialize_step(make_step())

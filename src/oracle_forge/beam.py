@@ -32,7 +32,10 @@ class ScoreBreakdown:
     w1: int
     w2: int
     w3: int
-    total: int
+
+    @property
+    def total(self) -> int:
+        return self.w1 + self.w2 + self.w3
 
 
 @dataclass(frozen=True)
@@ -49,10 +52,12 @@ class BeamConfig:
     few_shot_asset: str = ""
 
     def __post_init__(self):
-        if self.width < 1 or self.top_k < 1 or self.max_depth < 1:
-            raise ValueError("width, top_k, max_depth must be positive")
-        if self.top_k > self.width or self.width % self.top_k != 0:
-            raise ValueError("top_k must divide width")
+        for name in ("width", "top_k", "max_depth"):
+            value = getattr(self, name)
+            if value < 1:
+                raise ValueError(f"beam.{name} must be at least 1, got {value!r}")
+        if self.width % self.top_k != 0:
+            raise ValueError(f"beam.top_k must divide beam.width ({self.width}), got {self.top_k}")
 
     @property
     def fanout(self) -> int:
@@ -63,18 +68,20 @@ class BeamConfig:
 class BeamNode:
     id: int
     parent: int | None
-    depth: int
-    step: template.ReasoningStep | None
+    steps: tuple[template.ReasoningStep, ...]  # from the root, own step last; () at the root
     score: ScoreBreakdown
     verdict: StepVerdict | None = None
-    eval_verdict: EvalVerdict | None = None
     translation: TranslationResult | None = None
     answer: str | None = None
     selected: bool = False
 
-    def __post_init__(self):
-        if self.parent is None:
-            assert self.depth == 0 and self.step is None
+    @property
+    def step(self) -> template.ReasoningStep | None:
+        return self.steps[-1] if self.steps else None
+
+    @property
+    def depth(self) -> int:
+        return len(self.steps)
 
     @property
     def terminal(self) -> bool:
@@ -82,39 +89,29 @@ class BeamNode:
 
 
 @dataclass(frozen=True)
-class ReasoningPath:
-    node_ids: tuple[int, ...]
-    steps: tuple[template.ReasoningStep, ...]
-    answer: str
-
-
-@dataclass(frozen=True)
 class PreferencePair:
     prompt: str
-    chosen: template.ReasoningStep
-    rejected: template.ReasoningStep
-    parent_id: int
-    chosen_id: int
-    rejected_id: int
+    chosen: BeamNode  # executed by the engine
+    rejected: BeamNode  # a sibling of chosen that the engine did not execute
 
 
 @dataclass
 class BeamResult:
     task: TaskInstance
-    sft_paths: list[ReasoningPath]
+    sft_paths: list[BeamNode]  # harvested terminal nodes, in harvest order
     pairs: list[PreferencePair]
     nodes: list[BeamNode]
     telemetry: dict = field(default_factory=dict)
 
 
-_ZERO_SCORE = ScoreBreakdown(0, 0, 0, 0)
+_ZERO_SCORE = ScoreBreakdown(0, 0, 0)
 
 
 def score_candidate(executed: bool, ev: EvalVerdict, cfg: BeamConfig) -> ScoreBreakdown:
     w1 = cfg.score_w1 if executed else 0
     w2 = 0 if executed else (cfg.score_w2 if ev.precision_pass else 0)
     w3 = cfg.score_w3 if ev.feasibility_pass else 0
-    return ScoreBreakdown(w1, w2, w3, w1 + w2 + w3)
+    return ScoreBreakdown(w1, w2, w3)
 
 
 def _extract_answer(raw: str) -> str | None:
@@ -159,11 +156,9 @@ def expand_node(
             BeamNode(
                 id=first_id + len(children),
                 parent=node.id,
-                depth=node.depth + 1,
-                step=step,
+                steps=node.steps + (step,),
                 score=score_candidate(verdict.executed, ev, cfg),
                 verdict=verdict,
-                eval_verdict=ev,
                 translation=translation,
                 answer=answer,
             )
@@ -175,15 +170,6 @@ def select_frontier(candidates: list[BeamNode], k: int) -> list[BeamNode]:
     """The k highest-total nodes; ties broken by generation order (node id)."""
     ranked = sorted(candidates, key=lambda n: (-n.score.total, n.id))
     return ranked[:k]
-
-
-def _path_to(node: BeamNode, nodes: list[BeamNode]) -> list[BeamNode]:
-    chain = []
-    while node.parent is not None:
-        chain.append(node)
-        node = nodes[node.parent]
-    chain.reverse()
-    return chain
 
 
 def _prefix_prompt(task_prompt: str, prefix_steps) -> str:
@@ -198,7 +184,7 @@ def run_beam(
 ) -> BeamResult:
     """Full beam search for one task; deterministic under scripted backends.
     A node's id is its position in ``nodes``."""
-    root = BeamNode(id=0, parent=None, depth=0, step=None, score=_ZERO_SCORE)
+    root = BeamNode(id=0, parent=None, steps=(), score=_ZERO_SCORE)
     nodes: list[BeamNode] = [root]
     gold = normalize_answer(task.gold_answer)
     harvested: list[BeamNode] = []
@@ -214,7 +200,7 @@ def run_beam(
             node.selected = True
             ctx = GenerationContext(
                 question=task.prompt,
-                prior_steps=tuple(n.step for n in _path_to(node, nodes)),
+                prior_steps=node.steps,
                 few_shot_asset=cfg.few_shot_asset,
                 temperature=cfg.temperature,
                 seed=cfg.seed,
@@ -232,59 +218,43 @@ def run_beam(
                     new_frontier.append(child)
         frontier = new_frontier
 
-    sft_paths = []
-    for leaf in harvested:
-        chain = _path_to(leaf, nodes)
-        sft_paths.append(
-            ReasoningPath(
-                node_ids=tuple(n.id for n in chain),
-                steps=tuple(n.step for n in chain),
-                answer=leaf.answer,
-            )
-        )
-    pairs = backtrack_pairs(nodes, sft_paths, task.prompt, cfg.max_pairs_per_node)
+    pairs = backtrack_pairs(nodes, harvested, task.prompt, cfg.max_pairs_per_node)
     telemetry["backend"] = dict(backend.telemetry)
     return BeamResult(
-        task=task, sft_paths=sft_paths, pairs=pairs, nodes=nodes, telemetry=telemetry
+        task=task, sft_paths=harvested, pairs=pairs, nodes=nodes, telemetry=telemetry
     )
 
 
 def backtrack_pairs(
     nodes: list[BeamNode],
-    sft_paths: list[ReasoningPath],
+    leaves: list[BeamNode],
     task_prompt: str,
     max_pairs_per_node: int = 2,
 ) -> list[PreferencePair]:
-    """Pair each engine-verified node on a correct path against failed
-    siblings (same parent), earliest siblings first, capped per node.  A
-    pair's prompt is ``task_prompt``, then the steps before the pair's.
-    Node i is ``nodes[i]``, the root first, so children gather in id order."""
+    """Pair each engine-verified node on the path to a harvested leaf against
+    failed siblings (same parent), earliest siblings first, capped per node;
+    each path is visited from the root down.  A pair's prompt is
+    ``task_prompt``, then the steps before the pair's.  Node i is
+    ``nodes[i]``, the root first, so children gather in id order."""
     children_by_parent: dict[int, list[BeamNode]] = {}
     for n in nodes[1:]:
         children_by_parent.setdefault(n.parent, []).append(n)
     pairs: list[PreferencePair] = []
     seen: set[tuple[int, int]] = set()
-    for path in sft_paths:
-        for node_id in path.node_ids:
-            node = nodes[node_id]
+    for leaf in leaves:
+        chain, node = [], leaf
+        while node.parent is not None:
+            chain.append(node)
+            node = nodes[node.parent]
+        for node in reversed(chain):
             if not node.verdict.executed:
                 continue
             siblings = [s for s in children_by_parent[node.parent] if not s.verdict.executed]
-            prefix = tuple(n.step for n in _path_to(nodes[node.parent], nodes))
-            prompt = _prefix_prompt(task_prompt, prefix)
+            prompt = _prefix_prompt(task_prompt, nodes[node.parent].steps)
             for sib in siblings[:max_pairs_per_node]:
                 key = (node.id, sib.id)
                 if key in seen:
                     continue
                 seen.add(key)
-                pairs.append(
-                    PreferencePair(
-                        prompt=prompt,
-                        chosen=node.step,
-                        rejected=sib.step,
-                        parent_id=node.parent,
-                        chosen_id=node.id,
-                        rejected_id=sib.id,
-                    )
-                )
+                pairs.append(PreferencePair(prompt=prompt, chosen=node, rejected=sib))
     return pairs

@@ -62,6 +62,9 @@ _NAMES = ["max", "alex", "sam", "fae", "rex", "wren", "polly", "stella"]
 
 
 def _nonsense_words(rng: random.Random, count: int) -> list[str]:
+    size = len(_ONSETS) * len(_NUCLEI)
+    if count > size:
+        raise ValueError(f"a task needs {count} distinct words, but the word list holds {size}")
     words: list[str] = []
     seen = set()
     while len(words) < count:
@@ -295,9 +298,10 @@ class CorruptionModel:
     seed: int = 0
 
     def __post_init__(self):
-        for p in (self.p_bad_rule, self.p_bad_fact, self.p_format_break):
+        for name in ("p_bad_rule", "p_bad_fact", "p_format_break"):
+            p = getattr(self, name)
             if not 0.0 <= p <= 1.0:
-                raise ValueError("corruption probabilities must be in [0, 1]")
+                raise ValueError(f"corruption.{name} must be in [0, 1], got {p!r}")
 
     def expected_engine_success_rate(self) -> float:
         """Closed-form success probability for candidates that reach the
@@ -366,6 +370,8 @@ def _parse_rule(src: str) -> Rule:
     kb = kernel.parse_program(src)
     if len(kb.rules) != 1:
         raise kernel.KbError(f"expected exactly 1 rule, got {len(kb.rules)}: {src!r}")
+    if kb.facts:
+        raise kernel.KbError(f"expected no fact, got {len(kb.facts)}: {src!r}")
     return kb.rules[0]
 
 
@@ -402,7 +408,9 @@ def task_from_dict(d: dict) -> TaskInstance:
     def load_sym(entry):
         if entry["kind"] == "fact":
             return Fact(kernel.parse_atom(entry["src"]))
-        return _parse_rule(entry["src"])
+        if entry["kind"] == "rule":
+            return _parse_rule(entry["src"])
+        raise ValueError(f"unknown symbol kind: {entry['kind']!r}")
 
     proof = tuple(
         Derivation(

@@ -261,8 +261,8 @@ def sft_records_from_result(result: BeamResult) -> list[SftRecord]:
 def dpo_records_from_result(result: BeamResult) -> list[DpoRecord]:
     records = []
     for pair in result.pairs:
-        chosen = template.serialize_step(pair.chosen)
-        rejected = template.serialize_step(pair.rejected)
+        chosen = template.serialize_step(pair.chosen.step)
+        rejected = template.serialize_step(pair.rejected.step)
         if chosen == rejected:
             continue
         records.append(

@@ -191,11 +191,16 @@ def test_06_preference_pair_soundness():
         cfg = BeamConfig(max_pairs_per_node=2)
         result = run_beam(task, cfg, backend)
         nodes = {n.id: n for n in result.nodes}
-        on_path = {nid for path in result.sft_paths for nid in path.node_ids}
+        on_path = set()
+        for n in result.sft_paths:
+            while n.parent is not None:
+                on_path.add(n.id)
+                n = nodes[n.parent]
         for pair in result.pairs:
             n_pairs += 1
-            c, r = nodes[pair.chosen_id], nodes[pair.rejected_id]
-            gate.check(c.parent == r.parent == pair.parent_id, "parent mismatch")
+            c, r = nodes[pair.chosen.id], nodes[pair.rejected.id]
+            gate.check(c is pair.chosen and r is pair.rejected, "pair nodes not in the tree")
+            gate.check(c.parent == r.parent, "parent mismatch")
             gate.check(c.verdict and c.verdict.executed, "chosen not executed")
             gate.check(not (r.verdict and r.verdict.executed), "rejected executed")
             gate.check(c.id in on_path, "chosen not on a correct path")
@@ -214,7 +219,7 @@ def test_06_preference_pair_soundness():
                 and not (m.verdict and m.verdict.executed)
             )
             expected.update((n.id, s) for s in sibs[: cfg.max_pairs_per_node])
-        got = {(p.chosen_id, p.rejected_id) for p in result.pairs}
+        got = {(p.chosen.id, p.rejected.id) for p in result.pairs}
         gate.check(got == expected, f"seed {seed}: scan mismatch")
     gate.check(n_pairs > 0, "no pairs produced at all")
     gate.finish()

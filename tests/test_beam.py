@@ -26,6 +26,7 @@ from oracle_forge.gateway import (
     ScriptedOracleBackend,
 )
 from oracle_forge.kernel import Fact, StepVerdict, parse_atom
+from oracle_forge.template import normalize_answer
 
 
 class TestScoring:
@@ -64,14 +65,8 @@ class TestBeamConfig:
             BeamConfig(width=3, top_k=5)
 
 
-def node(i, total, parent=0, depth=1):
-    return BeamNode(
-        id=i,
-        parent=parent,
-        depth=depth,
-        step=None if parent is None else _dummy_step(depth - 1),
-        score=ScoreBreakdown(0, 0, 0, total),
-    )
+def node(i, total):
+    return BeamNode(id=i, parent=0, steps=(_dummy_step(0),), score=ScoreBreakdown(0, 0, total))
 
 
 def _dummy_step(index):
@@ -216,6 +211,15 @@ class TestRunBeam:
         result = run_beam(task, cfg, backend)
         assert [n.id for n in result.nodes] == list(range(len(result.nodes)))
         assert all(n.parent < n.id for n in result.nodes[1:])
+        nodes = result.nodes
+        assert all(n.steps == nodes[n.parent].steps + (n.step,) for n in nodes[1:])
+        for leaf in result.sft_paths:
+            assert nodes[leaf.id] is leaf and leaf.terminal
+            assert normalize_answer(leaf.answer) == normalize_answer(task.gold_answer)
+        for pair in result.pairs:
+            chosen, rejected = pair.chosen, pair.rejected
+            assert nodes[chosen.id] is chosen and nodes[rejected.id] is rejected
+            assert chosen.parent == rejected.parent and chosen.id != rejected.id
 
     def test_rulebase_tasks_also_complete(self):
         task = gen_rulebase_task(8, 5, seed=0)
@@ -262,12 +266,11 @@ class TestPrecisionSkip:
             sleep=lambda _t: None,
         )
         cfg = BeamConfig()
-        root = BeamNode(id=0, parent=None, depth=0, step=None, score=ScoreBreakdown(0, 0, 0, 0))
+        root = BeamNode(id=0, parent=None, steps=(), score=ScoreBreakdown(0, 0, 0))
         (child,) = expand_node(root, GenerationContext(question="q"), 1, backend, cfg, 1)
         assert child.verdict.executed is executes
         assert asked[0] == "g"
         assert asked[1:] == (["t", "f"] if executes else ["t", "p", "f"])
-        assert (child.eval_verdict.precision_pass is None) is executes
         # Oracle: the score with both judgments asked, as the transport answers them.
         both = EvalVerdict(precision == "YES", feasibility == "YES")
         assert child.score == score_candidate(executes, both, cfg)
@@ -285,11 +288,10 @@ class TestPrecisionSkip:
 
 class TestBacktrackPairs:
     def _tree_with_siblings(self, chosen_executed=True):
-        root = BeamNode(id=0, parent=None, depth=0, step=None,
-                        score=ScoreBreakdown(0, 0, 0, 0))
+        root = BeamNode(id=0, parent=None, steps=(), score=ScoreBreakdown(0, 0, 0))
         good = BeamNode(
-            id=1, parent=0, depth=1, step=_dummy_step(0),
-            score=ScoreBreakdown(3, 0, 5, 8),
+            id=1, parent=0, steps=(_dummy_step(0),),
+            score=ScoreBreakdown(3, 0, 5),
             verdict=StepVerdict(
                 conclusions=(Fact(parse_atom("c(a)")),) if chosen_executed else (),
                 failure=None if chosen_executed else __import__(
@@ -300,8 +302,8 @@ class TestBacktrackPairs:
         )
         bads = [
             BeamNode(
-                id=i, parent=0, depth=1, step=_dummy_step(0),
-                score=ScoreBreakdown(0, 0, 0, 0),
+                id=i, parent=0, steps=(_dummy_step(0),),
+                score=ScoreBreakdown(0, 0, 0),
                 verdict=StepVerdict(
                     failure=__import__(
                         "oracle_forge.kernel", fromlist=["FailureKind"]
@@ -311,25 +313,20 @@ class TestBacktrackPairs:
             for i in (2, 3, 4)
         ]
         nodes = [root, good] + bads
-        from oracle_forge.beam import ReasoningPath
-
-        paths = [
-            ReasoningPath(node_ids=(1,), steps=(good.step,), answer="true")
-        ]
-        return nodes, paths
+        return nodes, [good]
 
     def test_validated_node_pairs_with_invalid_siblings(self):
-        nodes, paths = self._tree_with_siblings()
-        pairs = backtrack_pairs(nodes, paths, "Q?", max_pairs_per_node=2)
+        nodes, leaves = self._tree_with_siblings()
+        pairs = backtrack_pairs(nodes, leaves, "Q?", max_pairs_per_node=2)
         assert len(pairs) == 2  # capped at 2, earliest siblings first
-        assert all(p.parent_id == 0 for p in pairs)
-        assert [p.rejected_id for p in pairs] == [2, 3]
+        assert all(p.chosen is nodes[1] for p in pairs)
+        assert [p.rejected for p in pairs] == nodes[2:4]
 
     def test_no_pairs_when_siblings_valid(self):
-        nodes, paths = self._tree_with_siblings()
+        nodes, leaves = self._tree_with_siblings()
         for n in nodes[2:]:
             n.verdict = StepVerdict(conclusions=(Fact(parse_atom("c(a)")),))
-        pairs = backtrack_pairs(nodes, paths, "Q?")
+        pairs = backtrack_pairs(nodes, leaves, "Q?")
         assert pairs == []
 
     def test_prompt_is_the_task_prompt_then_the_prior_steps_as_a_response(self):
@@ -341,7 +338,7 @@ class TestBacktrackPairs:
             backend = ScriptedNoisyBackend(task, CorruptionModel(p_bad_rule=0.4, seed=seed))
             result = run_beam(task, BeamConfig(), backend)
             for pair in result.pairs:
-                prior, node = [], result.nodes[pair.parent_id]
+                prior, node = [], result.nodes[pair.chosen.parent]
                 while node.parent is not None:
                     prior.insert(0, node.step)
                     node = result.nodes[node.parent]
@@ -366,7 +363,11 @@ class TestBacktrackPairs:
                 task, BeamConfig(max_pairs_per_node=cap), backend
             )
             expected = set()
-            on_path = {nid for p in result.sft_paths for nid in p.node_ids}
+            on_path = set()
+            for n in result.sft_paths:
+                while n.parent is not None:
+                    on_path.add(n.id)
+                    n = result.nodes[n.parent]
             for nid in sorted(on_path):
                 n = result.nodes[nid]
                 if not (n.verdict and n.verdict.executed):
@@ -381,5 +382,5 @@ class TestBacktrackPairs:
                 )
                 for sid in sibs[:cap]:
                     expected.add((n.id, sid))
-            got = {(p.chosen_id, p.rejected_id) for p in result.pairs}
+            got = {(p.chosen.id, p.rejected.id) for p in result.pairs}
             assert got == expected

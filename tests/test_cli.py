@@ -105,6 +105,8 @@ class TestConfig:
             ('corpus: {count: "4"}\n', "corpus.count"),
             ('beam: {width: "9"}\ncorpus: {count: 4}\n', "beam.width"),
             ("max_sft: -1\ncorpus: {count: 4}\n", "max_sft"),
+            ("beam: {max_depth: 0}\ncorpus: {count: 4}\n", "beam.max_depth"),
+            ("corruption: {p_bad_rule: 1.5}\ncorpus: {count: 4}\n", "corruption.p_bad_rule"),
         ],
     )
     def test_value_of_wrong_type_or_sign(self, tmp_path, capsys, text, label):
@@ -601,10 +603,31 @@ class TestCorpusFileRoundTrip:
                 }),
                 "ValueError: blank sentence for vaxpus(polly)",
             ),
+            (
+                lambda d: dict(d, nl_pairing={
+                    nl: dict(e, src=e["src"] + " fact zz(q).") if e["kind"] == "rule" else e
+                    for nl, e in d["nl_pairing"].items()
+                }),
+                "KbError: expected no fact, got 1: 'rule ",
+            ),
+            (
+                lambda d: dict(d, proof=[
+                    dict(d["proof"][0], rule=d["proof"][0]["rule"] + " fact zz(q).")
+                ]),
+                "KbError: expected no fact, got 1: 'rule vaxpus(X) :- braxpus(X). fact zz(q).'",
+            ),
+            (
+                lambda d: dict(d, nl_pairing={
+                    nl: dict(e, kind="ruel") if e["kind"] == "rule" else e
+                    for nl, e in d["nl_pairing"].items()
+                }),
+                "ValueError: unknown symbol kind: 'ruel'",
+            ),
         ],
         ids=[
             "missing-key", "bad-json", "not-an-object", "null-text", "bad-kbl", "no-rule",
-            "atom-then-text", "unpaired-proof-symbol", "blank-sentence",
+            "atom-then-text", "unpaired-proof-symbol", "blank-sentence", "rule-entry-with-fact",
+            "proof-rule-with-fact", "unknown-symbol-kind",
         ],
     )
     def test_malformed_line_is_a_one_line_error(self, tmp_path, capsys, edit, reason):
@@ -649,6 +672,28 @@ def test_rulebase_that_exhausts_its_retries_is_a_one_line_error(tmp_path, capsys
     assert code == cli.EXIT_FAILURE
     assert stderr == "error: no satisfiable rulebase after 100 attempts (seed 0)\n"
     assert stdout == "" and not out.exists()
+
+
+@pytest.mark.parametrize("stage", ["stage1", "stage2"])
+def test_chain_that_outgrows_the_word_list_is_a_one_line_error(tmp_path, stage):
+    # A chain task needs hops + 1 + 2 * distractors distinct words: 114 here,
+    # of the 112 that exist.  The run is a subprocess with a timeout, so a
+    # draw that can never finish fails the test instead of hanging it.
+    import subprocess
+    import sys
+
+    cfg = write(tmp_path / "cfg.yaml", "corpus: {kind: chain, hops: 1, distractors: 56}\n")
+    out = tmp_path / "out"
+    proc = subprocess.run(
+        [sys.executable, "-m", "oracle_forge", stage, "--config", cfg, "--out", str(out)],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        cwd=os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+    )
+    assert proc.returncode == cli.EXIT_FAILURE
+    assert proc.stderr == "error: a task needs 114 distinct words, but the word list holds 112\n"
+    assert proc.stdout == "" and not out.exists()
 
 
 @pytest.mark.parametrize("stage", ["stage1", "stage2"])

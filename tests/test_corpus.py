@@ -71,6 +71,12 @@ class TestChainTask:
         with pytest.raises(ValueError, match="distractors must be >= 1"):
             gen_chain_task(2, distractors=0)
 
+    def test_largest_chain_uses_the_whole_word_list(self):
+        # hops + 1 + 2 * distractors = 112 = 14 onsets * 8 nuclei; one more
+        # word is a ValueError (tests/test_cli.py runs that case under a timeout).
+        task = gen_chain_task(1, distractors=55, seed=0)
+        assert len({a.predicate for r in task.kb.rules for a in (r.head, *r.body_pos)}) == 112
+
     # sha256 of the task_to_dict JSON lines for hops 1-4 over seeds 0-24.
     TASKS_PIN = "c10105254aff9c9dcbf748185204a45a0d87fe496f0e22bb76ef1c56fc5f3927"
 

@@ -237,7 +237,7 @@ class TestAuditAndStats:
             transport=transport,
             sleep=lambda _t: None,
         )
-        root = BeamNode(id=0, parent=None, depth=0, step=None, score=ScoreBreakdown(0, 0, 0, 0))
+        root = BeamNode(id=0, parent=None, steps=(), score=ScoreBreakdown(0, 0, 0))
         (child,) = expand_node(
             root, GenerationContext(question="q"), 1, backend, BeamConfig(), 1
         )

@@ -1,35 +1,3 @@
 """Engine-verified synthetic reasoning data generation."""
 
-from .beam import BeamConfig, BeamResult, run_beam
-from .corpus import CorruptionModel, TaskInstance, gen_chain_task, gen_rulebase_task
-from .kernel import answer_query, forward_chain, parse_program, verify_step
-from .template import (
-    ReasoningStep,
-    StructuredResponse,
-    conforms_strictly,
-    parse_response,
-    serialize_response,
-    serialize_step,
-)
-
-__all__ = [
-    "BeamConfig",
-    "BeamResult",
-    "CorruptionModel",
-    "ReasoningStep",
-    "StructuredResponse",
-    "TaskInstance",
-    "answer_query",
-    "conforms_strictly",
-    "forward_chain",
-    "gen_chain_task",
-    "gen_rulebase_task",
-    "parse_program",
-    "parse_response",
-    "run_beam",
-    "serialize_response",
-    "serialize_step",
-    "verify_step",
-]
-
 __version__ = "0.1.0"

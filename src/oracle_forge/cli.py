@@ -19,9 +19,7 @@ from dataclasses import replace
 
 from . import corpus, datafactory, gateway, kernel
 from .beam import run_beam
-from .config import ConfigError, PipelineConfig, load_config
-from .datafactory import Stage1Sample, compute_stats, format_stats_tables
-from .gateway import GenerationContext
+from .config import BACKENDS, ConfigError, PipelineConfig, load_config
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -104,24 +102,20 @@ def _run_per_task(cfg: PipelineConfig, tasks, fn):
     return results, len(lost)
 
 
-def cmd_stage1(cfg: PipelineConfig) -> int:
-    prompts = cfg.load_prompts()
+def cmd_stage1(cfg: PipelineConfig, prompts: dict[str, str]) -> int:
     tasks = _prepare_run(cfg)
     if tasks is None:
         return EXIT_FAILURE
 
     def one(i, task):
         backend = make_task_backend(cfg, task, prompts)
-        ctx = GenerationContext(
+        ctx = gateway.GenerationContext(
             question=task.prompt,
             few_shot_asset=prompts.get("few_shot", ""),
             temperature=cfg.beam.temperature,
             seed=cfg.seed,
         )
-        raw = backend.generate_response(ctx)
-        return Stage1Sample(
-            task_id=task.id, prompt=ctx.question, raw=raw, gold=task.gold_answer
-        )
+        return task, backend.generate_response(ctx)
 
     samples, lost = _run_per_task(cfg, tasks, one)
     kept, rejected = datafactory.stage1_filter(samples)
@@ -133,8 +127,7 @@ def cmd_stage1(cfg: PipelineConfig) -> int:
     return EXIT_FAILURE if lost else EXIT_OK
 
 
-def cmd_stage2(cfg: PipelineConfig) -> int:
-    prompts = cfg.load_prompts()
+def cmd_stage2(cfg: PipelineConfig, prompts: dict[str, str]) -> int:
     tasks = _prepare_run(cfg)
     if tasks is None:
         return EXIT_FAILURE
@@ -171,14 +164,14 @@ def cmd_stage2(cfg: PipelineConfig) -> int:
 
 def cmd_stats(audit_path: str, as_json: bool) -> int:
     try:
-        stats = compute_stats(audit_path)
+        stats = datafactory.compute_stats(audit_path)
     except (datafactory.MalformedAudit, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAILURE
     if as_json:
         print(json.dumps(stats.to_dict(), sort_keys=True, indent=2))
     else:
-        print(format_stats_tables(stats), end="")
+        print(datafactory.format_stats_tables(stats), end="")
     return EXIT_OK
 
 
@@ -188,7 +181,7 @@ def cmd_verify_step(facts_path: str, rule_path: str) -> int:
             facts, stray_rules = kernel.parse_clauses(fh.read())
         with open(rule_path, encoding="utf-8") as fh:
             stray_facts, rules = kernel.parse_clauses(fh.read())
-    except (kernel.KbError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # a KbError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAILURE
     problem = None
@@ -226,9 +219,7 @@ def main(argv=None) -> int:
     def add_common(p):
         p.add_argument("--config", help="YAML config file")
         p.add_argument("--seed", type=int, default=None)
-        p.add_argument(
-            "--backend", choices=["scripted-oracle", "scripted-noisy", "http"]
-        )
+        p.add_argument("--backend", choices=BACKENDS)
         p.add_argument("--out", help="output directory")
 
     p1 = sub.add_parser("stage1", help="few-shot generation + strict filtering")
@@ -249,12 +240,13 @@ def main(argv=None) -> int:
         return cmd_verify_step(args.facts, args.rule)
     try:
         cfg = _load_cfg(args)
+        prompts = cfg.load_prompts()
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     if args.command == "stage1":
-        return cmd_stage1(cfg)
-    return cmd_stage2(cfg)
+        return cmd_stage1(cfg, prompts)
+    return cmd_stage2(cfg, prompts)
 
 
 if __name__ == "__main__":

@@ -26,6 +26,8 @@ _ENV_RE = re.compile(r"^\$\{(?P<name>[A-Za-z_][A-Za-z0-9_]*)\}$")
 
 PROMPT_ASSETS = ("generation.txt", "translation.txt", "precision.txt", "feasibility.txt")
 
+BACKENDS = ("scripted-oracle", "scripted-noisy", "http")
+
 
 def _interpolate(value):
     if isinstance(value, str):
@@ -117,18 +119,22 @@ class PipelineConfig:
         return d
 
     def load_prompts(self) -> dict[str, str]:
+        """The assets in ``prompts_dir`` by name; one not readable as UTF-8 is a ConfigError."""
         if not self.prompts_dir:
             return {}
         prompts = {}
         for name in PROMPT_ASSETS + ("few_shot.txt",):
             p = os.path.join(self.prompts_dir, name)
             if os.path.exists(p):
-                with open(p, encoding="utf-8") as fh:
-                    prompts[name.removesuffix(".txt")] = fh.read()
+                try:
+                    with open(p, encoding="utf-8") as fh:
+                        prompts[name.removesuffix(".txt")] = fh.read()
+                except (OSError, UnicodeDecodeError) as exc:
+                    raise ConfigError(f"cannot read prompt asset {p}: {exc}") from exc
         return prompts
 
     def validate(self) -> None:
-        if self.backend not in ("scripted-oracle", "scripted-noisy", "http"):
+        if self.backend not in BACKENDS:
             raise ConfigError(f"unknown backend: {self.backend}")
         if self.corpus.kind not in _CORPUS_KEYS:
             raise ConfigError(f"unknown corpus kind: {self.corpus.kind}")
@@ -228,7 +234,7 @@ def load_config(path: str | None = None, **overrides) -> PipelineConfig:
     data = {}
     if path is not None:
         try:
-            with open(path, encoding="utf-8") as fh:
+            with open(path, "rb") as fh:  # PyYAML reports undecodable text
                 data = yaml.safe_load(fh) or {}
         except OSError as exc:
             raise ConfigError(f"cannot read config: {exc}") from exc

@@ -266,7 +266,7 @@ def _proof_for(goal: Atom, trace) -> tuple[Derivation, ...]:
 
 
 # --------------------------------------------------------------------------
-# Gold responses and planted stage-1 corpora
+# Gold steps
 
 
 def gold_step(task: TaskInstance, index: int) -> template.ReasoningStep:
@@ -281,11 +281,6 @@ def gold_step(task: TaskInstance, index: int) -> template.ReasoningStep:
         revision_result=template.RevisionResult.retained(),
         reasoning_result=kernel.render_conclusions(kernel.StepVerdict((ps.conclusion,))),
     )
-
-
-def gold_response(task: TaskInstance) -> template.StructuredResponse:
-    steps = tuple(gold_step(task, i) for i in range(len(task.ground_truth_proof)))
-    return template.StructuredResponse(steps=steps, final_answer=task.gold_answer)
 
 
 @dataclass(frozen=True)
@@ -307,54 +302,6 @@ class CorruptionModel:
         """Closed-form success probability for candidates that reach the
         engine (format breaks are discarded before verification)."""
         return (1.0 - self.p_bad_rule) * (1.0 - self.p_bad_fact)
-
-
-PLANT_CLEAN = "clean"
-PLANT_MALFORMED = "malformed"
-PLANT_WRONG_ANSWER = "wrong_answer"
-
-
-@dataclass(frozen=True)
-class PlantedSample:
-    task_id: str
-    prompt: str
-    raw: str
-    gold: str
-    label: str
-
-
-def planted_stage1_corpus(
-    tasks,
-    malformed_frac: float = 0.4,
-    wrong_frac: float = 0.2,
-    seed: int = 0,
-) -> list[PlantedSample]:
-    """Gold responses with a known fraction of planted defects, for testing
-    the stage-1 filter."""
-    tasks = list(tasks)
-    rng = random.Random(("planted", seed).__repr__())
-    n = len(tasks)
-    n_malformed = round(n * malformed_frac)
-    n_wrong = round(n * wrong_frac)
-    labels = (
-        [PLANT_MALFORMED] * n_malformed
-        + [PLANT_WRONG_ANSWER] * n_wrong
-        + [PLANT_CLEAN] * (n - n_malformed - n_wrong)
-    )
-    rng.shuffle(labels)
-    out = []
-    for task, label in zip(tasks, labels):
-        raw = template.serialize_response(gold_response(task))
-        if label == PLANT_MALFORMED:
-            raw = raw.replace("<RULE>", "", 1)
-        elif label == PLANT_WRONG_ANSWER:
-            flipped = "false" if task.gold_answer == "true" else "true"
-            raw = raw.replace(
-                f"{template.FINAL_ANSWER_PREFIX} {task.gold_answer}",
-                f"{template.FINAL_ANSWER_PREFIX} {flipped}",
-            )
-        out.append(PlantedSample(task.id, task.prompt, raw, task.gold_answer, label))
-    return out
 
 
 # --------------------------------------------------------------------------
@@ -450,10 +397,10 @@ def save_tasks(tasks, path) -> None:
 def load_tasks(path) -> list[TaskInstance]:
     """The tasks of a JSONL file, one per non-blank line.  A line that does
     not hold a task, holds one with a blank sentence or a proof symbol
-    without a sentence, or holds one whose id an earlier line took, raises
-    ValueError naming the file and the line."""
+    without a sentence, holds one whose id an earlier line took, or is not
+    UTF-8, raises ValueError naming the file and the line."""
     tasks: dict[str, TaskInstance] = {}
-    with open(path, encoding="utf-8") as fh:
+    with open(path, "rb") as fh:  # json.loads decodes each line itself
         for lineno, line in enumerate(fh, 1):
             if not line.strip():
                 continue

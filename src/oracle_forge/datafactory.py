@@ -28,7 +28,6 @@ from dataclasses import asdict, dataclass, field
 from . import kernel, template
 from .beam import BeamResult
 from .gateway import SOURCE_UNMATCHED, TranslationResult
-from .kernel import StepVerdict
 from .template import normalize_answer
 
 GENERATION_ERROR = "GenerationError"
@@ -91,39 +90,32 @@ class RunStats:
         return {**asdict(self), "success_rate": self.success_rate}
 
 
-@dataclass(frozen=True)
-class Stage1Sample:
-    task_id: str
-    prompt: str
-    raw: str
-    gold: str
-
-
 def stage1_filter(samples) -> tuple[list[SftRecord], list[RejectReason]]:
-    """Keep samples that strictly conform to the template and answer
-    correctly; label rejects FormatViolation or WrongAnswer."""
+    """Keep the (task, raw response) pairs whose response strictly conforms
+    to the template and answers the task correctly; label rejects
+    FormatViolation or WrongAnswer."""
     kept: list[SftRecord] = []
     rejected: list[RejectReason] = []
-    for s in samples:
+    for task, raw in samples:
         # A parsed step checks its own fields when it is built, so one
         # parse decides conformance.
         try:
-            resp = template.parse_response(s.raw, require_final_answer=True)
+            resp = template.parse_response(raw, require_final_answer=True)
         except template.ParseError:
-            rejected.append(RejectReason(s.task_id, FORMAT_VIOLATION))
+            rejected.append(RejectReason(task.id, FORMAT_VIOLATION))
             continue
-        if normalize_answer(resp.final_answer) != normalize_answer(s.gold):
+        if normalize_answer(resp.final_answer) != normalize_answer(task.gold_answer):
             rejected.append(
-                RejectReason(s.task_id, WRONG_ANSWER, detail=resp.final_answer)
+                RejectReason(task.id, WRONG_ANSWER, detail=resp.final_answer)
             )
             continue
         kept.append(
-            SftRecord(prompt=s.prompt, response=s.raw, task_id=s.task_id, stage=STAGE1)
+            SftRecord(prompt=task.prompt, response=raw, task_id=task.id, stage=STAGE1)
         )
     return kept, rejected
 
 
-def classify_failure(translation: TranslationResult | None, verdict: StepVerdict) -> str:
+def classify_failure(translation: TranslationResult | None, verdict: kernel.StepVerdict) -> str:
     """Split engine failures into the two reported classes: defects in the
     generated step itself vs defects introduced going symbolic.  A stage-2
     step is validated before it becomes a candidate, so only its translation
@@ -171,9 +163,14 @@ def _audit_lines(results: list[BeamResult]):
             yield json.dumps(node_to_audit(node, result.task.id), sort_keys=True)
 
 
+_AUDIT_TYPES = {"id": int, "task_id": str, "has_step": bool, "executed": bool}
+
+
 def read_audit(path) -> list[dict]:
+    """The records of an audit file; MalformedAudit names the first line that
+    is not UTF-8 JSON or holds a field that stats reads with the wrong type."""
     records = []
-    with open(path, encoding="utf-8") as fh:
+    with open(path, "rb") as fh:  # json.loads decodes each line itself
         for lineno, line in enumerate(fh, 1):
             if not line.strip():
                 continue
@@ -181,8 +178,17 @@ def read_audit(path) -> list[dict]:
                 rec = json.loads(line)
             except ValueError as exc:
                 raise MalformedAudit(f"line {lineno}: {exc}") from exc
-            if not isinstance(rec, dict) or "id" not in rec or "task_id" not in rec:
+            if not isinstance(rec, dict):
                 raise MalformedAudit(f"line {lineno}: not an audit record")
+            for key, tp in _AUDIT_TYPES.items():
+                if type(rec.get(key)) is not tp:
+                    raise MalformedAudit(
+                        f"line {lineno}: {key} must be {tp.__name__}, got {rec.get(key)!r}"
+                    )
+            if rec.get("failure_class") not in (None, GENERATION_ERROR, TRANSLATION_ERROR):
+                raise MalformedAudit(
+                    f"line {lineno}: unknown failure_class: {rec['failure_class']!r}"
+                )
             records.append(rec)
     return records
 

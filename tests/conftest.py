@@ -1,4 +1,5 @@
-"""Shared hypothesis strategies and independent brute-force oracles.
+"""Shared hypothesis strategies, independent brute-force oracles, and the
+gold responses and planted corpora that test the stage-1 filter.
 
 The oracles here (naive ground closure, all-substitution step enumeration)
 are deliberately written without reference to the engine internals; they are
@@ -9,10 +10,12 @@ from __future__ import annotations
 
 import itertools
 import random
+from dataclasses import dataclass
 
 import hypothesis.strategies as st
 
 from oracle_forge import template
+from oracle_forge.corpus import TaskInstance, gold_step
 from oracle_forge.kernel import Atom, Fact, KnowledgeBase, Rule
 
 # --------------------------------------------------------------------------
@@ -301,3 +304,58 @@ def reference_trace(kb: KnowledgeBase):
             known |= new
             delta = new
     return trace
+
+
+# --------------------------------------------------------------------------
+# Gold responses and planted stage-1 corpora
+
+
+def gold_response(task: TaskInstance) -> template.StructuredResponse:
+    steps = tuple(gold_step(task, i) for i in range(len(task.ground_truth_proof)))
+    return template.StructuredResponse(steps=steps, final_answer=task.gold_answer)
+
+
+PLANT_CLEAN = "clean"
+PLANT_MALFORMED = "malformed"
+PLANT_WRONG_ANSWER = "wrong_answer"
+
+
+@dataclass(frozen=True)
+class PlantedSample:
+    task: TaskInstance
+    raw: str
+    label: str
+
+
+def planted_stage1_corpus(
+    tasks,
+    malformed_frac: float = 0.4,
+    wrong_frac: float = 0.2,
+    seed: int = 0,
+) -> list[PlantedSample]:
+    """Gold responses with a known fraction of planted defects, for testing
+    the stage-1 filter."""
+    tasks = list(tasks)
+    rng = random.Random(("planted", seed).__repr__())
+    n = len(tasks)
+    n_malformed = round(n * malformed_frac)
+    n_wrong = round(n * wrong_frac)
+    labels = (
+        [PLANT_MALFORMED] * n_malformed
+        + [PLANT_WRONG_ANSWER] * n_wrong
+        + [PLANT_CLEAN] * (n - n_malformed - n_wrong)
+    )
+    rng.shuffle(labels)
+    out = []
+    for task, label in zip(tasks, labels):
+        raw = template.serialize_response(gold_response(task))
+        if label == PLANT_MALFORMED:
+            raw = raw.replace("<RULE>", "", 1)
+        elif label == PLANT_WRONG_ANSWER:
+            flipped = "false" if task.gold_answer == "true" else "true"
+            raw = raw.replace(
+                f"{template.FINAL_ANSWER_PREFIX} {task.gold_answer}",
+                f"{template.FINAL_ANSWER_PREFIX} {flipped}",
+            )
+        out.append(PlantedSample(task, raw, label))
+    return out

@@ -8,23 +8,23 @@ import json
 import random
 import time
 
-from conftest import enumerate_step_verdict, naive_closure, random_kb
-
-from oracle_forge import cli, template
-from oracle_forge.beam import BeamConfig, run_beam
-from oracle_forge.corpus import (
-    CorruptionModel,
+from conftest import (
     PLANT_CLEAN,
     PLANT_MALFORMED,
     PLANT_WRONG_ANSWER,
-    gen_chain_task,
-    gold_step,
+    enumerate_step_verdict,
+    gold_response,
+    naive_closure,
     planted_stage1_corpus,
+    random_kb,
 )
+
+from oracle_forge import cli, template
+from oracle_forge.beam import BeamConfig, run_beam
+from oracle_forge.corpus import CorruptionModel, gen_chain_task, gold_step
 from oracle_forge.datafactory import (
     FORMAT_VIOLATION,
     GENERATION_ERROR,
-    Stage1Sample,
     TRANSLATION_ERROR,
     WRONG_ANSWER,
     classify_failure,
@@ -235,22 +235,20 @@ def test_07_stage1_filter_exactness():
         by_label[s.label].append(s)
     gate.check(len(by_label[PLANT_MALFORMED]) == 40, "malformed plant count")
     gate.check(len(by_label[PLANT_WRONG_ANSWER]) == 20, "wrong-answer plant count")
-    kept, rejected = stage1_filter(
-        Stage1Sample(s.task_id, s.prompt, s.raw, s.gold) for s in samples
-    )
-    clean_ids = sorted(s.task_id for s in by_label[PLANT_CLEAN])
+    kept, rejected = stage1_filter((s.task, s.raw) for s in samples)
+    clean_ids = sorted(s.task.id for s in by_label[PLANT_CLEAN])
     gate.check(sorted(r.task_id for r in kept) == clean_ids, "kept set mismatch")
     labels = {}
     for r in rejected:
         labels.setdefault(r.label, []).append(r.task_id)
     gate.check(
         sorted(labels.get(FORMAT_VIOLATION, []))
-        == sorted(s.task_id for s in by_label[PLANT_MALFORMED]),
+        == sorted(s.task.id for s in by_label[PLANT_MALFORMED]),
         "FormatViolation labels mismatch",
     )
     gate.check(
         sorted(labels.get(WRONG_ANSWER, []))
-        == sorted(s.task_id for s in by_label[PLANT_WRONG_ANSWER]),
+        == sorted(s.task.id for s in by_label[PLANT_WRONG_ANSWER]),
         "WrongAnswer labels mismatch",
     )
     gate.finish()
@@ -301,8 +299,6 @@ def test_09_template_round_trip():
     round_trip()
     gate.check(not failures, "fuzzed round trip failed")
     task = gen_chain_task(3, seed=0)
-    from oracle_forge.corpus import gold_response
-
     raw = template.serialize_response(gold_response(task))
     gate.check(
         template.conforms_strictly(raw, require_final_answer=True), "gold not strict"

@@ -384,3 +384,45 @@ class TestBacktrackPairs:
                     expected.add((n.id, sid))
             got = {(p.chosen.id, p.rejected.id) for p in result.pairs}
             assert got == expected
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(1, 3),
+        st.integers(1, 3),
+        st.integers(1, 4),
+        st.booleans(),
+        st.integers(0, 10**6),
+        st.sampled_from([0.3, 0.5, 0.7]),
+    )
+    def test_pairs_come_in_path_order(self, top_k, fanout, cap, rulebase, seed, p_bad):
+        # DPO records keep the order of result.pairs, so it is checked as a
+        # list: leaves in harvest order, each leaf's chain from the root
+        # down, each executed node's failed siblings in id order up to the
+        # cap, and a pair only where it first occurs.
+        task = gen_rulebase_task(8, 5, seed=seed) if rulebase else gen_chain_task(4, seed=seed)
+        backend = ScriptedNoisyBackend(
+            task, CorruptionModel(p_bad_rule=p_bad, p_bad_fact=p_bad / 3, seed=seed)
+        )
+        cfg = BeamConfig(width=top_k * fanout, top_k=top_k, seed=seed, max_pairs_per_node=cap)
+        result = run_beam(task, cfg, backend)
+        by_id = {n.id: n for n in result.nodes}
+
+        def executed(n):
+            return n.verdict is not None and n.verdict.executed
+
+        expected = []
+        for leaf in result.sft_paths:
+            chain = [leaf]
+            while chain[0].parent is not None:
+                chain.insert(0, by_id[chain[0].parent])
+            for n in chain[1:]:
+                if not executed(n):
+                    continue
+                failed = sorted(
+                    m.id for m in result.nodes
+                    if m.parent == n.parent and m.id != n.id and not executed(m)
+                )
+                for sid in failed[:cap]:
+                    if (n.id, sid) not in expected:
+                        expected.append((n.id, sid))
+        assert [(p.chosen.id, p.rejected.id) for p in result.pairs] == expected

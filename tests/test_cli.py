@@ -260,6 +260,37 @@ class TestStage1Cli:
         assert code == cli.EXIT_CONFIG
         assert "config error" in stderr
 
+    @pytest.mark.parametrize("stage", ["stage1", "stage2"])
+    @pytest.mark.parametrize(
+        "asset", ["few_shot.txt", "generation.txt", "few_shot.txt/"],
+        ids=["few-shot-not-utf8", "asset-not-utf8", "few-shot-is-a-directory"],
+    )
+    def test_unreadable_prompt_asset_is_a_config_error(self, tmp_path, capsys, stage, asset):
+        prompts = tmp_path / "prompts"
+        prompts.mkdir()
+        path = prompts / asset.rstrip("/")
+        if asset.endswith("/"):
+            path.mkdir()
+        else:
+            path.write_bytes(b"Example:\n\xff\n")
+        cfg = write(tmp_path / "cfg.yaml", f"prompts_dir: {prompts}\n")
+        out = tmp_path / "out"
+        code, stdout, stderr = run_cli(capsys, stage, "--config", cfg, "--out", str(out))
+        assert code == cli.EXIT_CONFIG
+        assert stderr.startswith(f"config error: cannot read prompt asset {path}: ")
+        assert stderr.count("\n") == 1 and stdout == ""
+        assert not out.exists()
+
+    @pytest.mark.parametrize("stage", ["stage1", "stage2"])
+    def test_config_that_is_not_utf8_is_a_config_error(self, tmp_path, capsys, stage):
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_bytes(b"seed: 3\nout_dir: \xff\n")
+        code, stdout, stderr = run_cli(capsys, stage, "--config", str(cfg))
+        assert code == cli.EXIT_CONFIG
+        # PyYAML's message names the file and the byte's position.
+        assert stderr.startswith("config error: invalid YAML: ")
+        assert f'in "{cfg}", position 17' in stderr and stdout == ""
+
 
 class TestStage2Cli:
     def test_oracle_run_counts(self, tmp_path, capsys):
@@ -482,6 +513,25 @@ class TestStatsCli:
         assert code == cli.EXIT_FAILURE
         assert "error" in stderr
 
+    @pytest.mark.parametrize(
+        "content, reason",
+        [
+            (b'{"id": 0, "task_id": "t\xff"}\n', "line 1: 'utf-8' codec can't decode"),
+            (
+                b'{"id": 0, "task_id": "t", "has_step": true, "executed": "no"}\n',
+                "line 1: executed must be bool, got 'no'",
+            ),
+        ],
+        ids=["not-utf8", "string-executed"],
+    )
+    def test_unreadable_audit_is_a_one_line_error(self, tmp_path, capsys, content, reason):
+        audit = tmp_path / "audit.jsonl"
+        audit.write_bytes(content)
+        code, stdout, stderr = run_cli(capsys, "stats", str(audit))
+        assert code == cli.EXIT_FAILURE
+        assert stderr.startswith(f"error: {reason}")
+        assert stderr.count("\n") == 1 and stdout == ""
+
 
 class TestVerifyStepCli:
     def test_socrates(self, tmp_path, capsys):
@@ -523,6 +573,16 @@ class TestVerifyStepCli:
         code, _, stderr = run_cli(capsys, "verify-step", facts, rule)
         assert code == cli.EXIT_FAILURE
         assert "error" in stderr
+
+    @pytest.mark.parametrize("culprit", ["facts.kbl", "rule.kbl"])
+    def test_file_that_is_not_utf8_is_a_one_line_error(self, tmp_path, capsys, culprit):
+        facts = write(tmp_path / "facts.kbl", "fact man(socrates).\n")
+        rule = write(tmp_path / "rule.kbl", "rule mortal(X) :- man(X).\n")
+        (tmp_path / culprit).write_bytes(b"fact caf\xe9(x).\n")
+        code, stdout, stderr = run_cli(capsys, "verify-step", facts, rule)
+        assert code == cli.EXIT_FAILURE
+        assert stderr.startswith("error: 'utf-8' codec can't decode")
+        assert stderr.count("\n") == 1 and stdout == ""
 
     @pytest.mark.parametrize(
         "facts_src, rule_src, culprit",
@@ -623,11 +683,15 @@ class TestCorpusFileRoundTrip:
                 }),
                 "ValueError: unknown symbol kind: 'ruel'",
             ),
+            (
+                lambda d: json.dumps(d).encode().replace(b'"question": "', b'"question": "\xff'),
+                "UnicodeDecodeError: 'utf-8' codec can't decode byte 0xff",
+            ),
         ],
         ids=[
             "missing-key", "bad-json", "not-an-object", "null-text", "bad-kbl", "no-rule",
             "atom-then-text", "unpaired-proof-symbol", "blank-sentence", "rule-entry-with-fact",
-            "proof-rule-with-fact", "unknown-symbol-kind",
+            "proof-rule-with-fact", "unknown-symbol-kind", "not-utf8",
         ],
     )
     def test_malformed_line_is_a_one_line_error(self, tmp_path, capsys, edit, reason):
@@ -635,9 +699,10 @@ class TestCorpusFileRoundTrip:
 
         good = task_to_dict(gen_rulebase_task(seed=1))
         bad = edit(good)
+        if not isinstance(bad, bytes):
+            bad = (bad if isinstance(bad, str) else json.dumps(bad)).encode()
         path = tmp_path / "tasks.jsonl"
-        lines = [json.dumps(good), "", bad if isinstance(bad, str) else json.dumps(bad)]
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        path.write_bytes(b"\n".join([json.dumps(good).encode(), b"", bad]) + b"\n")
         cfg = write(tmp_path / "cfg.yaml", f"corpus: {{kind: file, path: {path}}}\n")
         out = tmp_path / "out"
         code, stdout, stderr = run_cli(capsys, "stage2", "--config", cfg, "--out", str(out))

@@ -4,19 +4,21 @@ import json
 import random
 
 import pytest
-from conftest import random_kb
+from conftest import (
+    PLANT_CLEAN,
+    PLANT_MALFORMED,
+    PLANT_WRONG_ANSWER,
+    gold_response,
+    planted_stage1_corpus,
+    random_kb,
+)
 
 from oracle_forge import corpus, kernel, template
 from oracle_forge.corpus import (
     CorruptionModel,
-    PLANT_CLEAN,
-    PLANT_MALFORMED,
-    PLANT_WRONG_ANSWER,
     gen_chain_task,
     gen_rulebase_task,
-    gold_response,
     load_tasks,
-    planted_stage1_corpus,
     save_tasks,
     task_to_dict,
 )

@@ -1,29 +1,28 @@
 import itertools
 import json
+import re
 import string
+from dataclasses import replace
 
 import pytest
+from conftest import (
+    PLANT_CLEAN,
+    PLANT_MALFORMED,
+    PLANT_WRONG_ANSWER,
+    gold_response,
+    planted_stage1_corpus,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracle_forge import datafactory, template
 from oracle_forge.beam import BeamConfig, BeamNode, ScoreBreakdown, expand_node, run_beam
-from oracle_forge.corpus import (
-    CorruptionModel,
-    PLANT_CLEAN,
-    PLANT_MALFORMED,
-    PLANT_WRONG_ANSWER,
-    gen_chain_task,
-    gold_response,
-    gold_step,
-    planted_stage1_corpus,
-)
+from oracle_forge.corpus import CorruptionModel, gen_chain_task, gold_step
 from oracle_forge.datafactory import (
     DpoRecord,
     FORMAT_VIOLATION,
     GENERATION_ERROR,
     MalformedAudit,
-    Stage1Sample,
     TRANSLATION_ERROR,
     WRONG_ANSWER,
     classify_failure,
@@ -76,34 +75,28 @@ class TestStage1Filter:
     def test_clean_sample_kept(self):
         task = gen_chain_task(2, seed=0)
         raw = serialize_response(gold_response(task))
-        kept, rejected = stage1_filter(
-            [Stage1Sample(task.id, task.question, raw, task.gold_answer)]
-        )
+        kept, rejected = stage1_filter([(task, raw)])
         assert len(kept) == 1 and rejected == []
         assert kept[0].stage == "stage1"
 
     def test_malformed_sample_rejected(self):
         task = gen_chain_task(2, seed=0)
         raw = serialize_response(gold_response(task)).replace("<RULE>", "", 1)
-        kept, rejected = stage1_filter(
-            [Stage1Sample(task.id, task.question, raw, task.gold_answer)]
-        )
+        kept, rejected = stage1_filter([(task, raw)])
         assert kept == [] and rejected[0].label == FORMAT_VIOLATION
 
     def test_wrong_answer_rejected(self):
         task = gen_chain_task(2, seed=0)
         raw = serialize_response(gold_response(task))
         kept, rejected = stage1_filter(
-            [Stage1Sample(task.id, task.question, raw, "not-the-answer")]
+            [(replace(task, gold_answer="not-the-answer"), raw)]
         )
         assert kept == [] and rejected[0].label == WRONG_ANSWER
 
     def test_planted_corpus_labels_are_exact(self):
         tasks = [gen_chain_task(2 + i % 3, seed=i) for i in range(50)]
         samples = planted_stage1_corpus(tasks, 0.4, 0.2, seed=11)
-        kept, rejected = stage1_filter(
-            [Stage1Sample(s.task_id, s.prompt, s.raw, s.gold) for s in samples]
-        )
+        kept, rejected = stage1_filter([(s.task, s.raw) for s in samples])
         by_label = {PLANT_CLEAN: 0, PLANT_MALFORMED: 0, PLANT_WRONG_ANSWER: 0}
         for s in samples:
             by_label[s.label] += 1
@@ -207,10 +200,43 @@ class TestAuditAndStats:
         with pytest.raises(MalformedAudit):
             compute_stats(recs)
 
-    def test_malformed_line_raises(self, tmp_path):
+    @pytest.mark.parametrize(
+        "content, reason",
+        [
+            (b'{"id": 0}\nnot json\n', "line 1: task_id must be str, got None"),
+            (
+                b'{"id": 1, "task_id": "t", "has_step": true}\n',
+                "line 1: executed must be bool, got None",
+            ),
+            (
+                b'{"id": 1, "task_id": "x", "has_step": true, "executed": true}\n'
+                b'{"id": 2, "task_id": 5, "has_step": true, "executed": true}\n',
+                "line 2: task_id must be str, got 5",
+            ),
+            (
+                b'{"id": 1, "task_id": "t", "has_step": true, "executed": "no"}\n',
+                "line 1: executed must be bool, got 'no'",
+            ),
+            (
+                b'{"id": true, "task_id": "t", "has_step": false, "executed": false}\n',
+                "line 1: id must be int, got True",
+            ),
+            (
+                b'{"id": 1, "task_id": "t", "has_step": true, "executed": false,'
+                b' "failure_class": "Oops"}\n',
+                "line 1: unknown failure_class: 'Oops'",
+            ),
+            (b'{"id": 1, "task_id": "t\xff"}\n', "line 1: 'utf-8' codec can't decode"),
+        ],
+        ids=[
+            "no-task-id", "no-executed", "int-task-id", "string-executed", "bool-id",
+            "unknown-failure-class", "not-utf8",
+        ],
+    )
+    def test_malformed_line_raises(self, tmp_path, content, reason):
         path = tmp_path / "audit.jsonl"
-        path.write_text('{"id": 0}\nnot json\n', encoding="utf-8")
-        with pytest.raises(MalformedAudit):
+        path.write_bytes(content)
+        with pytest.raises(MalformedAudit, match=f"^{re.escape(reason)}"):
             read_audit(path)
 
     @pytest.mark.parametrize(
@@ -302,18 +328,16 @@ class TestEmitDatasets:
     def test_sft_responses_repass_stage1_filter(self, tmp_path):
         results = _results(4, p_bad_rule=0.2, seed=6)
         emit_datasets(results, tmp_path, seed=6)
-        gold = {r.task.id: r.task.gold_answer for r in results}
+        tasks = {r.task.id: r.task for r in results}
         rows = [
             json.loads(line)
             for line in (tmp_path / "sft.jsonl").read_text().splitlines()
         ]
         assert rows
-        samples = [
-            Stage1Sample(r["task_id"], r["prompt"], r["response"], gold[r["task_id"]])
-            for r in rows
-        ]
+        samples = [(tasks[r["task_id"]], r["response"]) for r in rows]
         kept, rejected = stage1_filter(samples)
         assert len(kept) == len(rows) and rejected == []
+        assert [k.prompt for k in kept] == [r["prompt"] for r in rows]
 
     def test_dpo_invariants(self, tmp_path):
         results = _results(6, p_bad_rule=0.4, seed=9)

@@ -60,14 +60,7 @@ def _prepare_run(cfg: PipelineConfig) -> list[corpus.TaskInstance] | None:
 
 def make_task_backend(cfg: PipelineConfig, task, prompts):
     if cfg.backend == "http":
-        return gateway.HttpBackend(
-            endpoint=cfg.http.endpoint,
-            model=cfg.http.model,
-            api_key=cfg.http.api_key,
-            prompts=prompts,
-            max_retries=cfg.http.max_retries,
-            timeout=cfg.http.timeout,
-        )
+        return gateway.HttpBackend(cfg.http, prompts)
     if cfg.backend == "scripted-noisy":
         return gateway.ScriptedNoisyBackend(task, cfg.corruption)
     return gateway.ScriptedOracleBackend(task)
@@ -176,14 +169,15 @@ def cmd_stats(audit_path: str, as_json: bool) -> int:
 
 
 def cmd_verify_step(facts_path: str, rule_path: str) -> int:
-    try:
-        with open(facts_path, encoding="utf-8") as fh:
-            facts, stray_rules = kernel.parse_clauses(fh.read())
-        with open(rule_path, encoding="utf-8") as fh:
-            stray_facts, rules = kernel.parse_clauses(fh.read())
-    except (ValueError, OSError) as exc:  # a KbError is a ValueError
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FAILURE
+    parsed = []
+    for path in (facts_path, rule_path):
+        try:
+            with open(path, encoding="utf-8") as fh:
+                parsed.append(kernel.parse_clauses(fh.read()))
+        except (ValueError, OSError) as exc:  # a KbError is a ValueError
+            print(f"error: {path}: {exc}", file=sys.stderr)
+            return EXIT_FAILURE
+    (facts, stray_rules), (stray_facts, rules) = parsed
     problem = None
     if stray_rules:
         problem = f"{facts_path}: facts file must contain no rule, got {len(stray_rules)}"

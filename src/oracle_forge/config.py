@@ -16,6 +16,7 @@ import yaml
 
 from .beam import BeamConfig
 from .corpus import MAX_RULEBASE_FACTS, MAX_RULEBASE_RULES, CorruptionModel
+from .gateway import HttpSpec
 
 
 class ConfigError(ValueError):
@@ -67,23 +68,6 @@ class CorpusSpec:
             if value < 1 or (most is not None and value > most):
                 span = "at least 1" if most is None else f"in 1..{most}"
                 raise ValueError(f"corpus.{name} must be {span}, got {value!r}")
-
-
-@dataclass
-class HttpSpec:
-    endpoint: str = ""
-    model: str = ""
-    api_key: str | None = None
-    max_retries: int = 5
-    timeout: float = 60.0
-
-    def __post_init__(self):
-        # 0 retries would make no request at all, and no request can
-        # complete within a timeout of 0.
-        if self.max_retries < 1:
-            raise ValueError(f"http.max_retries must be at least 1, got {self.max_retries!r}")
-        if self.timeout <= 0:
-            raise ValueError(f"http.timeout must be greater than 0, got {self.timeout!r}")
 
 
 @dataclass
@@ -226,6 +210,19 @@ def _build(data: dict) -> PipelineConfig:
     return cfg
 
 
+def _yaml_error(path: str, exc: yaml.YAMLError) -> str:
+    """PyYAML's error on one line: the file, the place in it, and the problem."""
+    if isinstance(exc, yaml.reader.ReaderError):
+        if exc.encoding == "unicode":  # decoded, but not printable
+            what = f"character {exc.position}: unacceptable character"
+        else:
+            what = f"byte {exc.position}: '{exc.encoding}' codec can't decode"
+        return f"{path}, {what} {exc.character:#04x}: {exc.reason}"
+    mark = exc.problem_mark  # loading raises no other error without a mark
+    what = ", ".join(filter(None, (exc.context, exc.problem)))
+    return f"{path}, line {mark.line + 1}, col {mark.column + 1}: {what}"
+
+
 def load_config(path: str | None = None, **overrides) -> PipelineConfig:
     """The config of the YAML file at ``path``, or the defaults when there is
     none, with each override in place of the top-level key it names; built
@@ -239,7 +236,7 @@ def load_config(path: str | None = None, **overrides) -> PipelineConfig:
         except OSError as exc:
             raise ConfigError(f"cannot read config: {exc}") from exc
         except yaml.YAMLError as exc:
-            raise ConfigError(f"invalid YAML: {exc}") from exc
+            raise ConfigError(f"invalid YAML: {_yaml_error(path, exc)}") from exc
         if not isinstance(data, dict):
             raise ConfigError("config root must be a mapping")
     cfg = _build({**_interpolate(data), **overrides})

@@ -388,12 +388,6 @@ def task_from_dict(d: dict) -> TaskInstance:
     return task
 
 
-def save_tasks(tasks, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for t in tasks:
-            fh.write(json.dumps(task_to_dict(t), sort_keys=True) + "\n")
-
-
 def load_tasks(path) -> list[TaskInstance]:
     """The tasks of a JSONL file, one per non-blank line.  A line that does
     not hold a task, holds one with a blank sentence or a proof symbol

@@ -11,10 +11,10 @@ A line of a record file holds its record's fields, in declaration order:
   2) or stage name (stage 1), and ``partial``: true when ``max_sft`` or
   ``max_dpo`` cut records.
 
-Both stages write through ``write_outputs``: every file goes to a temporary
-name in the output directory first and is renamed into place only once all
-are written, ``manifest.json`` last.  A run that fails part-way leaves the
-previous run's files as they were.
+Both stages, and ``save_tasks``, write through ``write_outputs``: every file
+goes to a temporary name in the output directory first and is renamed into
+place only once all are written, ``manifest.json`` last.  A run that fails
+part-way leaves the previous run's files as they were.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from dataclasses import asdict, dataclass, field
 
 from . import kernel, template
 from .beam import BeamResult
+from .corpus import task_to_dict
 from .gateway import SOURCE_UNMATCHED, TranslationResult
 from .template import normalize_answer
 
@@ -310,6 +311,12 @@ def write_outputs(out_dir, files: dict, manifest: dict | None = None) -> None:
         for tmp, _ in written:
             with contextlib.suppress(FileNotFoundError):
                 os.remove(tmp)
+
+
+def save_tasks(tasks, path) -> None:
+    """Write ``tasks`` to ``path`` as JSONL, which ``corpus.load_tasks`` reads."""
+    out_dir, name = os.path.split(os.path.abspath(path))
+    write_outputs(out_dir, {name: (json.dumps(task_to_dict(t), sort_keys=True) for t in tasks)})
 
 
 def _line(record) -> str:

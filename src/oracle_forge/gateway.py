@@ -2,13 +2,13 @@
 
 Three backends:
 
-- ``ScriptedOracleBackend``: replays a task's ground-truth proof; exact and
-  deterministic, used for pipeline tests and the oracle acceptance runs.
-- ``ScriptedNoisyBackend``: the oracle with seeded per-candidate corruption
-  (format breaks, unmatchable facts, non-firing rules), used to measure
-  engine-success rates without an LLM.
+- ``ScriptedNoisyBackend``: replays a task's ground-truth proof with seeded
+  per-candidate corruption (format breaks, unmatchable facts, non-firing
+  rules), used to measure engine-success rates without an LLM.
+- ``ScriptedOracleBackend``: the noisy backend with no corruption and one
+  candidate per expansion, used for pipeline tests and the oracle runs.
 - ``HttpBackend``: chat-completion-style JSON over HTTP with exponential
-  backoff (docs/http_backend.md).
+  backoff (docs/http_backend.md); its settings are an ``HttpSpec``.
 """
 
 from __future__ import annotations
@@ -77,15 +77,13 @@ class EvalVerdict:
     feasibility_pass: bool
 
 
-def _prior_digest(ctx: GenerationContext) -> int:
-    return stable_digest(*(template.serialize_step(s) for s in ctx.prior_steps))
+class ScriptedNoisyBackend:
+    """Replays the ground-truth proof of one task, each candidate with its own
+    seeded corruption; pure in (seed, ctx)."""
 
-
-class ScriptedOracleBackend:
-    """Replays the ground-truth proof of one task; pure in (seed, ctx)."""
-
-    def __init__(self, task: TaskInstance):
+    def __init__(self, task: TaskInstance, corruption: CorruptionModel):
         self.task = task
+        self.corruption = corruption
         self.telemetry: Counter = Counter()
         # Built once per task: candidates at one position share a step object,
         # so its template text is rendered once.
@@ -96,65 +94,8 @@ class ScriptedOracleBackend:
     def _position(self, ctx: GenerationContext) -> int:
         return len(ctx.prior_steps)
 
-    def generate_candidates(self, ctx: GenerationContext, n: int) -> list[CandidateStep]:
-        if n < 1:
-            raise ValueError("n must be >= 1")
-        i = self._position(ctx)
-        if i >= len(self.gold_steps):
-            return []
-        step = self.gold_steps[i]
-        terminal = i == len(self.gold_steps) - 1
-        answer = self.task.gold_answer if terminal else ""
-        raw = template.serialize_response(template.StructuredResponse((step,), answer))
-        return [CandidateStep(step=step, raw_text=raw)]
-
-    def generate_response(self, ctx: GenerationContext) -> str:
-        return template.serialize_response(
-            template.StructuredResponse(self.gold_steps, self.task.gold_answer)
-        )
-
-    def translate(self, step: template.ReasoningStep) -> TranslationResult:
-        facts = []
-        for nl in step.facts:
-            sym = self.task.nl_pairing.get(nl)
-            if not isinstance(sym, Fact):
-                return TranslationResult(
-                    error_kind=SOURCE_UNMATCHED, detail=f"no pairing for fact: {nl!r}"
-                )
-            facts.append(sym)
-        rule = self.task.nl_pairing.get(step.rule)
-        if not isinstance(rule, Rule):
-            return TranslationResult(
-                error_kind=SOURCE_UNMATCHED, detail=f"no pairing for rule: {step.rule!r}"
-            )
-        return TranslationResult(facts=tuple(facts), rule=rule)
-
-    def evaluate(
-        self, step: template.ReasoningStep, ctx: GenerationContext, executed: bool = False
-    ) -> EvalVerdict:
-        ok = self._matches_gold(step, ctx)
-        return EvalVerdict(precision_pass=None if executed else ok, feasibility_pass=ok)
-
-    def _matches_gold(self, step: template.ReasoningStep, ctx: GenerationContext) -> bool:
-        i = self._position(ctx)
-        if i >= len(self.gold_steps):
-            return False
-        gold = self.gold_steps[i]
-        return (
-            step.facts == gold.facts
-            and step.rule == gold.rule
-            and step.query == gold.query
-        )
-
-
-class ScriptedNoisyBackend(ScriptedOracleBackend):
-    """Oracle steps with independent seeded corruption per candidate."""
-
-    def __init__(self, task: TaskInstance, corruption: CorruptionModel):
-        super().__init__(task)
-        self.corruption = corruption
-
     def _rng(self, ctx: GenerationContext, cand_index: int) -> random.Random:
+        prior = stable_digest(*(template.serialize_step(s) for s in ctx.prior_steps))
         return random.Random(
             stable_digest(
                 self.corruption.seed,
@@ -162,7 +103,7 @@ class ScriptedNoisyBackend(ScriptedOracleBackend):
                 self.task.id,
                 self._position(ctx),
                 cand_index,
-                _prior_digest(ctx),
+                prior,
             )
         )
 
@@ -211,11 +152,66 @@ class ScriptedNoisyBackend(ScriptedOracleBackend):
         return out
 
     def generate_response(self, ctx: GenerationContext) -> str:
-        raw = super().generate_response(ctx)
+        raw = template.serialize_response(
+            template.StructuredResponse(self.gold_steps, self.task.gold_answer)
+        )
         rng = self._rng(ctx, -1)
         if rng.random() < self.corruption.p_format_break:
             raw = raw.replace("<REVISION>", "", 1)
         return raw
+
+    def translate(self, step: template.ReasoningStep) -> TranslationResult:
+        facts = []
+        for nl in step.facts:
+            sym = self.task.nl_pairing.get(nl)
+            if not isinstance(sym, Fact):
+                return TranslationResult(
+                    error_kind=SOURCE_UNMATCHED, detail=f"no pairing for fact: {nl!r}"
+                )
+            facts.append(sym)
+        rule = self.task.nl_pairing.get(step.rule)
+        if not isinstance(rule, Rule):
+            return TranslationResult(
+                error_kind=SOURCE_UNMATCHED, detail=f"no pairing for rule: {step.rule!r}"
+            )
+        return TranslationResult(facts=tuple(facts), rule=rule)
+
+    def evaluate(
+        self, step: template.ReasoningStep, ctx: GenerationContext, executed: bool = False
+    ) -> EvalVerdict:
+        i = self._position(ctx)
+        gold = self.gold_steps[i] if i < len(self.gold_steps) else None
+        ok = gold is not None and (
+            (step.facts, step.rule, step.query) == (gold.facts, gold.rule, gold.query)
+        )
+        return EvalVerdict(precision_pass=None if executed else ok, feasibility_pass=ok)
+
+
+class ScriptedOracleBackend(ScriptedNoisyBackend):
+    """The noisy backend without noise: one gold candidate per expansion."""
+
+    def __init__(self, task: TaskInstance):
+        super().__init__(task, CorruptionModel())
+
+    def generate_candidates(self, ctx: GenerationContext, n: int) -> list[CandidateStep]:
+        return super().generate_candidates(ctx, min(n, 1))
+
+
+@dataclass(frozen=True)
+class HttpSpec:
+    endpoint: str = ""
+    model: str = ""
+    api_key: str | None = None
+    max_retries: int = 5
+    timeout: float = 60.0
+
+    def __post_init__(self):
+        # 0 retries would make no request at all, and no request can
+        # complete within a timeout of 0.
+        if self.max_retries < 1:
+            raise ValueError(f"http.max_retries must be at least 1, got {self.max_retries!r}")
+        if self.timeout <= 0:
+            raise ValueError(f"http.timeout must be greater than 0, got {self.timeout!r}")
 
 
 class HttpBackend:
@@ -231,23 +227,10 @@ class HttpBackend:
     fake transport for fault injection.
     """
 
-    def __init__(
-        self,
-        endpoint: str,
-        model: str,
-        api_key: str | None = None,
-        prompts: dict[str, str] | None = None,
-        max_retries: int = 5,
-        timeout: float = 60.0,
-        transport=None,
-        sleep=time.sleep,
-    ):
-        self.endpoint = endpoint
-        self.model = model
-        self.api_key = api_key
+    def __init__(self, spec: HttpSpec, prompts: dict[str, str] | None = None,
+                 transport=None, sleep=time.sleep):
+        self.spec = spec
         self.prompts = prompts or {}
-        self.max_retries = max_retries
-        self.timeout = timeout
         self._sleep = sleep
         self._transport = transport or self._default_transport
         self.telemetry: Counter = Counter()
@@ -269,21 +252,22 @@ class HttpBackend:
             return resp.status, resp.read().decode(charset, errors="replace")
 
     def _complete(self, prompt: str, temperature: float, n: int = 1) -> list[str]:
+        spec = self.spec
         payload = {
-            "model": self.model,
+            "model": spec.model,
             "messages": [{"role": "user", "content": prompt}],
             "temperature": temperature,
             "n": n,
         }
         headers = {"Content-Type": "application/json"}
-        if self.api_key:
-            headers["Authorization"] = f"Bearer {self.api_key}"
+        if spec.api_key:
+            headers["Authorization"] = f"Bearer {spec.api_key}"
         last_error = "no attempt made"
-        for attempt in range(self.max_retries):
+        for attempt in range(spec.max_retries):
             if attempt:
                 self._sleep(BACKOFF_BASE_S * 2 ** (attempt - 1))
             try:
-                status, body = self._transport(self.endpoint, payload, headers, self.timeout)
+                status, body = self._transport(spec.endpoint, payload, headers, spec.timeout)
             except Exception as exc:
                 last_error = f"transport error: {exc}"
                 self.telemetry["transport_errors"] += 1
@@ -302,9 +286,7 @@ class HttpBackend:
                 last_error = f"bad response body: {exc}"
                 self.telemetry["malformed_responses"] += 1
                 continue
-        raise BackendUnavailable(
-            f"{self.endpoint}: retries exhausted ({last_error})"
-        )
+        raise BackendUnavailable(f"{spec.endpoint}: retries exhausted ({last_error})")
 
     def _prompt(self, asset: str, *parts: str) -> str:
         """The request prompt: the named prompt asset, then the parts, empty

@@ -22,6 +22,7 @@ from oracle_forge.gateway import (
     EvalVerdict,
     GenerationContext,
     HttpBackend,
+    HttpSpec,
     ScriptedNoisyBackend,
     ScriptedOracleBackend,
 )
@@ -259,8 +260,7 @@ class TestPrecisionSkip:
             return 200, json.dumps({"choices": [choice] * payload["n"]})
 
         backend = HttpBackend(
-            endpoint="http://example.test/v1/chat/completions",
-            model="test-model",
+            HttpSpec(endpoint="http://example.test/v1/chat/completions", model="test-model"),
             prompts={"generation": "g", "translation": "t", "precision": "p", "feasibility": "f"},
             transport=transport,
             sleep=lambda _t: None,

@@ -63,6 +63,25 @@ class TestConfig:
         # redacted when serialized back out
         assert cfg.to_dict()["http"]["api_key"] == "<redacted>"
 
+    def test_http_backend_sends_what_its_section_says(self, tmp_path):
+        path = write(
+            tmp_path / "cfg.yaml",
+            "http: {endpoint: 'http://chat.invalid/v1', model: m, api_key: sk-test,"
+            " max_retries: 2, timeout: 5}\n",
+        )
+        requests, sleeps = [], []
+
+        def transport(url, payload, headers, timeout):
+            requests.append((url, payload["model"], headers["Authorization"], timeout))
+            return 503, "busy"
+
+        spec = load_config(path).http
+        backend = gateway.HttpBackend(spec, transport=transport, sleep=sleeps.append)
+        with pytest.raises(gateway.BackendUnavailable, match="HTTP 503"):
+            backend.generate_response(gateway.GenerationContext(question="Q"))
+        assert requests == [("http://chat.invalid/v1", "m", "Bearer sk-test", 5)] * 2
+        assert sleeps == [gateway.BACKOFF_BASE_S]
+
     def test_env_interpolation_missing_var(self, tmp_path, monkeypatch):
         monkeypatch.delenv("OF_MISSING_KEY", raising=False)
         path = write(
@@ -185,7 +204,8 @@ class TestConfig:
     def test_corpus_key_that_the_kind_does_not_read(self, tmp_path, capsys, corpus, kind, keys):
         # Such a key used to be ignored: a file corpus ran every task whatever
         # count said.
-        from oracle_forge.corpus import gen_chain_task, save_tasks
+        from oracle_forge.corpus import gen_chain_task
+        from oracle_forge.datafactory import save_tasks
 
         tasks = tmp_path / "tasks.jsonl"
         save_tasks([gen_chain_task(2, seed=0)], tasks)
@@ -283,13 +303,22 @@ class TestStage1Cli:
 
     @pytest.mark.parametrize("stage", ["stage1", "stage2"])
     def test_config_that_is_not_utf8_is_a_config_error(self, tmp_path, capsys, stage):
+        # Invalid YAML of any kind is one line that names the file and the
+        # place in it: a line and column, or the offset of an undecodable byte.
         cfg = tmp_path / "cfg.yaml"
-        cfg.write_bytes(b"seed: 3\nout_dir: \xff\n")
-        code, stdout, stderr = run_cli(capsys, stage, "--config", str(cfg))
-        assert code == cli.EXIT_CONFIG
-        # PyYAML's message names the file and the byte's position.
-        assert stderr.startswith("config error: invalid YAML: ")
-        assert f'in "{cfg}", position 17' in stderr and stdout == ""
+        for content, reason in [
+            (b"seed: 3\nout_dir: \xff\n",
+             "byte 17: 'utf-8' codec can't decode 0xff: invalid start byte"),
+            (b"\xff\n", "byte 0: 'utf-8' codec can't decode 0xff: invalid start byte"),
+            (b"seed: [3\n", "line 2, col 1: while parsing a flow sequence, "
+                            "expected ',' or ']', but got '<stream end>'"),
+            (b"beam:\n  width: 3\n    top_k: 1\n",
+             "line 3, col 10: mapping values are not allowed here"),
+        ]:
+            cfg.write_bytes(content)
+            code, stdout, stderr = run_cli(capsys, stage, "--config", str(cfg))
+            assert code == cli.EXIT_CONFIG
+            assert stderr == f"config error: invalid YAML: {cfg}, {reason}\n" and stdout == ""
 
 
 class TestStage2Cli:
@@ -570,9 +599,9 @@ class TestVerifyStepCli:
     def test_parse_error(self, tmp_path, capsys):
         facts = write(tmp_path / "facts.kbl", "fact man(socrates\n")
         rule = write(tmp_path / "rule.kbl", "rule mortal(X) :- man(X).\n")
-        code, _, stderr = run_cli(capsys, "verify-step", facts, rule)
+        code, stdout, stderr = run_cli(capsys, "verify-step", facts, rule)
         assert code == cli.EXIT_FAILURE
-        assert "error" in stderr
+        assert stderr == f"error: {facts}: line 2, col 1: expected )\n" and stdout == ""
 
     @pytest.mark.parametrize("culprit", ["facts.kbl", "rule.kbl"])
     def test_file_that_is_not_utf8_is_a_one_line_error(self, tmp_path, capsys, culprit):
@@ -581,7 +610,7 @@ class TestVerifyStepCli:
         (tmp_path / culprit).write_bytes(b"fact caf\xe9(x).\n")
         code, stdout, stderr = run_cli(capsys, "verify-step", facts, rule)
         assert code == cli.EXIT_FAILURE
-        assert stderr.startswith("error: 'utf-8' codec can't decode")
+        assert stderr.startswith(f"error: {tmp_path / culprit}: 'utf-8' codec can't decode")
         assert stderr.count("\n") == 1 and stdout == ""
 
     @pytest.mark.parametrize(
@@ -609,7 +638,7 @@ class TestCorpusFileRoundTrip:
     def test_stage2_from_saved_tasks(self, tmp_path, capsys):
         # A run on a saved corpus writes what the run on the generated one
         # does, so loading accepts every task the generators make.
-        from oracle_forge.corpus import save_tasks
+        from oracle_forge.datafactory import save_tasks
 
         base = "backend: scripted-noisy\nseed: 3\ncorruption: {p_bad_rule: 0.3, p_bad_fact: 0.1}\n"
         for kind, spec in [
@@ -713,7 +742,8 @@ class TestCorpusFileRoundTrip:
 
     @pytest.mark.parametrize("stage", ["stage1", "stage2"])
     def test_repeated_task_id_is_a_one_line_error(self, tmp_path, capsys, stage):
-        from oracle_forge.corpus import gen_chain_task, save_tasks
+        from oracle_forge.corpus import gen_chain_task
+        from oracle_forge.datafactory import save_tasks
 
         path = tmp_path / "tasks.jsonl"
         save_tasks([gen_chain_task(2, seed=4), gen_chain_task(3, seed=1)] * 2, str(path))
@@ -903,6 +933,53 @@ def test_stage1_outputs_match_golden_digests(tmp_path, capsys):
         name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in STAGE1_DIGESTS
     }
     assert digests == STAGE1_DIGESTS
+
+
+# sha256 of each output of both stages under scripted-oracle at seed 3 for
+# the 40 golden tasks of each kind: every task keeps its gold proof, so no
+# DPO pair and no stage-1 reject is written.
+ORACLE_DIGESTS = {
+    ("stage1", "chain"): {
+        "sft.jsonl": "1eb6c59747bf2b619c61063f863cf6c57d8a869e8829568cfbe52806a7de0079",
+        "rejections.jsonl": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "manifest.json": "1629da0b3f49dcc9d10b80eb91ed58c05d9fb032d031e7b9e3ffa5a29c000eee",
+    },
+    ("stage1", "rulebase"): {
+        "sft.jsonl": "065b8fb5f087e53ba91f50a62f12d6105312cdbed015ea5bd8b60cab6f4458bf",
+        "rejections.jsonl": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "manifest.json": "2a98a9f5fd553b2d5608a67663f7e9fce327d2264c37c1a141e6c8ba209dfd63",
+    },
+    ("stage2", "chain"): {
+        "sft.jsonl": "27abd0ea9f30865af7cbe7cb93e2536be8a0d4bdd2425de094277e0804dbfbe8",
+        "dpo.jsonl": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "audit.jsonl": "2e0633b9a1afbcea19581f7143d171e619001a25c8166cfa7b79dd2527290aab",
+        "manifest.json": "b0b23bd14fd0d627e6941eaa8b35b1fddc26e658e78b8be1ccdb3967d28997c5",
+    },
+    ("stage2", "rulebase"): {
+        "sft.jsonl": "b937387199d4d67ae0de8373ab3c581645efcbe00594516f270479942ecd65b8",
+        "dpo.jsonl": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "audit.jsonl": "be8e51da2a5c4d7b291937c3027ab651ad5f0ad4371dc82f4e538c17c1d1b243",
+        "manifest.json": "884fb88906bda8b92e66d17e2c19454c2cf00cc8c2d74ad1c2a668edf9656202",
+    },
+}
+
+
+@pytest.mark.parametrize("stage, kind", sorted(ORACLE_DIGESTS))
+def test_scripted_oracle_outputs_match_golden_digests(tmp_path, capsys, stage, kind):
+    config = {
+        "backend": "scripted-oracle",
+        "seed": 3,
+        "corpus": dict(GOLDEN_CORPORA[kind], count=40),
+    }
+    cfg = write(tmp_path / "cfg.yaml", json.dumps(config))
+    out = tmp_path / "out"
+    code, _, _ = run_cli(capsys, stage, "--config", cfg, "--out", str(out))
+    assert code == 0
+    digests = {
+        name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+        for name in ORACLE_DIGESTS[stage, kind]
+    }
+    assert digests == ORACLE_DIGESTS[stage, kind]
 
 
 # sha256 of the manifest, whose config_hash covers every config value, of

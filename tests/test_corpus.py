@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import json
+import os
 import random
 
 import pytest
@@ -19,9 +20,9 @@ from oracle_forge.corpus import (
     gen_chain_task,
     gen_rulebase_task,
     load_tasks,
-    save_tasks,
     task_to_dict,
 )
+from oracle_forge.datafactory import save_tasks
 from oracle_forge.kernel import Atom, Rule, answer_query, parse_atom, verify_step
 
 
@@ -255,6 +256,10 @@ class TestTaskSerialization:
         tasks.append(gen_rulebase_task(8, 5, seed=4))
         path = tmp_path / "tasks.jsonl"
         save_tasks(tasks, path)
+        # One sorted-key JSON object per line, and no temporary file left.
+        expected = "".join(json.dumps(task_to_dict(t), sort_keys=True) + "\n" for t in tasks)
+        assert path.read_bytes() == expected.encode("utf-8")
+        assert os.listdir(tmp_path) == ["tasks.jsonl"]
         loaded = load_tasks(path)
         assert len(loaded) == len(tasks)
         for orig, back in zip(tasks, loaded):

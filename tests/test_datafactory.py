@@ -40,6 +40,7 @@ from oracle_forge.gateway import (
     SYMBOLIC_DEFECT,
     GenerationContext,
     HttpBackend,
+    HttpSpec,
     ScriptedNoisyBackend,
     ScriptedOracleBackend,
     TranslationResult,
@@ -257,8 +258,7 @@ class TestAuditAndStats:
             return 200, json.dumps({"choices": [choice] * payload["n"]})
 
         backend = HttpBackend(
-            endpoint="http://example.test/v1/chat/completions",
-            model="test-model",
+            HttpSpec(endpoint="http://example.test/v1/chat/completions", model="test-model"),
             prompts={"generation": "g", "translation": "t", "precision": "p", "feasibility": "f"},
             transport=transport,
             sleep=lambda _t: None,

@@ -15,6 +15,7 @@ from oracle_forge.gateway import (
     BackendUnavailable,
     GenerationContext,
     HttpBackend,
+    HttpSpec,
     ScriptedNoisyBackend,
     ScriptedOracleBackend,
 )
@@ -36,6 +37,8 @@ class TestScriptedOracle:
         cands = backend.generate_candidates(ctx_for(task), 3)
         assert len(cands) == 1
         assert cands[0].step == gold_step(task, 0)
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            backend.generate_candidates(ctx_for(task), 0)
 
     def test_terminal_step_carries_final_answer(self, task):
         backend = ScriptedOracleBackend(task)
@@ -165,17 +168,15 @@ class FakeTransport:
         return entry
 
 
-def http_backend(transport, **kwargs):
-    kwargs.setdefault("prompts", {"generation": "g", "translation": "t",
-                                  "precision": "p", "feasibility": "f"})
-    return HttpBackend(
+def http_backend(transport, **fields):
+    spec = HttpSpec(
         endpoint="http://example.test/v1/chat/completions",
         model="test-model",
         api_key="sk-test",
-        transport=transport,
-        sleep=lambda _t: None,
-        **kwargs,
+        **fields,
     )
+    prompts = {"generation": "g", "translation": "t", "precision": "p", "feasibility": "f"}
+    return HttpBackend(spec, prompts, transport, sleep=lambda _t: None)
 
 
 class TestHttpBackend:
@@ -384,11 +385,9 @@ def serve():
         server.server_close()
 
 
-def default_http_backend(endpoint, **kwargs):
-    return HttpBackend(
-        endpoint=endpoint, model="test-model", api_key="sk-test",
-        sleep=lambda _t: None, timeout=5.0, **kwargs,
-    )
+def default_http_backend(endpoint, **fields):
+    spec = HttpSpec(endpoint=endpoint, model="test-model", api_key="sk-test", timeout=5.0, **fields)
+    return HttpBackend(spec, sleep=lambda _t: None)
 
 
 class TestDefaultTransport:

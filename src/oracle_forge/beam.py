@@ -2,8 +2,10 @@
 
 Per depth: the top-K frontier nodes each generate W/K candidate children;
 every child is translated to symbolic form, checked by the step verifier,
-judged by the evaluator, and scored.  The precision judge is asked only for
-steps the engine did not execute, the only ones whose score reads it.
+judged by the evaluator, and scored.  The engine checks each distinct
+(facts, rule) translation once per task; a repeat reuses its verdict.  The
+precision judge is asked only for steps the engine did not execute, the only
+ones whose score reads it.
 Engine-verified children get their REASONING_RESULT replaced by the
 canonical engine conclusions.  Terminal children whose answer matches the
 gold answer are harvested as SFT paths; preference pairs come from
@@ -129,15 +131,20 @@ def expand_node(
     backend,
     cfg: BeamConfig,
     first_id: int,
+    verdicts: dict[tuple, StepVerdict],
 ) -> list[BeamNode]:
     """Generate, verify, evaluate, and score up to ``fanout`` children,
-    numbered from ``first_id`` in generation order."""
+    numbered from ``first_id`` in generation order.  ``verdicts`` holds the
+    task's engine verdicts by (facts, rule); new ones are added to it."""
     children: list[BeamNode] = []
     candidates = backend.generate_candidates(ctx, fanout)
     for cand in candidates[:fanout]:
         translation = backend.translate(cand.step)
         if translation.ok:
-            verdict = kernel.verify_step(translation.facts, translation.rule)
+            key = (translation.facts, translation.rule)
+            verdict = verdicts.get(key)
+            if verdict is None:
+                verdict = verdicts[key] = kernel.verify_step(*key)
         else:
             verdict = StepVerdict(failure=FailureKind.PARSE_FAILURE, detail=translation.detail)
         step = cand.step
@@ -190,6 +197,7 @@ def run_beam(
     harvested: list[BeamNode] = []
     frontier: list[BeamNode] = [root]
     telemetry = {"expansions": 0, "discarded_terminals": 0}
+    verdicts: dict[tuple, StepVerdict] = {}
 
     for _depth in range(cfg.max_depth):
         to_expand = select_frontier(frontier, cfg.top_k)
@@ -205,7 +213,7 @@ def run_beam(
                 temperature=cfg.temperature,
                 seed=cfg.seed,
             )
-            children = expand_node(node, ctx, cfg.fanout, backend, cfg, len(nodes))
+            children = expand_node(node, ctx, cfg.fanout, backend, cfg, len(nodes), verdicts)
             telemetry["expansions"] += 1
             for child in children:
                 nodes.append(child)

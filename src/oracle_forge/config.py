@@ -210,6 +210,23 @@ def _build(data: dict) -> PipelineConfig:
     return cfg
 
 
+class _Loader(yaml.SafeLoader):
+    """PyYAML's safe loader, except that a timestamp which names no real date
+    or time, such as ``2001-13-45``, is a YAML error at its place instead of
+    the bare ``ValueError`` that PyYAML lets out."""
+
+    def construct_yaml_timestamp(self, node):
+        try:
+            return super().construct_yaml_timestamp(node)
+        except ValueError as exc:
+            raise yaml.constructor.ConstructorError(
+                None, None, f"invalid timestamp {node.value!r}: {exc}", node.start_mark
+            ) from exc
+
+
+_Loader.add_constructor("tag:yaml.org,2002:timestamp", _Loader.construct_yaml_timestamp)
+
+
 def _yaml_error(path: str, exc: yaml.YAMLError) -> str:
     """PyYAML's error on one line: the file, the place in it, and the problem."""
     if isinstance(exc, yaml.reader.ReaderError):
@@ -232,7 +249,7 @@ def load_config(path: str | None = None, **overrides) -> PipelineConfig:
     if path is not None:
         try:
             with open(path, "rb") as fh:  # PyYAML reports undecodable text
-                data = yaml.safe_load(fh) or {}
+                data = yaml.load(fh, _Loader) or {}
         except OSError as exc:
             raise ConfigError(f"cannot read config: {exc}") from exc
         except yaml.YAMLError as exc:

@@ -8,7 +8,9 @@ Three backends:
 - ``ScriptedOracleBackend``: the noisy backend with no corruption and one
   candidate per expansion, used for pipeline tests and the oracle runs.
 - ``HttpBackend``: chat-completion-style JSON over HTTP with exponential
-  backoff (docs/http_backend.md); its settings are an ``HttpSpec``.
+  backoff (docs/http_backend.md); its settings are an ``HttpSpec``.  One
+  backend serves one task and remembers its translation and judge replies,
+  so each distinct such prompt is sent once per task.
 """
 
 from __future__ import annotations
@@ -225,6 +227,12 @@ class HttpBackend:
     proxies from ``HTTP(S)_PROXY``/``NO_PROXY``, HTTPS certificates verified,
     and a non-2xx reply returned as its status, not raised.  Tests inject a
     fake transport for fault injection.
+
+    The reply to each translation and judge prompt is remembered for the
+    life of the backend, which is one task, and reused for the same prompt
+    (counted as ``reused_answers``): the task sends it once and sees one
+    verdict for it.  Generation samples at its temperature and is never
+    remembered, nor is a prompt whose request raised ``BackendUnavailable``.
     """
 
     def __init__(self, spec: HttpSpec, prompts: dict[str, str] | None = None,
@@ -234,6 +242,7 @@ class HttpBackend:
         self._sleep = sleep
         self._transport = transport or self._default_transport
         self.telemetry: Counter = Counter()
+        self._answers: dict[str, str] = {}  # prompt -> reply, for one task
 
     @staticmethod
     def _default_transport(url, payload, headers, timeout):
@@ -288,6 +297,15 @@ class HttpBackend:
                 continue
         raise BackendUnavailable(f"{spec.endpoint}: retries exhausted ({last_error})")
 
+    def _answer(self, prompt: str) -> str:
+        """The one evaluation-temperature reply to ``prompt`` in this task."""
+        if prompt in self._answers:
+            self.telemetry["reused_answers"] += 1
+            return self._answers[prompt]
+        text = self._complete(prompt, DEFAULT_EVALUATION_TEMPERATURE)[0]
+        self._answers[prompt] = text
+        return text
+
     def _prompt(self, asset: str, *parts: str) -> str:
         """The request prompt: the named prompt asset, then the parts, empty
         ones dropped, one blank line apart."""
@@ -315,8 +333,7 @@ class HttpBackend:
         return self._complete(prompt, ctx.temperature, n=1)[0]
 
     def translate(self, step: template.ReasoningStep) -> TranslationResult:
-        prompt = self._prompt("translation", template.serialize_step(step))
-        text = self._complete(prompt, DEFAULT_EVALUATION_TEMPERATURE, n=1)[0]
+        text = self._answer(self._prompt("translation", template.serialize_step(step)))
         try:
             facts, rules = kernel.parse_clauses(text)
         except kernel.KbError as exc:
@@ -330,7 +347,7 @@ class HttpBackend:
 
     def _yes_no(self, prompt_name: str, step: template.ReasoningStep, ctx) -> bool:
         prompt = self._prompt(prompt_name, ctx.question, template.serialize_step(step))
-        answer = self._complete(prompt, DEFAULT_EVALUATION_TEMPERATURE, n=1)[0].strip().upper()
+        answer = self._answer(prompt).strip().upper()
         if answer not in ("YES", "NO"):
             self.telemetry["unparseable_judgments"] += 1
             return False

@@ -6,7 +6,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from oracle_forge import template
+from oracle_forge import kernel, template
 from oracle_forge.beam import (
     BeamConfig,
     BeamNode,
@@ -26,7 +26,7 @@ from oracle_forge.gateway import (
     ScriptedNoisyBackend,
     ScriptedOracleBackend,
 )
-from oracle_forge.kernel import Fact, StepVerdict, parse_atom
+from oracle_forge.kernel import Fact, StepVerdict, parse_atom, verify_step
 from oracle_forge.template import normalize_answer
 
 
@@ -229,6 +229,37 @@ class TestRunBeam:
         assert result.sft_paths[0].answer == task.gold_answer
 
 
+class TestVerdictMemo:
+    """The engine checks each distinct (facts, rule) translation once per
+    task, and every node still carries the verdict a fresh check gives."""
+
+    @pytest.mark.parametrize("rulebase", [False, True])
+    def test_one_check_per_distinct_translation(self, monkeypatch, rulebase):
+        checked = []
+
+        def counting_verify_step(facts, rule):
+            checked.append((facts, rule))
+            return verify_step(facts, rule)
+
+        monkeypatch.setattr(kernel, "verify_step", counting_verify_step)
+        reused = 0
+        for seed in range(4):
+            task = gen_rulebase_task(12, 8, True, seed) if rulebase else gen_chain_task(4, seed=seed)
+            backend = ScriptedNoisyBackend(
+                task, CorruptionModel(p_bad_rule=0.3, p_bad_fact=0.1, seed=seed)
+            )
+            checked.clear()
+            result = run_beam(task, BeamConfig(seed=seed), backend)
+            translated = [n for n in result.nodes[1:] if n.translation.ok]
+            keys = {(n.translation.facts, n.translation.rule) for n in translated}
+            assert len(checked) == len(set(checked)) and set(checked) == keys
+            reused += len(translated) - len(keys)
+            for n in translated:
+                fresh = verify_step(n.translation.facts, n.translation.rule)
+                assert (n.verdict, n.verdict.detail) == (fresh, fresh.detail)
+        assert reused > 0
+
+
 class TestPrecisionSkip:
     """The precision judge is asked only when the engine rejected the step:
     that is the only case in which score_candidate reads it."""
@@ -267,7 +298,7 @@ class TestPrecisionSkip:
         )
         cfg = BeamConfig()
         root = BeamNode(id=0, parent=None, steps=(), score=ScoreBreakdown(0, 0, 0))
-        (child,) = expand_node(root, GenerationContext(question="q"), 1, backend, cfg, 1)
+        (child,) = expand_node(root, GenerationContext(question="q"), 1, backend, cfg, 1, {})
         assert child.verdict.executed is executes
         assert asked[0] == "g"
         assert asked[1:] == (["t", "f"] if executes else ["t", "p", "f"])

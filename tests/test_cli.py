@@ -314,6 +314,11 @@ class TestStage1Cli:
                             "expected ',' or ']', but got '<stream end>'"),
             (b"beam:\n  width: 3\n    top_k: 1\n",
              "line 3, col 10: mapping values are not allowed here"),
+            # A YAML timestamp that names no real date.
+            (b"seed: 2001-13-45\n",
+             "line 1, col 7: invalid timestamp '2001-13-45': month must be in 1..12"),
+            (b"seed: 3\nout_dir: 2001-12-45\n",
+             "line 2, col 10: invalid timestamp '2001-12-45': day is out of range for month"),
         ]:
             cfg.write_bytes(content)
             code, stdout, stderr = run_cli(capsys, stage, "--config", str(cfg))

@@ -265,7 +265,7 @@ class TestAuditAndStats:
         )
         root = BeamNode(id=0, parent=None, steps=(), score=ScoreBreakdown(0, 0, 0))
         (child,) = expand_node(
-            root, GenerationContext(question="q"), 1, backend, BeamConfig(), 1
+            root, GenerationContext(question="q"), 1, backend, BeamConfig(), 1, {}
         )
         record = node_to_audit(child, "t")
         assert (record["failure_kind"], record["failure_class"]) == (kind, TRANSLATION_ERROR)

@@ -334,6 +334,102 @@ class TestHttpBackend:
         assert transport.calls[0]["model"] == "test-model"
 
 
+def _step(i):
+    return template.ReasoningStep(
+        query=f"q{i}?", facts=(f"f{i}",), rule=f"r{i}", revision="",
+        revision_result=template.RevisionResult.retained(), reasoning_result="c",
+    )
+
+
+def replies_by_asset(payload):
+    """YES to a judge, a one-rule translation to the translation prompt, and
+    ``n`` one-step candidates to generation, by the prompt's asset."""
+    asset = payload["messages"][0]["content"].split("\n\n", 1)[0]
+    text = {"t": "fact a(b).\nrule c(X) :- a(X).", "p": "YES", "f": "NO"}.get(asset)
+    if text is None:
+        return 200, chat_response(*[template.serialize_step(_step(0))] * payload["n"])
+    return 200, chat_response(text)
+
+
+def sent_prompts(transport):
+    return [c["messages"][0]["content"] for c in transport.calls]
+
+
+class TestHttpMemo:
+    """One backend serves one task: each distinct translation or judge prompt
+    is sent once and its reply reused; generation is sent on every call."""
+
+    def test_translation_and_judge_prompts_are_sent_once(self):
+        transport = FakeTransport([replies_by_asset])
+        backend = http_backend(transport)
+        ctx = GenerationContext(question="Q")
+        first = (backend.translate(_step(0)), backend.evaluate(_step(0), ctx))
+        again = (backend.translate(_step(0)), backend.evaluate(_step(0), ctx))
+        assert again == first
+        assert first[1] == gateway.EvalVerdict(precision_pass=True, feasibility_pass=False)
+        step_text = template.serialize_step(_step(0))
+        assert sent_prompts(transport) == [
+            "t\n\n" + step_text, "p\n\nQ\n\n" + step_text, "f\n\nQ\n\n" + step_text,
+        ]
+        assert backend.telemetry["reused_answers"] == 3
+        # Another step, or the same step under another question, is a new prompt.
+        backend.translate(_step(1))
+        backend.evaluate(_step(0), GenerationContext(question="Q2"), executed=True)
+        assert len(transport.calls) == 5
+        assert backend.telemetry["reused_answers"] == 3
+
+    def test_generation_is_sent_on_every_call(self):
+        transport = FakeTransport([replies_by_asset])
+        backend = http_backend(transport)
+        ctx = GenerationContext(question="Q", prior_steps=(_step(1),))
+        a = backend.generate_candidates(ctx, 2)
+        b = backend.generate_candidates(ctx, 2)
+        backend.generate_response(ctx)
+        backend.generate_response(ctx)
+        assert a == b and len(a) == 2
+        prompts = sent_prompts(transport)
+        assert len(prompts) == 4 and len(set(prompts)) == 2
+        assert "reused_answers" not in backend.telemetry
+
+    def test_a_failed_prompt_is_sent_again(self):
+        transport = FakeTransport([(503, "busy"), (503, "busy"), replies_by_asset])
+        backend = http_backend(transport, max_retries=2)
+        with pytest.raises(BackendUnavailable):
+            backend.translate(_step(0))
+        assert backend.translate(_step(0)).ok
+        assert backend.translate(_step(0)).ok
+        assert len(transport.calls) == 3
+        assert backend.telemetry["reused_answers"] == 1
+
+    def test_a_fresh_backend_sends_again(self):
+        transport = FakeTransport([replies_by_asset])
+        ctx = GenerationContext(question="Q")
+        for _task in range(2):
+            backend = http_backend(transport)
+            backend.translate(_step(0))
+            backend.evaluate(_step(0), ctx)
+            backend.translate(_step(0))
+        prompts = sent_prompts(transport)
+        assert len(prompts) == 6 and prompts[:3] == prompts[3:]
+
+    def test_a_beam_sends_each_distinct_prompt_once(self):
+        # Every candidate is the same step, so siblings and nodes at every
+        # depth repeat one translation and one feasibility prompt; precision
+        # is not asked, since the translation executes.
+        transport = FakeTransport([replies_by_asset])
+        backend = http_backend(transport)
+        task = gen_chain_task(3, 2, seed=0)
+        cfg = BeamConfig(max_depth=3)
+        result = run_beam(task, cfg, backend)
+        prompts = sent_prompts(transport)
+        generation = [p for p in prompts if p.startswith("g\n\n")]
+        judged = [p for p in prompts if not p.startswith("g\n\n")]
+        assert len(generation) == result.telemetry["expansions"] == 7
+        assert len(judged) == len(set(judged)) == 2
+        children = len(result.nodes) - 1
+        assert backend.telemetry["reused_answers"] == 2 * children - 2
+
+
 class ScriptedServer(ThreadingHTTPServer):
     """Loopback server that answers POSTs from a script of (status, body)
     and records each request's headers and JSON payload."""

@@ -1,0 +1,49 @@
+#!/usr/bin/env python3
+"""Peak RSS of one stage-2 run, read inside the process that ran it.
+
+Runs ``oracle-forge stage2`` in this process on a scripted-noisy chain corpus
+(hops <= 4, ``p_bad_rule`` 0.3, ``p_bad_fact`` 0.1, seed 3) of --tasks tasks,
+then prints ``peak_rss_mib <value>``: ``getrusage(RUSAGE_SELF).ru_maxrss``.
+Linux carries the high-water mark across fork and exec, so start this from a
+small process such as a shell: under a large parent it reads the parent's
+size.  Comparing two task counts shows how stage 2's memory grows with the
+corpus:
+
+    python3 scripts/stage2_peak_rss.py --tasks 100 --out /tmp/rss-100
+    python3 scripts/stage2_peak_rss.py --tasks 1600 --out /tmp/rss-1600
+"""
+
+import argparse
+import json
+import os
+import resource
+import sys
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src"))
+
+from oracle_forge import cli
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__)
+    ap.add_argument("--tasks", type=int, required=True)
+    ap.add_argument("--out", required=True)
+    args = ap.parse_args()
+
+    os.makedirs(args.out, exist_ok=True)
+    cfg = os.path.join(args.out, "config.yaml")
+    with open(cfg, "w", encoding="utf-8") as fh:
+        json.dump({
+            "backend": "scripted-noisy",
+            "seed": 3,
+            "corruption": {"p_bad_rule": 0.3, "p_bad_fact": 0.1},
+            "corpus": {"kind": "chain", "count": args.tasks, "hops": 4},
+        }, fh)  # JSON is valid YAML
+    code = cli.main(["stage2", "--config", cfg, "--out", os.path.join(args.out, "stage2")])
+    peak_kib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss  # KiB on Linux
+    print(f"peak_rss_mib {peak_kib / 1024:.1f}")
+    return code
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -11,11 +11,14 @@ Subcommands:
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
+from itertools import islice
 
 from . import corpus, datafactory, gateway, kernel
 from .beam import run_beam
@@ -66,33 +69,50 @@ def make_task_backend(cfg: PipelineConfig, task, prompts):
     return gateway.ScriptedOracleBackend(task)
 
 
-def _run_per_task(cfg: PipelineConfig, tasks, fn):
-    """Run fn(index, task) over tasks: on ``cfg.effective_workers()`` threads
-    for the http backend, whose tasks wait on the network, and serially for
-    the CPU-bound scripted backends.  A task whose backend stays unavailable
-    is left out and named on stderr; returns the other tasks' results in task
-    order and the number of tasks lost."""
+def _in_threads(fn, items, workers: int):
+    """Yield fn(item) for each of the iterator ``items``, in order, from
+    ``workers`` threads, which run at most ``workers`` items ahead."""
+    pool = ThreadPoolExecutor(max_workers=workers)
+    try:
+        ahead = deque(pool.submit(fn, item) for item in islice(items, workers))
+        while ahead:
+            outcome = ahead.popleft().result()
+            ahead.extend(pool.submit(fn, item) for item in islice(items, 1))
+            yield outcome
+    finally:
+        pool.shutdown(cancel_futures=True)
 
-    def attempt(i, task):
+
+def _run_per_task(cfg: PipelineConfig, tasks, fn, lost: list):
+    """Yield fn(task) for each task, in task order: serially for the CPU-bound
+    scripted backends, and from ``cfg.effective_workers()`` threads for the
+    http backend, whose tasks wait on the network.  A consumer that drops each
+    result before it takes the next holds at most workers + 1; closing the
+    generator, or a task that raises, cancels the tasks still queued.  A task
+    whose backend stays unavailable is left out, appended to ``lost``, and
+    counted on stderr after the last task."""
+
+    def attempt(task):
         try:
-            return fn(i, task)
+            return fn(task)
         except gateway.BackendUnavailable as exc:
             return exc
 
     if cfg.backend == "http":
-        with ThreadPoolExecutor(max_workers=cfg.effective_workers()) as pool:
-            outcomes = list(pool.map(attempt, range(len(tasks)), tasks))
+        outcomes = _in_threads(attempt, iter(tasks), cfg.effective_workers())
     else:
-        outcomes = [attempt(i, t) for i, t in enumerate(tasks)]
-    lost = [o for o in outcomes if isinstance(o, gateway.BackendUnavailable)]
+        outcomes = map(attempt, tasks)
+    for outcome in outcomes:
+        if isinstance(outcome, gateway.BackendUnavailable):
+            lost.append(outcome)
+        else:
+            yield outcome
     if lost:
         print(
             f"error: {len(lost)}/{len(tasks)} tasks lost to an unavailable "
             f"backend; first: {lost[0]}",
             file=sys.stderr,
         )
-    results = [o for o in outcomes if not isinstance(o, gateway.BackendUnavailable)]
-    return results, len(lost)
 
 
 def cmd_stage1(cfg: PipelineConfig, prompts: dict[str, str]) -> int:
@@ -100,7 +120,7 @@ def cmd_stage1(cfg: PipelineConfig, prompts: dict[str, str]) -> int:
     if tasks is None:
         return EXIT_FAILURE
 
-    def one(i, task):
+    def one(task):
         backend = make_task_backend(cfg, task, prompts)
         ctx = gateway.GenerationContext(
             question=task.prompt,
@@ -110,8 +130,8 @@ def cmd_stage1(cfg: PipelineConfig, prompts: dict[str, str]) -> int:
         )
         return task, backend.generate_response(ctx)
 
-    samples, lost = _run_per_task(cfg, tasks, one)
-    kept, rejected = datafactory.stage1_filter(samples)
+    lost: list = []
+    kept, rejected = datafactory.stage1_filter(_run_per_task(cfg, tasks, one, lost))
     manifest = datafactory.emit_stage1(
         kept, rejected, cfg.out_dir, cfg.seed, cfg.hashable_dict(), cfg.max_sft,
         lost_tasks=lost,
@@ -127,27 +147,25 @@ def cmd_stage2(cfg: PipelineConfig, prompts: dict[str, str]) -> int:
     beam_cfg = cfg.beam
     if prompts.get("few_shot"):
         beam_cfg = replace(beam_cfg, few_shot_asset=prompts["few_shot"])
+    without_path: list = []
 
-    def one(i, task):
-        backend = make_task_backend(cfg, task, prompts)
-        return run_beam(task, beam_cfg, backend)
+    def one(task):
+        result = run_beam(task, beam_cfg, make_task_backend(cfg, task, prompts))
+        if not result.sft_paths:
+            without_path.append(task.id)
+        return result
 
-    results, lost = _run_per_task(cfg, tasks, one)
-    manifest = datafactory.emit_datasets(
-        results,
-        cfg.out_dir,
-        seed=cfg.seed,
-        config=cfg.hashable_dict(),
-        max_sft=cfg.max_sft,
-        max_dpo=cfg.max_dpo,
-        lost_tasks=lost,
-    )
-    n_without_path = sum(1 for r in results if not r.sft_paths)
-    if n_without_path:
-        print(
-            f"warning: {n_without_path}/{len(results)} tasks yielded no correct path",
-            file=sys.stderr,
+    # Emission takes the results in id order, as each task finishes.
+    tasks.sort(key=lambda t: t.id)
+    lost: list = []
+    with contextlib.closing(_run_per_task(cfg, tasks, one, lost)) as results:
+        manifest = datafactory.emit_datasets(
+            results, cfg.out_dir, seed=cfg.seed, config=cfg.hashable_dict(),
+            max_sft=cfg.max_sft, max_dpo=cfg.max_dpo, lost_tasks=lost,
         )
+    if without_path:
+        print(f"warning: {len(without_path)}/{manifest['counts']['tasks']} tasks "
+              "yielded no correct path", file=sys.stderr)
     print(
         f"stage2: sft {manifest['counts']['sft']}, dpo {manifest['counts']['dpo']}, "
         f"tasks {manifest['counts']['tasks']}"

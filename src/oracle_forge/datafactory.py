@@ -14,7 +14,8 @@ A line of a record file holds its record's fields, in declaration order:
 Both stages, and ``save_tasks``, write through ``write_outputs``: every file
 goes to a temporary name in the output directory first and is renamed into
 place only once all are written, ``manifest.json`` last.  A run that fails
-part-way leaves the previous run's files as they were.
+part-way leaves the previous run's files as they were.  Stage 2 streams: each
+task's ``BeamResult`` is written as it arrives, in task-id order, then dropped.
 """
 
 from __future__ import annotations
@@ -158,12 +159,6 @@ def node_to_audit(node, task_id: str) -> dict:
     }
 
 
-def _audit_lines(results: list[BeamResult]):
-    for result in results:
-        for node in result.nodes:
-            yield json.dumps(node_to_audit(node, result.task.id), sort_keys=True)
-
-
 _AUDIT_TYPES = {"id": int, "task_id": str, "has_step": bool, "executed": bool}
 
 
@@ -288,27 +283,23 @@ def config_hash(config_obj) -> str:
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
 
 
-def write_outputs(out_dir, files: dict, manifest: dict | None = None) -> None:
-    """Write each named file from its iterable of lines (without newlines), then
-    ``manifest.json`` if given, all or nothing: files are streamed to
-    temporary names in ``out_dir`` and renamed into place only once every one
-    is written, in order, the manifest last."""
+def write_outputs(out_dir, names, lines) -> None:
+    """Stream ``lines``, pairs of a name in ``names`` and a line without its
+    newline, into the files ``names`` in ``out_dir``, all or nothing: the files
+    are open at once under temporary names in ``out_dir``, and renamed into
+    place in the order of ``names``, a manifest last, once the stream ends."""
     os.makedirs(out_dir, exist_ok=True)
-    if manifest is not None:
-        manifest_text = json.dumps(manifest, sort_keys=True, indent=2)
-        files = {**files, "manifest.json": [manifest_text]}
-    written: list[tuple[str, str]] = []
+    tmps = {name: os.path.join(out_dir, f".{name}.{os.getpid()}.tmp") for name in names}
     try:
-        for name, lines in files.items():
-            tmp = os.path.join(out_dir, f".{name}.{os.getpid()}.tmp")
-            written.append((tmp, os.path.join(out_dir, name)))
-            with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-                for line in lines:
-                    fh.write(line + "\n")
-        for tmp, path in written:
-            os.replace(tmp, path)
+        with contextlib.ExitStack() as stack:
+            files = {name: stack.enter_context(open(tmp, "w", encoding="utf-8", newline="\n"))
+                     for name, tmp in tmps.items()}
+            for name, line in lines:
+                files[name].write(line + "\n")
+        for name, tmp in tmps.items():
+            os.replace(tmp, os.path.join(out_dir, name))
     finally:
-        for tmp, _ in written:
+        for tmp in tmps.values():
             with contextlib.suppress(FileNotFoundError):
                 os.remove(tmp)
 
@@ -316,7 +307,8 @@ def write_outputs(out_dir, files: dict, manifest: dict | None = None) -> None:
 def save_tasks(tasks, path) -> None:
     """Write ``tasks`` to ``path`` as JSONL, which ``corpus.load_tasks`` reads."""
     out_dir, name = os.path.split(os.path.abspath(path))
-    write_outputs(out_dir, {name: (json.dumps(task_to_dict(t), sort_keys=True) for t in tasks)})
+    lines = ((name, json.dumps(task_to_dict(t), sort_keys=True)) for t in tasks)
+    write_outputs(out_dir, [name], lines)
 
 
 def _line(record) -> str:
@@ -324,55 +316,70 @@ def _line(record) -> str:
 
 
 def emit_stage1(
-    kept, rejected, out_dir, seed: int, config: dict, max_sft: int, lost_tasks: int = 0
+    kept, rejected, out_dir, seed: int, config: dict, max_sft: int, lost_tasks=()
 ) -> dict:
     """Write stage 1's kept SftRecords to sft.jsonl, its RejectReasons to
-    rejections.jsonl, and manifest.json; ``lost_tasks`` counts tasks left out
-    of the run, which makes the output partial."""
+    rejections.jsonl, and manifest.json; ``lost_tasks`` holds the tasks left
+    out of the run, which make the output partial."""
     sft = kept[:max_sft]
     manifest = {
         "counts": {"kept": len(sft), "rejected": len(rejected)},
         "seed": seed,
         "config_hash": config_hash(config),
         "stage": STAGE1,
-        "partial": lost_tasks > 0 or len(sft) < len(kept),
+        "partial": bool(lost_tasks) or len(sft) < len(kept),
     }
-    files = {
-        "sft.jsonl": map(_line, sft),
-        "rejections.jsonl": map(_line, rejected),
-    }
-    write_outputs(out_dir, files, manifest)
+    lines = [*(("sft.jsonl", _line(r)) for r in sft),
+             *(("rejections.jsonl", _line(r)) for r in rejected),
+             ("manifest.json", json.dumps(manifest, sort_keys=True, indent=2))]
+    write_outputs(out_dir, ("sft.jsonl", "rejections.jsonl", "manifest.json"), lines)
     return manifest
 
 
 def emit_datasets(
-    results: list[BeamResult],
+    results,
     out_dir,
     seed: int,
     config: dict | None = None,
     max_sft: int | None = None,
     max_dpo: int | None = None,
-    lost_tasks: int = 0,
+    lost_tasks=(),
 ) -> dict:
-    """Write sft.jsonl, dpo.jsonl, audit.jsonl, and manifest.json; rerun with
-    identical inputs is byte-identical.  ``lost_tasks`` counts tasks left out
-    of ``results``, which makes the output partial."""
-    results = sorted(results, key=lambda r: r.task.id)
-    all_sft = [rec for result in results for rec in sft_records_from_result(result)]
-    all_dpo = [rec for result in results for rec in dpo_records_from_result(result)]
-    sft, dpo = all_sft[:max_sft], all_dpo[:max_dpo]
+    """Write sft.jsonl, dpo.jsonl, audit.jsonl and manifest.json from
+    ``results``, BeamResults in ascending task-id order (else ValueError),
+    each written as it arrives and then dropped.  Records past ``max_sft`` or
+    ``max_dpo`` are cut, which makes the output partial, as do ``lost_tasks``,
+    the tasks left out of ``results``, read once it is exhausted."""
+    counts = {"sft": 0, "dpo": 0, "tasks": 0}
     manifest = {
-        "counts": {"sft": len(sft), "dpo": len(dpo), "tasks": len(results)},
+        "counts": counts,
         "seed": seed,
         "config_hash": config_hash(config or {}),
         "rule_language_version": kernel.RULE_LANGUAGE_VERSION,
         "files": ["sft.jsonl", "dpo.jsonl", "audit.jsonl"],
-        "partial": lost_tasks > 0 or len(sft) < len(all_sft) or len(dpo) < len(all_dpo),
+        "partial": False,
     }
-    files = {
-        "sft.jsonl": map(_line, sft),
-        "dpo.jsonl": map(_line, dpo),
-        "audit.jsonl": _audit_lines(results),
-    }
-    write_outputs(out_dir, files, manifest)
+
+    def lines():
+        last = None
+        for result in results:
+            task_id = result.task.id
+            if last is not None and task_id <= last:
+                raise ValueError(f"task {task_id!r} after {last!r}: ids must ascend")
+            last = task_id
+            counts["tasks"] += 1
+            for kind, cap, records in (
+                ("sft", max_sft, sft_records_from_result(result)),
+                ("dpo", max_dpo, dpo_records_from_result(result)),
+            ):
+                kept = records if cap is None else records[: cap - counts[kind]]
+                counts[kind] += len(kept)
+                manifest["partial"] |= len(kept) < len(records)
+                yield from ((f"{kind}.jsonl", _line(rec)) for rec in kept)
+            for node in result.nodes:
+                yield "audit.jsonl", json.dumps(node_to_audit(node, task_id), sort_keys=True)
+        manifest["partial"] |= bool(lost_tasks)
+        yield "manifest.json", json.dumps(manifest, sort_keys=True, indent=2)
+
+    write_outputs(out_dir, [*manifest["files"], "manifest.json"], lines())
     return manifest

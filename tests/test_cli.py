@@ -1,9 +1,12 @@
 import hashlib
 import json
 import os
+import random
 import re
+import sys
 import threading
 import time
+import weakref
 
 import pytest
 
@@ -434,7 +437,8 @@ class FakeChatTransport:
     Answers by the prompt asset a request starts with: generation from the
     scripted-noisy backend, translation from the tasks' NL pairings, and YES
     to every judgment.  Holds each call 2 ms and records the peak number of
-    calls in flight."""
+    calls in flight, the number of calls, and the ids of the tasks whose
+    generation prompts it was sent."""
 
     def __init__(self, cfg):
         tasks = cli.build_tasks(cfg)
@@ -442,11 +446,13 @@ class FakeChatTransport:
         self.symbols = {nl: sym for t in tasks for nl, sym in t.nl_pairing.items()}
         self.cfg = cfg
         self.lock = threading.Lock()
-        self.active = self.peak = 0
+        self.active = self.peak = self.calls = 0
+        self.task_ids = set()
 
     def __call__(self, url, payload, headers, timeout):
         with self.lock:
             self.active += 1
+            self.calls += 1
             self.peak = max(self.peak, self.active)
         time.sleep(0.002)
         with self.lock:
@@ -458,6 +464,8 @@ class FakeChatTransport:
         asset, _, rest = prompt.partition("\n\n")
         if asset == "GEN":
             question, _, prior = rest.partition("\n\n<QUERY>")
+            with self.lock:
+                self.task_ids.add(self.tasks[question].id)
             steps = template.parse_response("<QUERY>" + prior).steps if prior else ()
             ctx = gateway.GenerationContext(question, steps, seed=self.cfg.beam.seed)
             backend = gateway.ScriptedNoisyBackend(self.tasks[question], self.cfg.corruption)
@@ -471,25 +479,38 @@ class FakeChatTransport:
         return ["".join(f"fact {f}.\n" for f in symbols[:-1]) + f"rule {symbols[-1]}\n"]
 
 
+def http_config(tmp_path, workers, count=6):
+    """The path of an http stage-2 config on ``count`` chain tasks, run on
+    ``workers`` threads, whose prompt assets FakeChatTransport tells apart."""
+    prompts = tmp_path / "prompts"
+    prompts.mkdir(exist_ok=True)
+    for name, text in (("generation", "GEN"), ("translation", "TRANS"),
+                       ("precision", "PREC"), ("feasibility", "FEAS")):
+        write(prompts / f"{name}.txt", text)
+    config = {
+        "backend": "http",
+        "seed": 3,
+        "workers": workers,
+        "prompts_dir": str(prompts),
+        "http": {"endpoint": "http://chat.invalid/v1", "model": "m"},
+        "corruption": {"p_bad_rule": 0.3, "p_bad_fact": 0.1},
+        "corpus": {"kind": "chain", "count": count, "hops": 3},
+    }
+    return write(tmp_path / f"cfg-{workers}.yaml", json.dumps(config))
+
+
+def fake_http(monkeypatch, cfg_path):
+    """Send every HttpBackend request of the run of ``cfg_path`` to a
+    FakeChatTransport, which is returned."""
+    transport = FakeChatTransport(load_config(cfg_path))
+    monkeypatch.setattr(gateway.HttpBackend, "_default_transport", staticmethod(transport))
+    return transport
+
+
 class TestConcurrency:
     def _http_run(self, tmp_path, capsys, monkeypatch, workers):
-        prompts = tmp_path / "prompts"
-        prompts.mkdir(exist_ok=True)
-        for name, text in (("generation", "GEN"), ("translation", "TRANS"),
-                           ("precision", "PREC"), ("feasibility", "FEAS")):
-            write(prompts / f"{name}.txt", text)
-        config = {
-            "backend": "http",
-            "seed": 3,
-            "workers": workers,
-            "prompts_dir": str(prompts),
-            "http": {"endpoint": "http://chat.invalid/v1", "model": "m"},
-            "corruption": {"p_bad_rule": 0.3, "p_bad_fact": 0.1},
-            "corpus": {"kind": "chain", "count": 6, "hops": 3},
-        }
-        path = write(tmp_path / f"cfg-{workers}.yaml", json.dumps(config))
-        transport = FakeChatTransport(load_config(path))
-        monkeypatch.setattr(gateway.HttpBackend, "_default_transport", staticmethod(transport))
+        path = http_config(tmp_path, workers)
+        transport = fake_http(monkeypatch, path)
         out = tmp_path / f"w{workers}"
         code, _, _ = run_cli(capsys, "stage2", "--config", path, "--out", str(out))
         assert code == 0
@@ -516,6 +537,135 @@ class TestConcurrency:
         code, stdout, _ = run_cli(capsys, "stage2", "--config", cfg, "--out", str(tmp_path / "o"))
         assert code == 0
         assert "tasks 6" in stdout
+
+
+STAGE2_FILES = ("sft.jsonl", "dpo.jsonl", "audit.jsonl", "manifest.json")
+
+
+def read_outputs(out):
+    """Every file in ``out`` by name, with its bytes."""
+    return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+
+
+class TestStage2Streaming:
+    """Stage 2 writes each task's result once it is done, in task-id order,
+    and then drops it."""
+
+    @staticmethod
+    def watch_run_beam(monkeypatch, fail_at=None, slow_first=0.0):
+        """Wrap cli.run_beam to count the BeamResults alive at once.  Returns
+        a dict: ``peak``, the most alive at once, and ``started``, the task
+        ids in call order.  The first call sleeps ``slow_first`` seconds, and
+        call number ``fail_at`` raises RuntimeError."""
+        lock = threading.Lock()
+        live = {"now": 0, "peak": 0, "started": []}
+        run_beam = cli.run_beam
+
+        def release():
+            with lock:
+                live["now"] -= 1
+
+        def watched(task, *args):
+            with lock:
+                live["started"].append(task.id)
+                n = len(live["started"])
+            if n == 1:
+                time.sleep(slow_first)
+            if n == fail_at:
+                raise RuntimeError(f"beam search failed on {task.id}")
+            result = run_beam(task, *args)
+            with lock:
+                live["now"] += 1
+                live["peak"] = max(live["peak"], live["now"])
+            weakref.finalize(result, release)
+            return result
+
+        monkeypatch.setattr(cli, "run_beam", watched)
+        return live
+
+    def test_scripted_run_holds_no_result_past_its_emission(self, tmp_path, capsys, monkeypatch):
+        live = self.watch_run_beam(monkeypatch)
+        cfg = golden_config(tmp_path, "chain")  # 40 tasks, workers: 2
+        code, _, _ = run_cli(capsys, "stage2", "--config", cfg, "--out", str(tmp_path / "out"))
+        assert code == 0 and len(live["started"]) == 40
+        assert live["peak"] <= 2 + 1
+
+    @pytest.mark.parametrize("workers", [2, 4])
+    def test_http_run_holds_at_most_workers_plus_one_results(
+        self, tmp_path, capsys, monkeypatch, workers
+    ):
+        # The first task is slow, so the other workers would pile up results
+        # if they ran ahead without bound; threads switch often, and 4
+        # workers outnumber the cores of a small host.
+        cfg = http_config(tmp_path, workers=workers, count=12)
+        fake_http(monkeypatch, cfg)
+        live = self.watch_run_beam(monkeypatch, slow_first=0.3)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            code, _, _ = run_cli(capsys, "stage2", "--config", cfg, "--out", str(tmp_path / "out"))
+        finally:
+            sys.setswitchinterval(interval)
+        assert code == 0 and len(live["started"]) == 12
+        assert live["peak"] <= workers + 1
+
+    def test_failed_scripted_run_leaves_previous_outputs(self, tmp_path, capsys, monkeypatch):
+        cfg = golden_config(tmp_path, "chain")
+        out = tmp_path / "out"
+        assert run_cli(capsys, "stage2", "--config", cfg, "--out", str(out))[0] == 0
+        before = read_outputs(out)
+        assert sorted(before) == sorted(STAGE2_FILES)
+        live = self.watch_run_beam(monkeypatch, fail_at=3)
+        with pytest.raises(RuntimeError, match="beam search failed"):
+            cli.main(["stage2", "--config", cfg, "--out", str(out), "--seed", "4"])
+        assert len(live["started"]) == 3
+        assert read_outputs(out) == before
+
+    def test_failed_http_run_cancels_queued_tasks(self, tmp_path, capsys, monkeypatch):
+        workers = 2
+        cfg = http_config(tmp_path, workers=workers, count=12)
+        out = tmp_path / "out"
+        fake_http(monkeypatch, cfg)
+        assert run_cli(capsys, "stage2", "--config", cfg, "--out", str(out))[0] == 0
+        before = read_outputs(out)
+        transport = fake_http(monkeypatch, cfg)
+        live = self.watch_run_beam(monkeypatch, fail_at=3)
+        with pytest.raises(RuntimeError, match="beam search failed"):
+            cli.main(["stage2", "--config", cfg, "--out", str(out)])
+        started, calls = sorted(live["started"]), transport.calls
+        # Tasks start in id order and at most ``workers`` ahead of the one
+        # being written; the failed third one stops the run.
+        ids = sorted(t.id for t in cli.build_tasks(load_config(cfg)))
+        assert started == ids[: len(started)] and len(started) <= 2 + workers
+        assert transport.task_ids <= set(started)
+        time.sleep(0.05)
+        assert transport.calls == calls and sorted(live["started"]) == started
+        assert read_outputs(out) == before
+
+    def test_file_corpus_out_of_id_order_writes_what_the_sorted_one_does(
+        self, tmp_path, capsys
+    ):
+        from oracle_forge.datafactory import save_tasks
+
+        tasks = cli.build_tasks(load_config(golden_config(tmp_path, "chain")))
+        shuffled = list(tasks)
+        random.Random(0).shuffle(shuffled)
+        ordered = sorted(tasks, key=lambda t: t.id)
+        assert [t.id for t in shuffled] != [t.id for t in ordered]
+        path = tmp_path / "tasks.jsonl"
+        cfg = write(
+            tmp_path / "file.yaml",
+            "backend: scripted-noisy\nseed: 3\ncorruption: {p_bad_rule: 0.3, p_bad_fact: 0.1}\n"
+            f"corpus: {{kind: file, path: {path}}}\n",
+        )
+        outputs = []
+        for name, order in (("shuffled", shuffled), ("sorted", ordered)):
+            save_tasks(order, str(path))
+            out = tmp_path / name
+            assert run_cli(capsys, "stage2", "--config", cfg, "--out", str(out))[0] == 0
+            outputs.append(read_outputs(out))
+        assert sorted(outputs[0]) == sorted(STAGE2_FILES)
+        assert outputs[0] == outputs[1]
 
 
 class TestStatsCli:

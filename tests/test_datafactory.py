@@ -1,8 +1,12 @@
+import functools
 import itertools
 import json
+import os
 import re
 import string
+import tempfile
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from conftest import (
@@ -45,7 +49,7 @@ from oracle_forge.gateway import (
     ScriptedOracleBackend,
     TranslationResult,
 )
-from oracle_forge.kernel import FailureKind, StepVerdict
+from oracle_forge.kernel import RULE_LANGUAGE_VERSION, FailureKind, StepVerdict
 from oracle_forge.template import serialize_response
 
 
@@ -358,3 +362,94 @@ class TestEmitDatasets:
         assert config_hash({"a": 1, "b": 2}) == config_hash({"b": 2, "a": 1})
         assert config_hash({"a": 1}) != config_hash({"a": 2})
         assert len(config_hash({})) == 16
+
+
+@functools.lru_cache(maxsize=None)
+def result_pool():
+    """The beam results of eight chain tasks of 1 to 3 hops, in ascending id
+    order; under the noisy backend most hold DPO pairs."""
+    results = []
+    for i in range(8):
+        task = gen_chain_task(1 + i % 3, seed=700 + i)
+        backend = ScriptedNoisyBackend(task, CorruptionModel(p_bad_rule=0.4, seed=7))
+        results.append(run_beam(task, BeamConfig(), backend))
+    return tuple(sorted(results, key=lambda r: r.task.id))
+
+
+def oracle_emit(results, seed, max_sft, max_dpo, lost_tasks):
+    """The manifest and file bytes of emit_datasets as it was when it took a
+    list: sort the results by task id, build every record, then slice."""
+    results = sorted(results, key=lambda r: r.task.id)
+    all_sft = [rec for r in results for rec in datafactory.sft_records_from_result(r)]
+    all_dpo = [rec for r in results for rec in datafactory.dpo_records_from_result(r)]
+    sft, dpo = all_sft[:max_sft], all_dpo[:max_dpo]
+    manifest = {
+        "counts": {"sft": len(sft), "dpo": len(dpo), "tasks": len(results)},
+        "seed": seed,
+        "config_hash": config_hash({}),
+        "rule_language_version": RULE_LANGUAGE_VERSION,
+        "files": ["sft.jsonl", "dpo.jsonl", "audit.jsonl"],
+        "partial": lost_tasks > 0 or len(sft) < len(all_sft) or len(dpo) < len(all_dpo),
+    }
+    audit = [
+        json.dumps(node_to_audit(node, r.task.id), sort_keys=True)
+        for r in results for node in r.nodes
+    ]
+    texts = {
+        "sft.jsonl": [json.dumps(vars(rec)) for rec in sft],
+        "dpo.jsonl": [json.dumps(vars(rec)) for rec in dpo],
+        "audit.jsonl": audit,
+        "manifest.json": [json.dumps(manifest, sort_keys=True, indent=2)],
+    }
+    return manifest, {
+        name: "".join(line + "\n" for line in lines).encode("utf-8")
+        for name, lines in texts.items()
+    }
+
+
+def read_dir(path) -> dict[str, bytes]:
+    return {name: (Path(path) / name).read_bytes() for name in sorted(os.listdir(path))}
+
+
+class TestStreamedEmission:
+    caps = st.one_of(st.none(), st.just(0), st.integers(1, 12))
+
+    def test_pool_has_records_to_cut(self):
+        pool = result_pool()
+        assert len({r.task.id for r in pool}) == len(pool)
+        assert sum(len(datafactory.sft_records_from_result(r)) for r in pool) > 12
+        assert sum(len(datafactory.dpo_records_from_result(r)) for r in pool) > 12
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        picks=st.sets(st.integers(0, 7)),
+        max_sft=caps,
+        max_dpo=caps,
+        lost=st.integers(0, 2),
+    )
+    def test_matches_an_oracle_that_sorts_and_slices(self, picks, max_sft, max_dpo, lost):
+        results = [result_pool()[i] for i in sorted(picks)]
+        with tempfile.TemporaryDirectory() as out:
+            manifest = emit_datasets(
+                iter(results), out, seed=1, max_sft=max_sft, max_dpo=max_dpo,
+                lost_tasks=["lost"] * lost,
+            )
+            written = read_dir(out)
+        want_manifest, want_files = oracle_emit(results, 1, max_sft, max_dpo, lost)
+        assert manifest == want_manifest
+        assert written == want_files
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        picks=st.lists(st.integers(0, 7), min_size=2, max_size=6).filter(
+            lambda p: any(a >= b for a, b in zip(p, p[1:]))
+        )
+    )
+    def test_id_out_of_order_or_repeated_raises_and_keeps_previous_outputs(self, picks):
+        pool = result_pool()
+        with tempfile.TemporaryDirectory() as out:
+            emit_datasets(pool[:3], out, seed=0)
+            before = read_dir(out)
+            with pytest.raises(ValueError, match="ids must ascend"):
+                emit_datasets((pool[i] for i in picks), out, seed=1)
+            assert read_dir(out) == before

@@ -1,9 +1,11 @@
 #!/usr/bin/env python3
 """Peak RSS of one stage-2 run, read inside the process that ran it.
 
-Runs ``oracle-forge stage2`` in this process on a scripted-noisy chain corpus
-(hops <= 4, ``p_bad_rule`` 0.3, ``p_bad_fact`` 0.1, seed 3) of --tasks tasks,
-then prints ``peak_rss_mib <value>``: ``getrusage(RUSAGE_SELF).ru_maxrss``.
+Runs ``oracle-forge stage2`` in this process on a scripted-noisy corpus
+(``p_bad_rule`` 0.3, ``p_bad_fact`` 0.1, seed 3) of --tasks tasks, then prints
+``peak_rss_mib <value>``: ``getrusage(RUSAGE_SELF).ru_maxrss``.  --kind picks
+the corpus: ``chain`` (the default; hops <= 4) or ``rulebase`` (the rule-base
+bench workload's 12 facts, 8 rules and negation).
 Linux carries the high-water mark across fork and exec, so start this from a
 small process such as a shell: under a large parent it reads the parent's
 size.  Comparing two task counts shows how stage 2's memory grows with the
@@ -11,6 +13,7 @@ corpus:
 
     python3 scripts/stage2_peak_rss.py --tasks 100 --out /tmp/rss-100
     python3 scripts/stage2_peak_rss.py --tasks 1600 --out /tmp/rss-1600
+    python3 scripts/stage2_peak_rss.py --kind rulebase --tasks 1600 --out /tmp/rss-rb
 """
 
 import argparse
@@ -19,6 +22,11 @@ import os
 import resource
 import sys
 
+CORPORA = {
+    "chain": {"kind": "chain", "hops": 4},
+    "rulebase": {"kind": "rulebase", "n_facts": 12, "n_rules": 8, "negation": True},
+}
+
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src"))
 
 from oracle_forge import cli
@@ -26,6 +34,7 @@ from oracle_forge import cli
 
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
+    ap.add_argument("--kind", choices=sorted(CORPORA), default="chain")
     ap.add_argument("--tasks", type=int, required=True)
     ap.add_argument("--out", required=True)
     args = ap.parse_args()
@@ -37,7 +46,7 @@ def main() -> int:
             "backend": "scripted-noisy",
             "seed": 3,
             "corruption": {"p_bad_rule": 0.3, "p_bad_fact": 0.1},
-            "corpus": {"kind": "chain", "count": args.tasks, "hops": 4},
+            "corpus": dict(CORPORA[args.kind], count=args.tasks),
         }, fh)  # JSON is valid YAML
     code = cli.main(["stage2", "--config", cfg, "--out", os.path.join(args.out, "stage2")])
     peak_kib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss  # KiB on Linux

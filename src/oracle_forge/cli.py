@@ -16,7 +16,6 @@ import json
 import os
 import sys
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from itertools import islice
 
@@ -71,7 +70,11 @@ def make_task_backend(cfg: PipelineConfig, task, prompts):
 
 def _in_threads(fn, items, workers: int):
     """Yield fn(item) for each of the iterator ``items``, in order, from
-    ``workers`` threads, which run at most ``workers`` items ahead."""
+    ``workers`` threads, which run at most ``workers`` items ahead.  The pool
+    is imported here, so a run without threads loads neither
+    ``concurrent.futures`` nor the ``logging`` it imports."""
+    from concurrent.futures import ThreadPoolExecutor
+
     pool = ThreadPoolExecutor(max_workers=workers)
     try:
         ahead = deque(pool.submit(fn, item) for item in islice(items, workers))

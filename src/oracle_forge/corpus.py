@@ -12,6 +12,12 @@ Two generators:
 Every task carries an exact NL <-> symbolic pairing table, which makes the
 scripted translator infallible unless deliberately corrupted, and a
 ground-truth proof replayable through the step verifier.
+
+Generated tasks share their terms and sentences (hash-consing): the
+``functools.cache`` helpers ``_unary_atom``, ``_unary_fact`` and ``_fact_nl``
+build each unary atom, ground fact and fact sentence once per process, and
+every task holds that one object.  The vocabulary bounds them: 112 words
+times 8 names (and ``X``, for ``_unary_atom``) entries each.
 """
 
 from __future__ import annotations
@@ -20,7 +26,7 @@ import hashlib
 import json
 import random
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 from . import kernel, template
 from .kernel import Atom, Derivation, Fact, KnowledgeBase, Rule
@@ -75,6 +81,17 @@ def _nonsense_words(rng: random.Random, count: int) -> list[str]:
     return words
 
 
+@cache
+def _unary_atom(predicate: str, term: str) -> Atom:
+    return Atom(predicate, (term,))
+
+
+@cache
+def _unary_fact(predicate: str, name: str) -> Fact:
+    return Fact(_unary_atom(predicate, name))
+
+
+@cache
 def _fact_nl(atom: Atom) -> str:
     return f"{atom.args[0].capitalize()} is a {atom.predicate}."
 
@@ -107,23 +124,23 @@ def gen_chain_task(hops: int, distractors: int = 2, seed: int = 0) -> TaskInstan
     chain = words[: hops + 1]
     subject = rng.choice(_NAMES)
 
-    chain_facts = [Fact(Atom(p, (subject,))) for p in chain]
+    chain_facts = [_unary_fact(p, subject) for p in chain]
     rules = [
-        Rule(Atom(chain[i + 1], ("X",)), (Atom(chain[i], ("X",)),))
+        Rule(_unary_atom(chain[i + 1], "X"), (_unary_atom(chain[i], "X"),))
         for i in range(hops)
     ]
     distractor_rules = []
     for i in range(distractors):
         src = words[hops + 1 + 2 * i]
         dst = words[hops + 2 + 2 * i]
-        distractor_rules.append(Rule(Atom(dst, ("X",)), (Atom(src, ("X",)),)))
+        distractor_rules.append(Rule(_unary_atom(dst, "X"), (_unary_atom(src, "X"),)))
     kb = KnowledgeBase(frozenset(chain_facts[:1]), tuple(rules + distractor_rules))
 
     gold_true = seed % 2 == 0
     if gold_true:
         query = chain_facts[hops].atom
     else:
-        query = Atom(distractor_rules[0].head.predicate, (subject,))
+        query = _unary_atom(distractor_rules[0].head.predicate, subject)
     proof = tuple(
         Derivation(rules[i], (chain_facts[i],), chain_facts[i + 1]) for i in range(hops)
     )
@@ -187,15 +204,13 @@ def _try_rulebase(rng, n_facts, n_rules, negation, seed) -> TaskInstance | None:
     if len(drawn) < n_rules:
         return None
 
-    unary = {p: Atom(p, ("X",)) for p in preds}
+    unary = {p: _unary_atom(p, "X") for p in preds}
     rules = [
         Rule(unary[h], tuple(map(unary.get, pos)), tuple(map(unary.get, neg)))
         for h, pos, neg in drawn
     ]
-    facts = frozenset(
-        Fact(Atom(preds[i // len(names)], (names[i % len(names)],)))
-        for i in fact_cells
-    )
+    grid = [_unary_fact(p, c) for p in preds for c in names]
+    facts = frozenset(grid[i] for i in fact_cells)
     try:
         kb = KnowledgeBase(facts, tuple(rules))
         closure, trace = kernel.forward_chain_with_trace(kb)
@@ -204,20 +219,9 @@ def _try_rulebase(rng, n_facts, n_rules, negation, seed) -> TaskInstance | None:
     if not trace:
         return None
 
-    # Every ground atom, as the closure's own fact where it has one.
-    in_closure = {(f.atom.predicate, f.atom.args[0]): f for f in closure}
-    grid, underivable = [], []
-    for p in preds:
-        for c in names:
-            f = in_closure.get((p, c))
-            if f is None:
-                f = Fact(Atom(p, (c,)))
-                underivable.append(f.atom)
-            grid.append(f)
-
     gold_true = seed % 2 == 0
     derived = sorted(d.conclusion.atom for d in trace)
-    underivable.sort()
+    underivable = sorted(f.atom for f in grid if f not in closure)
     if gold_true:
         query = rng.choice(derived)
         proof = _proof_for(query, trace)

@@ -528,7 +528,7 @@ class TestConcurrency:
         def no_pool(*args, **kwargs):
             raise AssertionError("a scripted run started a thread pool")
 
-        monkeypatch.setattr(cli, "ThreadPoolExecutor", no_pool)
+        monkeypatch.setattr("concurrent.futures.ThreadPoolExecutor", no_pool)
         cfg = write(
             tmp_path / "cfg.yaml",
             "backend: scripted-noisy\ncorruption: {p_bad_rule: 0.3}\n"
@@ -537,6 +537,31 @@ class TestConcurrency:
         code, stdout, _ = run_cli(capsys, "stage2", "--config", cfg, "--out", str(tmp_path / "o"))
         assert code == 0
         assert "tasks 6" in stdout
+
+    @pytest.mark.parametrize("stage", ["stage1", "stage2"])
+    def test_scripted_runs_import_no_thread_pool(self, tmp_path, stage):
+        # A fresh process, since this one has long imported both modules.
+        import subprocess
+
+        cfg = write(
+            tmp_path / "cfg.yaml",
+            "backend: scripted-noisy\ncorpus: {kind: rulebase, count: 4}\nworkers: 4\n",
+        )
+        script = (
+            "import sys\n"
+            "from oracle_forge import cli\n"
+            f"code = cli.main([{stage!r}, '--config', {cfg!r}, '--out', {str(tmp_path / 'o')!r}])\n"
+            "print(code, sorted(m for m in ('concurrent.futures', 'logging') if m in sys.modules))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            timeout=60,
+            cwd=os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "0 []"
 
 
 STAGE2_FILES = ("sft.jsonl", "dpo.jsonl", "audit.jsonl", "manifest.json")

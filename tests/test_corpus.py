@@ -1,3 +1,4 @@
+import collections
 import hashlib
 import itertools
 import json
@@ -14,7 +15,8 @@ from conftest import (
     random_kb,
 )
 
-from oracle_forge import corpus, kernel, template
+from oracle_forge import cli, corpus, kernel, template
+from oracle_forge.config import CorpusSpec, PipelineConfig
 from oracle_forge.corpus import (
     CorruptionModel,
     gen_chain_task,
@@ -23,7 +25,7 @@ from oracle_forge.corpus import (
     task_to_dict,
 )
 from oracle_forge.datafactory import save_tasks
-from oracle_forge.kernel import Atom, Rule, answer_query, parse_atom, verify_step
+from oracle_forge.kernel import Atom, Fact, Rule, answer_query, parse_atom, verify_step
 
 
 def replay_proof(task):
@@ -212,6 +214,37 @@ class TestProofFor:
                 assert corpus._proof_for(goal, trace) == expected
                 lengths.append(len(expected))
         assert max(lengths) >= 5 and 0 in lengths
+
+
+class TestSharing:
+    """Generated tasks share their facts and fact sentences: each distinct one
+    is a single object, whatever task holds it."""
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            CorpusSpec(kind="chain", count=40, hops=4),
+            CorpusSpec(kind="rulebase", count=40, n_facts=12, n_rules=8, negation=True),
+        ],
+        ids=["chain", "rulebase"],
+    )
+    def test_equal_facts_and_sentences_are_one_object(self, spec):
+        facts: dict[Fact, Fact] = {}
+        sentences: dict[str, str] = {}
+        tasks_holding: collections.Counter[Fact] = collections.Counter()
+        for task in cli.build_tasks(PipelineConfig(corpus=spec)):
+            paired = [(nl, f) for nl, f in task.nl_pairing.items() if isinstance(f, Fact)]
+            held = [*task.kb.facts, *(f for _, f in paired)]
+            for f in held:
+                assert facts.setdefault(f, f) is f, f
+            for nl, _ in paired:
+                assert sentences.setdefault(nl, nl) is nl, nl
+            tasks_holding.update(set(held))
+        assert max(tasks_holding.values()) > 1  # some fact is in two tasks
+        # 112 words times 8 names; _unary_atom may also hold each word with X.
+        assert corpus._unary_fact.cache_info().currsize <= 112 * 8
+        assert corpus._fact_nl.cache_info().currsize <= 112 * 8
+        assert corpus._unary_atom.cache_info().currsize <= 112 * 9
 
 
 class TestGoldResponse:

@@ -13,9 +13,12 @@ A line of a record file holds its record's fields, in declaration order:
 
 Both stages, and ``save_tasks``, write through ``write_outputs``: every file
 goes to a temporary name in the output directory first and is renamed into
-place only once all are written, ``manifest.json`` last.  A run that fails
-part-way leaves the previous run's files as they were.  Stage 2 streams: each
-task's ``BeamResult`` is written as it arrives, in task-id order, then dropped.
+place only once all are written, ``manifest.json`` last.  Each file is
+replaced atomically, but the set is not: a run that fails before the renames
+leaves the previous run's files as they were, and one that fails between two
+renames can leave new files next to old ones, under the old manifest.  Stage
+2 streams: each task's ``BeamResult`` is written as it arrives, in task-id
+order, then dropped.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ import contextlib
 import hashlib
 import json
 import os
+import re
 from dataclasses import asdict, dataclass, field
 
 from . import kernel, template
@@ -214,14 +218,25 @@ def compute_stats(audit: list[dict] | str | os.PathLike) -> RunStats:
     return RunStats(**totals, per_task_breakdown=rows)
 
 
+# A generated task's id is its family, then "-<seed>"; any other id is its
+# own family.
+_FAMILY_RE = re.compile(r"(chain-\d+h|rulebase-\d+f\d+r)-\d+")
+
+
 def format_stats_tables(stats: RunStats) -> str:
     """Success-rate and error-taxonomy tables, one row per task family."""
+    families: dict[str, dict[str, int]] = {}
+    for task_id, per in stats.per_task_breakdown.items():
+        m = _FAMILY_RE.fullmatch(task_id)
+        row = families.setdefault(m[1] if m else task_id, dict.fromkeys(_STAT_COUNTS, 0))
+        for key in _STAT_COUNTS:
+            row[key] += per[key]
     lines = ["success rate of engine-executed steps"]
-    lines.append(f"{'task':40s} {'steps':>7s} {'executed':>9s} {'rate':>7s}")
-    for task_id, per in sorted(stats.per_task_breakdown.items()):
+    lines.append(f"{'family':40s} {'steps':>7s} {'executed':>9s} {'rate':>7s}")
+    for family, per in sorted(families.items()):
         rate = per["steps_executed"] / per["steps_total"] if per["steps_total"] else 0.0
         lines.append(
-            f"{task_id:40s} {per['steps_total']:7d} {per['steps_executed']:9d} {rate:7.3f}"
+            f"{family:40s} {per['steps_total']:7d} {per['steps_executed']:9d} {rate:7.3f}"
         )
     lines.append(
         f"{'TOTAL':40s} {stats.steps_total:7d} {stats.steps_executed:9d} "
@@ -285,9 +300,12 @@ def config_hash(config_obj) -> str:
 
 def write_outputs(out_dir, names, lines) -> None:
     """Stream ``lines``, pairs of a name in ``names`` and a line without its
-    newline, into the files ``names`` in ``out_dir``, all or nothing: the files
-    are open at once under temporary names in ``out_dir``, and renamed into
-    place in the order of ``names``, a manifest last, once the stream ends."""
+    newline, into the files ``names`` in ``out_dir``.  The files are open at
+    once under temporary names in ``out_dir``, and renamed into place in the
+    order of ``names``, a manifest last, once the stream ends.  Each rename
+    replaces one file atomically.  A failure before the renames leaves the old
+    files; a failure between two renames can leave a mix of new and old files,
+    with the old manifest."""
     os.makedirs(out_dir, exist_ok=True)
     tmps = {name: os.path.join(out_dir, f".{name}.{os.getpid()}.tmp") for name in names}
     try:

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 
 TAG_ORDER = (
     "QUERY",
@@ -204,24 +204,6 @@ def _unescape(body: str, unescape_newlines: bool = False) -> str:
     return _UNESCAPE_RE.sub(r"\1", body)
 
 
-def _find_unescaped(text: str, needle: str, start: int) -> int:
-    """Index of the first occurrence of needle preceded by an even number of
-    backslashes, or -1."""
-    pos = start
-    while True:
-        idx = text.find(needle, pos)
-        if idx < 0:
-            return -1
-        n_bs = 0
-        j = idx - 1
-        while j >= 0 and text[j] == "\\":
-            n_bs += 1
-            j -= 1
-        if n_bs % 2 == 0:
-            return idx
-        pos = idx + 1
-
-
 def serialize_step(step: ReasoningStep) -> str:
     """Render a step as canonical template text (deterministic, LF endings).
 
@@ -268,39 +250,39 @@ def _parse_revision_result(body: str) -> RevisionResult:
     )
 
 
+# One block per tag in TAG_ORDER, each optional after the one before, so
+# ``lastindex`` counts the blocks read and group k holds block k's body.  A
+# body ends at the first </TAG> after an even run of backslashes: the body
+# loop takes a backslash with the character after it, and a "<" only where
+# </TAG> does not start.  Each position matches one way (Friedl's unrolled
+# loop), so a failed match stays linear in the text.
+_STEP_RE = re.compile(reduce(
+    lambda rest, tag: rf"(?:[ \t\r\n]*<{tag}>([^\\<]*(?:(?:\\[\s\S]|<(?!/{tag}>))[^\\<]*)*)"
+    rf"</{tag}>{rest})?",
+    reversed(TAG_ORDER),
+    "",
+))
+# The decoder of each block's body, in TAG_ORDER.
+_DECODERS = (_unescape, _parse_facts_body, _unescape, _unescape, _parse_revision_result, _unescape)
+
+
 def _parse_step(raw: str, pos: int, step_index: int) -> tuple[ReasoningStep, int]:
     """The step whose blocks start at pos (after blanks), and the offset after
     its last closing tag."""
-    fields: dict[str, object] = {}
-    for k, tag in enumerate(TAG_ORDER):
-        m = _OPEN_TAG_RE.match(raw, pos)
-        seen = m[1]
-        if seen != tag:
-            if seen is None or TAG_ORDER.index(seen) > k:
-                raise MissingTag(tag, step_index)
-            raise TagOrderViolation(
-                f"<{seen}> appears where <{tag}> was expected in step {step_index}"
-            )
-        close = f"</{tag}>"
-        end = _find_unescaped(raw, close, m.end())
-        if end < 0:
+    m = _STEP_RE.match(raw, pos)
+    n = m.lastindex or 0
+    fields = [decode(body) for decode, body in zip(_DECODERS, m.groups()[:n])]
+    if n < len(TAG_ORDER):
+        tag = TAG_ORDER[n]
+        seen = _OPEN_TAG_RE.match(raw, m.end())[1]
+        if seen == tag:
             raise UnclosedBlock(tag)
-        body = raw[m.end():end]
-        pos = end + len(close)
-        if tag == "FACTS":
-            fields["facts"] = _parse_facts_body(body)
-        elif tag == "REVISION_RESULT":
-            fields["revision_result"] = _parse_revision_result(body)
-        else:
-            fields[tag.lower()] = _unescape(body)
-    return ReasoningStep(
-        query=fields["query"],
-        facts=fields["facts"],
-        rule=fields["rule"],
-        revision=fields["revision"],
-        revision_result=fields["revision_result"],
-        reasoning_result=fields["reasoning_result"],
-    ), pos
+        if seen is None or TAG_ORDER.index(seen) > n:
+            raise MissingTag(tag, step_index)
+        raise TagOrderViolation(
+            f"<{seen}> appears where <{tag}> was expected in step {step_index}"
+        )
+    return ReasoningStep(*fields), m.end()
 
 
 _FINAL_RE = re.compile(

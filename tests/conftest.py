@@ -74,6 +74,91 @@ def structured_responses(draw):
 
 
 # --------------------------------------------------------------------------
+# Reference template parser: a tag-by-tag scan that finds each closing tag
+# with str.find and skips a hit after an odd run of backslashes.  The
+# compiled step grammar in ``template`` is checked against it.
+
+
+def _find_unescaped(text: str, needle: str, start: int) -> int:
+    """Index of the first occurrence of needle preceded by an even number of
+    backslashes, or -1."""
+    pos = start
+    while True:
+        idx = text.find(needle, pos)
+        if idx < 0:
+            return -1
+        n_bs = 0
+        j = idx - 1
+        while j >= 0 and text[j] == "\\":
+            n_bs += 1
+            j -= 1
+        if n_bs % 2 == 0:
+            return idx
+        pos = idx + 1
+
+
+def _reference_step(raw: str, pos: int, step_index: int):
+    fields = []
+    for k, tag in enumerate(template.TAG_ORDER):
+        m = template._OPEN_TAG_RE.match(raw, pos)
+        seen = m[1]
+        if seen != tag:
+            if seen is None or template.TAG_ORDER.index(seen) > k:
+                raise template.MissingTag(tag, step_index)
+            raise template.TagOrderViolation(
+                f"<{seen}> appears where <{tag}> was expected in step {step_index}"
+            )
+        close = f"</{tag}>"
+        end = _find_unescaped(raw, close, m.end())
+        if end < 0:
+            raise template.UnclosedBlock(tag)
+        body = raw[m.end():end]
+        pos = end + len(close)
+        if tag == "FACTS":
+            fields.append(template._parse_facts_body(body))
+        elif tag == "REVISION_RESULT":
+            fields.append(template._parse_revision_result(body))
+        else:
+            fields.append(template._unescape(body))
+    return template.ReasoningStep(*fields), pos
+
+
+def reference_parse(raw: str, require_final_answer: bool = False):
+    """``template.parse_response`` written as a scan of one tag at a time:
+    the same steps, or the same error class, message and attributes."""
+    steps = []
+    final_answer = ""
+    pos = 0
+    while True:
+        m = template._OPEN_TAG_RE.match(raw, pos)
+        if m[1] == "QUERY":
+            step, pos = _reference_step(raw, pos, len(steps))
+            steps.append(step)
+            continue
+        if m[1] is not None:
+            raise template.MissingTag("QUERY", len(steps))
+        pos = m.end()
+        if pos == len(raw):
+            break
+        if not raw.startswith(template.FINAL_ANSWER_PREFIX, pos):
+            raise template.TagOrderViolation(
+                f"unexpected content at offset {pos}: {raw[pos:pos + 30]!r}"
+            )
+        m = template._FINAL_RE.match(raw, pos)
+        final_answer = m.group("answer").strip()
+        if not final_answer:
+            raise template.NoFinalAnswer()
+        if raw[m.end():].lstrip(" \t\r\n"):
+            raise template.TagOrderViolation("content after FINAL ANSWER line")
+        break
+    if not steps:
+        raise template.MissingTag("QUERY", 0)
+    if require_final_answer and not final_answer:
+        raise template.NoFinalAnswer()
+    return template.StructuredResponse(steps=tuple(steps), final_answer=final_answer)
+
+
+# --------------------------------------------------------------------------
 # Random stratified knowledge bases
 
 PREDS = [f"p{i}" for i in range(8)]

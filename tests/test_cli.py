@@ -1067,11 +1067,11 @@ def test_dpo_prompts_start_with_their_task_prompt(tmp_path, capsys, kind):
 # audit of each golden run.
 GOLDEN_STATS_DIGESTS = {
     "chain": {
-        "table": "a72d1e24c605e0eb656ecfac5a5dccdb2ca56f68b2a8ca5bf635fcaf2be423d5",
+        "table": "0f76653e7959bf93d62843ec622f6b72a611cd6d0223d6259991d18185670b7f",
         "json": "2d8907e3f63b80300e89eb3369ab5387cf8d373e509b09f9daab27a5205b1cd8",
     },
     "rulebase": {
-        "table": "8614e3b45eab39dde8a0bd7d8ea3fdfd5ff36fc7ce69e90ba67b8e6273ed0624",
+        "table": "a4fb62781a58400d78f6540c8f5c00865cf93cad0a004bef77ac811f8ec361c3",
         "json": "ce68c9b3df54e7552c65ad50425039452e63a4d9660883a465f589f064ddcbf5",
     },
 }

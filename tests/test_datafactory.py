@@ -197,6 +197,27 @@ class TestAuditAndStats:
         assert stats.success_rate == pytest.approx(0.70)
         assert stats.failures_generation == 3
 
+    def test_table_has_one_row_per_family(self):
+        # A generated id loses its trailing seed; any other id stays whole.
+        ids = ["chain-3h-1", "chain-3h-22", "chain-13h-1", "rulebase-12f8r-4", "file-task-7"]
+        recs = [
+            {"id": i, "task_id": task_id, "has_step": True, "executed": executed,
+             "failure_class": None if executed else TRANSLATION_ERROR}
+            for i, (task_id, executed) in enumerate(
+                itertools.product(ids, (True, True, False))
+            )
+        ]
+        stats = compute_stats(recs)
+        assert sorted(stats.per_task_breakdown) == sorted(ids)
+        rows = format_stats_tables(stats).splitlines()[2:7]
+        assert [row.split() for row in rows] == [
+            ["chain-13h", "3", "2", "0.667"],
+            ["chain-3h", "6", "4", "0.667"],
+            ["file-task-7", "3", "2", "0.667"],
+            ["rulebase-12f8r", "3", "2", "0.667"],
+            ["TOTAL", "15", "10", "0.667"],
+        ]
+
     def test_unclassified_failure_raises(self):
         recs = [
             {"id": 0, "task_id": "t", "has_step": True, "executed": False,

@@ -1,4 +1,5 @@
 import itertools
+import random
 import re
 from dataclasses import fields, replace
 
@@ -6,7 +7,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from conftest import nonempty_field, reasoning_steps, structured_responses
+from conftest import nonempty_field, reasoning_steps, reference_parse, structured_responses
 from oracle_forge import template
 from oracle_forge.template import (
     EmptyField,
@@ -14,6 +15,7 @@ from oracle_forge.template import (
     ReasoningStep,
     RevisionResult,
     StructuredResponse,
+    UnclosedBlock,
     conforms_strictly,
     parse_response,
     serialize_response,
@@ -376,3 +378,77 @@ class TestConformsStrictly:
             for variant in (f"<{tag}>", f"</{tag}>"):
                 mutated = raw.replace(variant, "", 1)
                 assert not conforms_strictly(mutated), variant
+
+
+def framed(tag: str, body: str) -> str:
+    """A body as its field expects it: FACTS as one entry line,
+    REVISION_RESULT as a revision, any other body as it is."""
+    if tag == "FACTS":
+        return f"\n- {body}\n"
+    if tag == "REVISION_RESULT":
+        return f"{template.REVISED_PREFIX} {body}"
+    return body
+
+
+@st.composite
+def escape_piece_steps(draw):
+    """One step whose bodies are runs of escape pieces: escaped and bare tags,
+    backslash runs before closing tags.  A body is sometimes framed, so that
+    FACTS and REVISION_RESULT decode and later blocks are read."""
+    blocks = []
+    for tag in template.TAG_ORDER:
+        body = "".join(draw(st.lists(st.sampled_from(_ESCAPE_PIECES), max_size=12)))
+        if draw(st.booleans()):
+            body = framed(tag, body)
+        blocks.append(f"<{tag}>{body}</{tag}>")
+    return "\n".join(blocks) + "\n"
+
+
+def parse_outcome(parse, raw):
+    """The response a parser returns, or its error's class, message, tag and
+    step index."""
+    try:
+        return parse(raw)
+    except template.ParseError as exc:
+        return type(exc), str(exc), getattr(exc, "tag", None), getattr(exc, "step_index", None)
+
+
+class TestReferenceParser:
+    @settings(max_examples=500, deadline=None)
+    @given(st.one_of(mutated_responses(), escape_piece_steps()))
+    def test_grammar_agrees_with_the_tag_by_tag_scan(self, raw):
+        assert parse_outcome(parse_response, raw) == parse_outcome(reference_parse, raw)
+
+
+def backslash_and_bracket_runs(size: int, seed: int) -> str:
+    """About ``size`` characters of backslash runs, bare and escaped "<", and
+    a closing tag cut short: the text on which a body pattern that matched a
+    position two ways would backtrack exponentially."""
+    rng = random.Random(seed)
+    pieces = ["\\", "\\\\", "<", "\\<", "</QUER"]
+    parts, n = [], 0
+    while n < size:
+        parts.append(rng.choice(pieces))
+        n += len(parts[-1])
+    return "".join(parts)
+
+
+class TestLinearTime:
+    # No timing assertion: an exponential match would hang these tests.
+
+    def test_one_mib_unclosed_body(self):
+        with pytest.raises(UnclosedBlock) as exc:
+            parse_response("<QUERY>" + backslash_and_bracket_runs(1 << 20, 0))
+        assert exc.value.tag == "QUERY"
+
+    def test_five_long_blocks_then_an_unclosed_one(self):
+        blocks = []
+        for k, tag in enumerate(template.TAG_ORDER[:5]):
+            # A body that ended in an odd backslash run would escape its own
+            # closing tag, so each ends in a dot.
+            body = framed(tag, backslash_and_bracket_runs(160_000, k) + ".")
+            blocks.append(f"<{tag}>{body}</{tag}>\n")
+        raw = "".join(blocks) + "<REASONING_RESULT>" + backslash_and_bracket_runs(160_000, 5)
+        with pytest.raises(UnclosedBlock) as exc:
+            parse_response(raw)
+        assert exc.value.tag == "REASONING_RESULT"

@@ -88,12 +88,12 @@ def _in_threads(fn, items, workers: int):
 
 def _run_per_task(cfg: PipelineConfig, tasks, fn, lost: list):
     """Yield fn(task) for each task, in task order: serially for the CPU-bound
-    scripted backends, and from ``cfg.effective_workers()`` threads for the
-    http backend, whose tasks wait on the network.  A consumer that drops each
-    result before it takes the next holds at most workers + 1; closing the
-    generator, or a task that raises, cancels the tasks still queued.  A task
-    whose backend stays unavailable is left out, appended to ``lost``, and
-    counted on stderr after the last task."""
+    scripted backends, and from ``cfg.workers`` threads (0: one per core) for
+    the http backend, whose tasks wait on the network.  A consumer that drops
+    each result before it takes the next holds at most workers + 1; closing
+    the generator, or a task that raises, cancels the tasks still queued.  A
+    task whose backend stays unavailable is left out, appended to ``lost``,
+    and counted on stderr after the last task."""
 
     def attempt(task):
         try:
@@ -102,7 +102,7 @@ def _run_per_task(cfg: PipelineConfig, tasks, fn, lost: list):
             return exc
 
     if cfg.backend == "http":
-        outcomes = _in_threads(attempt, iter(tasks), cfg.effective_workers())
+        outcomes = _in_threads(attempt, iter(tasks), cfg.workers or os.cpu_count() or 1)
     else:
         outcomes = map(attempt, tasks)
     for outcome in outcomes:

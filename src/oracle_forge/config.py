@@ -2,7 +2,8 @@
 
 Only string values of the form ``${VAR_NAME}`` are interpolated, so secrets
 (API keys) stay out of config files on disk.  Everything else in the file is
-literal.  See README for the full key reference.
+literal.  ``load_config`` checks a config in one pass, as it builds it.  See
+README for the full key reference.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ def _interpolate(value):
     return value
 
 
-@dataclass
+@dataclass(frozen=True)
 class CorpusSpec:
     kind: str = "chain"          # chain | rulebase | file
     count: int = 20
@@ -70,7 +71,7 @@ class CorpusSpec:
                 raise ValueError(f"corpus.{name} must be {span}, got {value!r}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class PipelineConfig:
     backend: str = "scripted-oracle"
     seed: int = 0
@@ -84,20 +85,13 @@ class PipelineConfig:
     max_sft: int = 12000
     max_dpo: int = 2000
 
-    def effective_workers(self) -> int:
-        return self.workers or (os.cpu_count() or 1)
-
-    def to_dict(self) -> dict:
+    def hashable_dict(self) -> dict:
+        """The config as a dict, its API key redacted, minus keys that do not
+        affect generated data (output location, parallelism), so replays to
+        different directories hash identically."""
         d = asdict(self)
         if d["http"].get("api_key"):
             d["http"]["api_key"] = "<redacted>"
-        return d
-
-    def hashable_dict(self) -> dict:
-        """to_dict minus keys that do not affect generated data (output
-        location, parallelism), so replays to different directories hash
-        identically."""
-        d = self.to_dict()
         d.pop("out_dir", None)
         d.pop("workers", None)
         return d
@@ -116,26 +110,6 @@ class PipelineConfig:
                 except (OSError, UnicodeDecodeError) as exc:
                     raise ConfigError(f"cannot read prompt asset {p}: {exc}") from exc
         return prompts
-
-    def validate(self) -> None:
-        if self.backend not in BACKENDS:
-            raise ConfigError(f"unknown backend: {self.backend}")
-        if self.corpus.kind not in _CORPUS_KEYS:
-            raise ConfigError(f"unknown corpus kind: {self.corpus.kind}")
-        if self.corpus.kind == "file":
-            if not self.corpus.path or not os.path.exists(self.corpus.path):
-                raise ConfigError(f"corpus file not found: {self.corpus.path}")
-        if self.prompts_dir is not None and not os.path.isdir(self.prompts_dir):
-            raise ConfigError(f"prompts directory not found: {self.prompts_dir}")
-        if self.backend == "http":
-            if not self.http.endpoint or not self.http.model:
-                raise ConfigError("http backend requires endpoint and model")
-            if not self.prompts_dir:
-                raise ConfigError("http backend requires prompts_dir")
-            for name in PROMPT_ASSETS:
-                if not os.path.exists(os.path.join(self.prompts_dir, name)):
-                    raise ConfigError(f"missing prompt asset: {name}")
-        # The sections validate themselves on construction.
 
 
 _TYPE_NAMES = {
@@ -194,19 +168,36 @@ def _build(data: dict) -> PipelineConfig:
             raise ConfigError(f"{name} must be a mapping")
         _check(section, _SECTIONS[name], name, exclude=_NOT_IN_SECTIONS)
     kind = sections["corpus"].get("kind", CorpusSpec.kind)  # a string: its type is checked
-    if kind in _CORPUS_KEYS:  # an unknown kind is validate's error
-        unread = {f.name for f in fields(CorpusSpec)} - {"kind"} - _CORPUS_KEYS[kind]
-        _check(sections["corpus"], CorpusSpec, f"{kind} corpus", exclude=unread)
-    cfg = PipelineConfig()
-    for key in data.keys() - set(_SECTIONS):
-        setattr(cfg, key, data[key])
+    if kind not in _CORPUS_KEYS:
+        raise ConfigError(f"unknown corpus kind: {kind}")
+    unread = {f.name for f in fields(CorpusSpec)} - {"kind"} - _CORPUS_KEYS[kind]
+    _check(sections["corpus"], CorpusSpec, f"{kind} corpus", exclude=unread)
+    seed = data.get("seed", PipelineConfig.seed)
     try:
-        cfg.beam = BeamConfig(seed=cfg.seed, **sections["beam"])
-        cfg.corruption = CorruptionModel(seed=cfg.seed, **sections["corruption"])
-        cfg.http = HttpSpec(**sections["http"])
-        cfg.corpus = CorpusSpec(**sections["corpus"])
+        cfg = PipelineConfig(
+            **{key: data[key] for key in data.keys() - set(_SECTIONS)},
+            beam=BeamConfig(seed=seed, **sections["beam"]),
+            corruption=CorruptionModel(seed=seed, **sections["corruption"]),
+            http=HttpSpec(**sections["http"]),
+            corpus=CorpusSpec(**sections["corpus"]),
+        )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    if cfg.backend not in BACKENDS:
+        raise ConfigError(f"unknown backend: {cfg.backend}")
+    if kind == "file":
+        if not cfg.corpus.path or not os.path.exists(cfg.corpus.path):
+            raise ConfigError(f"corpus file not found: {cfg.corpus.path}")
+    if cfg.prompts_dir is not None and not os.path.isdir(cfg.prompts_dir):
+        raise ConfigError(f"prompts directory not found: {cfg.prompts_dir}")
+    if cfg.backend == "http":
+        if not cfg.http.endpoint or not cfg.http.model:
+            raise ConfigError("http backend requires endpoint and model")
+        if not cfg.prompts_dir:
+            raise ConfigError("http backend requires prompts_dir")
+        for name in PROMPT_ASSETS:
+            if not os.path.exists(os.path.join(cfg.prompts_dir, name)):
+                raise ConfigError(f"missing prompt asset: {name}")
     return cfg
 
 
@@ -243,8 +234,8 @@ def _yaml_error(path: str, exc: yaml.YAMLError) -> str:
 def load_config(path: str | None = None, **overrides) -> PipelineConfig:
     """The config of the YAML file at ``path``, or the defaults when there is
     none, with each override in place of the top-level key it names; built
-    and validated once, so a file value that an override replaces is never
-    checked."""
+    and checked in one pass, so a file value that an override replaces is
+    never checked."""
     data = {}
     if path is not None:
         try:
@@ -256,6 +247,4 @@ def load_config(path: str | None = None, **overrides) -> PipelineConfig:
             raise ConfigError(f"invalid YAML: {_yaml_error(path, exc)}") from exc
         if not isinstance(data, dict):
             raise ConfigError("config root must be a mapping")
-    cfg = _build({**_interpolate(data), **overrides})
-    cfg.validate()
-    return cfg
+    return _build({**_interpolate(data), **overrides})

@@ -164,11 +164,14 @@ def node_to_audit(node, task_id: str) -> dict:
 
 
 _AUDIT_TYPES = {"id": int, "task_id": str, "has_step": bool, "executed": bool}
+# The run count that a failed step of each class adds to.
+_FAILURES = {GENERATION_ERROR: "failures_generation", TRANSLATION_ERROR: "failures_translation"}
 
 
 def read_audit(path) -> list[dict]:
     """The records of an audit file; MalformedAudit names the first line that
-    is not UTF-8 JSON or holds a field that stats reads with the wrong type."""
+    is not UTF-8 JSON, holds a field that stats reads with the wrong type, or
+    is a failed step without a failure class."""
     records = []
     with open(path, "rb") as fh:  # json.loads decodes each line itself
         for lineno, line in enumerate(fh, 1):
@@ -185,32 +188,26 @@ def read_audit(path) -> list[dict]:
                     raise MalformedAudit(
                         f"line {lineno}: {key} must be {tp.__name__}, got {rec.get(key)!r}"
                     )
-            if rec.get("failure_class") not in (None, GENERATION_ERROR, TRANSLATION_ERROR):
+            if rec.get("failure_class") not in (None, *_FAILURES):
                 raise MalformedAudit(
                     f"line {lineno}: unknown failure_class: {rec['failure_class']!r}"
                 )
+            if rec["has_step"] and not rec["executed"] and rec.get("failure_class") is None:
+                raise MalformedAudit(f"line {lineno}: failed step without failure_class")
             records.append(rec)
     return records
 
 
 def compute_stats(audit: list[dict] | str | os.PathLike) -> RunStats:
     """Aggregate engine successes and failure classes from an audit dump.
-    Each step counts once, in its task's row; the run totals sum the rows."""
+    Each step counts once, in its task's row; the run totals sum the rows.
+    A list of records is trusted to be as ``read_audit`` accepts them."""
     records = read_audit(audit) if isinstance(audit, (str, os.PathLike)) else audit
     rows: dict[str, dict[str, int]] = {}
     for rec in records:
-        if not rec.get("has_step"):
+        if not rec["has_step"]:
             continue
-        if rec["executed"]:
-            outcome = "steps_executed"
-        elif rec.get("failure_class") == GENERATION_ERROR:
-            outcome = "failures_generation"
-        elif rec.get("failure_class") == TRANSLATION_ERROR:
-            outcome = "failures_translation"
-        else:
-            raise MalformedAudit(
-                f"failed step without failure_class in task {rec['task_id']}"
-            )
+        outcome = "steps_executed" if rec["executed"] else _FAILURES[rec["failure_class"]]
         per = rows.setdefault(rec["task_id"], dict.fromkeys(_STAT_COUNTS, 0))
         per["steps_total"] += 1
         per[outcome] += 1

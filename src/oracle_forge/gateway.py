@@ -28,6 +28,8 @@ from .kernel import Fact, Rule
 DEFAULT_GENERATION_TEMPERATURE = 1.0
 DEFAULT_EVALUATION_TEMPERATURE = 0.01
 BACKOFF_BASE_S = 0.5
+BACKOFF_MAX_S = 30.0  # the longest wait before a retry, however many there are
+MAX_REPLY_BYTES = 256 * 1024  # the longest reply body the default transport reads
 
 # Translation failure kinds; the failure taxonomy keys off these.  A symbolic
 # form that parses is always returned: its arity and safety are judged by
@@ -47,10 +49,6 @@ class GenerationContext:
     few_shot_asset: str = ""
     temperature: float = DEFAULT_GENERATION_TEMPERATURE
     seed: int = 0
-
-    def __post_init__(self):
-        if self.temperature < 0:
-            raise ValueError("temperature must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -225,8 +223,9 @@ class HttpBackend:
     (status_code, body_text)``.  The default posts with the stdlib's
     ``urllib.request``: one connection per request (``Connection: close``),
     proxies from ``HTTP(S)_PROXY``/``NO_PROXY``, HTTPS certificates verified,
-    and a non-2xx reply returned as its status, not raised.  Tests inject a
-    fake transport for fault injection.
+    a non-2xx reply returned as its status, not raised, and a body longer
+    than ``MAX_REPLY_BYTES`` raised.  Tests inject a fake transport for fault
+    injection.
 
     The reply to each translation and judge prompt is remembered for the
     life of the backend, which is one task, and reused for the same prompt
@@ -258,7 +257,10 @@ class HttpBackend:
             resp = exc  # a non-2xx reply: returned with its status, not raised
         with resp:
             charset = resp.headers.get_content_charset() or "utf-8"
-            return resp.status, resp.read().decode(charset, errors="replace")
+            body = resp.read(MAX_REPLY_BYTES + 1)  # a byte more shows a longer reply
+            if len(body) > MAX_REPLY_BYTES:
+                raise ValueError(f"reply longer than {MAX_REPLY_BYTES} bytes")
+            return resp.status, body.decode(charset, errors="replace")
 
     def _complete(self, prompt: str, temperature: float, n: int = 1) -> list[str]:
         spec = self.spec
@@ -272,9 +274,11 @@ class HttpBackend:
         if spec.api_key:
             headers["Authorization"] = f"Bearer {spec.api_key}"
         last_error = "no attempt made"
+        wait = BACKOFF_BASE_S
         for attempt in range(spec.max_retries):
             if attempt:
-                self._sleep(BACKOFF_BASE_S * 2 ** (attempt - 1))
+                self._sleep(wait)
+                wait = min(2 * wait, BACKOFF_MAX_S)
             try:
                 status, body = self._transport(spec.endpoint, payload, headers, spec.timeout)
             except Exception as exc:

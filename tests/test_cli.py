@@ -10,8 +10,8 @@ import weakref
 
 import pytest
 
-from oracle_forge import cli, gateway, template
-from oracle_forge.config import ConfigError, PipelineConfig, load_config
+from oracle_forge import cli, gateway, kernel, template
+from oracle_forge.config import ConfigError, load_config
 from oracle_forge.datafactory import (
     GENERATION_ERROR,
     TRANSLATION_ERROR,
@@ -33,8 +33,7 @@ def run_cli(capsys, *argv):
 
 class TestConfig:
     def test_defaults(self):
-        cfg = PipelineConfig()
-        cfg.validate()
+        cfg = load_config()
         assert cfg.backend == "scripted-oracle"
         assert cfg.beam.width == 9 and cfg.beam.top_k == 3
 
@@ -64,7 +63,7 @@ class TestConfig:
         cfg = load_config(path)
         assert cfg.http.api_key == "sekrit"
         # redacted when serialized back out
-        assert cfg.to_dict()["http"]["api_key"] == "<redacted>"
+        assert cfg.hashable_dict()["http"]["api_key"] == "<redacted>"
 
     def test_http_backend_sends_what_its_section_says(self, tmp_path):
         path = write(
@@ -222,7 +221,9 @@ class TestConfig:
     @pytest.mark.parametrize("section", ["beam", "corpus", "corruption", "http"])
     def test_section_without_value_or_not_a_mapping(self, tmp_path, section):
         cfg = load_config(write(tmp_path / "empty.yaml", f"{section}:\n"))
-        assert cfg.to_dict() == load_config(write(tmp_path / "none.yaml", "{}\n")).to_dict()
+        assert cfg.hashable_dict() == load_config(
+            write(tmp_path / "none.yaml", "{}\n")
+        ).hashable_dict()
         path = write(tmp_path / "scalar.yaml", f"{section}: 3\n")
         with pytest.raises(ConfigError, match=f"^{section} must be a mapping$"):
             load_config(path)
@@ -730,8 +731,12 @@ class TestStatsCli:
                 b'{"id": 0, "task_id": "t", "has_step": true, "executed": "no"}\n',
                 "line 1: executed must be bool, got 'no'",
             ),
+            (
+                b'{"id": 0, "task_id": "t", "has_step": true, "executed": false}\n',
+                "line 1: failed step without failure_class",
+            ),
         ],
-        ids=["not-utf8", "string-executed"],
+        ids=["not-utf8", "string-executed", "unclassified-failure"],
     )
     def test_unreadable_audit_is_a_one_line_error(self, tmp_path, capsys, content, reason):
         audit = tmp_path / "audit.jsonl"
@@ -1217,3 +1222,21 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert "stage1" in proc.stdout and "verify-step" in proc.stdout
+
+
+def first_fenced_block(path, info=""):
+    """The text of the first fenced block in ``path`` opened by ```info."""
+    with open(path, encoding="utf-8") as fh:
+        return re.search(rf"^```{info}\n(.*?)^```$", fh.read(), re.M | re.S)[1]
+
+
+def test_documented_examples_still_work(tmp_path, capsys, monkeypatch):
+    # README's configuration runs as written, from the repository root where
+    # its prompts_dir is, and the first example of the rule language parses.
+    repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    monkeypatch.setenv("MY_API_KEY", "sk-example")
+    monkeypatch.chdir(repo)
+    cfg = write(tmp_path / "readme.yaml", first_fenced_block("README.md", "yaml"))
+    code, _, err = run_cli(capsys, "stage2", "--config", cfg, "--out", str(tmp_path / "out"))
+    assert (code, err) == (cli.EXIT_OK, "")
+    kernel.parse_program(first_fenced_block(os.path.join("docs", "rule_language.md")))

@@ -218,14 +218,6 @@ class TestAuditAndStats:
             ["TOTAL", "15", "10", "0.667"],
         ]
 
-    def test_unclassified_failure_raises(self):
-        recs = [
-            {"id": 0, "task_id": "t", "has_step": True, "executed": False,
-             "failure_class": None}
-        ]
-        with pytest.raises(MalformedAudit):
-            compute_stats(recs)
-
     @pytest.mark.parametrize(
         "content, reason",
         [
@@ -253,10 +245,15 @@ class TestAuditAndStats:
                 "line 1: unknown failure_class: 'Oops'",
             ),
             (b'{"id": 1, "task_id": "t\xff"}\n', "line 1: 'utf-8' codec can't decode"),
+            (
+                b'{"id": 0, "task_id": "t", "has_step": true, "executed": false,'
+                b' "failure_class": null}\n',
+                "line 1: failed step without failure_class",
+            ),
         ],
         ids=[
             "no-task-id", "no-executed", "int-task-id", "string-executed", "bool-id",
-            "unknown-failure-class", "not-utf8",
+            "unknown-failure-class", "not-utf8", "unclassified-failure",
         ],
     )
     def test_malformed_line_raises(self, tmp_path, content, reason):

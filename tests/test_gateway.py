@@ -250,6 +250,22 @@ class TestHttpBackend:
                 call()
         assert backend.telemetry["malformed_responses"] == 8
 
+    def test_backoff_doubles_up_to_its_ceiling(self):
+        # Without a ceiling, max_retries: 20 would wait about 36 h before its
+        # last attempt, and a count past 1,025 would overflow a float.
+        def waits(max_retries):
+            sleeps = []
+            spec = HttpSpec(endpoint="http://example.test/v1", model="m", max_retries=max_retries)
+            transport = FakeTransport([(503, "busy")])
+            backend = HttpBackend(spec, transport=transport, sleep=sleeps.append)
+            with pytest.raises(BackendUnavailable, match="HTTP 503"):
+                backend._complete("hi", 0.0)
+            return sleeps
+
+        assert waits(12) == [0.5, 1, 2, 4, 8, 16] + [30] * 5
+        sleeps = waits(2000)
+        assert len(sleeps) == 1999 and max(sleeps) == sleeps[-1] == gateway.BACKOFF_MAX_S
+
     def test_malformed_judgment_is_both_fail(self):
         transport = FakeTransport([(200, chat_response("maybe?"))])
         backend = http_backend(transport)
@@ -520,6 +536,20 @@ class TestDefaultTransport:
         with pytest.raises(BackendUnavailable, match="transport error: .*refused"):
             backend._complete("hi", 0.0)
         assert backend.telemetry["transport_errors"] == 2
+
+    def test_reply_longer_than_the_cap_is_a_transport_error(self, serve):
+        cap = gateway.MAX_REPLY_BYTES
+        text = "Y" * (cap - len(chat_response("")))
+        whole = chat_response(text)
+        assert len(whole.encode("utf-8")) == cap
+        # A trailing blank keeps the body valid JSON; only its length is at fault.
+        server = serve([(200, whole), (200, whole + " ")])
+        backend = default_http_backend(server.url, max_retries=3)
+        assert backend._complete("hi", 0.0) == [text]
+        with pytest.raises(BackendUnavailable, match=f"reply longer than {cap} bytes"):
+            backend._complete("hi", 0.0)
+        assert backend.telemetry["transport_errors"] == 3
+        assert len(server.received) == 4
 
     def test_retries_exhausted_raise(self, serve):
         server = serve([(503, "busy")])

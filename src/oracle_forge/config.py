@@ -2,7 +2,8 @@
 
 Only string values of the form ``${VAR_NAME}`` are interpolated, so secrets
 (API keys) stay out of config files on disk.  Everything else in the file is
-literal.  ``load_config`` checks a config in one pass, as it builds it.  See
+literal.  ``load_config`` checks a config in one pass, as it builds it; the
+prompt assets are read, and checked, by ``PipelineConfig.load_prompts``.  See
 README for the full key reference.
 """
 
@@ -97,18 +98,21 @@ class PipelineConfig:
         return d
 
     def load_prompts(self) -> dict[str, str]:
-        """The assets in ``prompts_dir`` by name; one not readable as UTF-8 is a ConfigError."""
+        """The assets in ``prompts_dir`` by name.  One not readable as UTF-8 is
+        a ConfigError, and so is a missing one that the http backend sends."""
         if not self.prompts_dir:
             return {}
         prompts = {}
         for name in PROMPT_ASSETS + ("few_shot.txt",):
             p = os.path.join(self.prompts_dir, name)
-            if os.path.exists(p):
-                try:
-                    with open(p, encoding="utf-8") as fh:
-                        prompts[name.removesuffix(".txt")] = fh.read()
-                except (OSError, UnicodeDecodeError) as exc:
-                    raise ConfigError(f"cannot read prompt asset {p}: {exc}") from exc
+            try:
+                with open(p, encoding="utf-8") as fh:
+                    prompts[name.removesuffix(".txt")] = fh.read()
+            except FileNotFoundError:
+                if self.backend == "http" and name in PROMPT_ASSETS:
+                    raise ConfigError(f"missing prompt asset: {name}") from None
+            except (OSError, UnicodeDecodeError) as exc:
+                raise ConfigError(f"cannot read prompt asset {p}: {exc}") from exc
         return prompts
 
 
@@ -195,9 +199,6 @@ def _build(data: dict) -> PipelineConfig:
             raise ConfigError("http backend requires endpoint and model")
         if not cfg.prompts_dir:
             raise ConfigError("http backend requires prompts_dir")
-        for name in PROMPT_ASSETS:
-            if not os.path.exists(os.path.join(cfg.prompts_dir, name)):
-                raise ConfigError(f"missing prompt asset: {name}")
     return cfg
 
 
@@ -235,7 +236,8 @@ def load_config(path: str | None = None, **overrides) -> PipelineConfig:
     """The config of the YAML file at ``path``, or the defaults when there is
     none, with each override in place of the top-level key it names; built
     and checked in one pass, so a file value that an override replaces is
-    never checked."""
+    never checked.  It does not open the prompt assets: an http config whose
+    assets are missing is refused by ``load_prompts``."""
     data = {}
     if path is not None:
         try:

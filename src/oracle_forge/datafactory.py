@@ -144,22 +144,23 @@ def node_to_audit(node, task_id: str) -> dict:
     if node.step is not None and not executed:
         failure_class = classify_failure(node.translation, node.verdict)
         failure_kind = node.verdict.failure.value
+    # In sorted key order, so the line is written without sort_keys.
     return {
-        "id": node.id,
-        "parent": node.parent,
+        "answer": node.answer,
         "depth": node.depth,
-        "task_id": task_id,
-        "has_step": node.step is not None,
         "executed": executed,
         "failure_class": failure_class,
         "failure_kind": failure_kind,
+        "has_step": node.step is not None,
+        "id": node.id,
+        "parent": node.parent,
+        "selected": node.selected,
+        "task_id": task_id,
+        "terminal": node.terminal,
+        "total": node.score.total,
         "w1": node.score.w1,
         "w2": node.score.w2,
         "w3": node.score.w3,
-        "total": node.score.total,
-        "terminal": node.terminal,
-        "answer": node.answer,
-        "selected": node.selected,
     }
 
 
@@ -392,7 +393,7 @@ def emit_datasets(
                 manifest["partial"] |= len(kept) < len(records)
                 yield from ((f"{kind}.jsonl", _line(rec)) for rec in kept)
             for node in result.nodes:
-                yield "audit.jsonl", json.dumps(node_to_audit(node, task_id), sort_keys=True)
+                yield "audit.jsonl", json.dumps(node_to_audit(node, task_id))
         manifest["partial"] |= bool(lost_tasks)
         yield "manifest.json", json.dumps(manifest, sort_keys=True, indent=2)
 

@@ -90,6 +90,11 @@ class ScriptedNoisyBackend:
         self.gold_steps = tuple(
             gold_step(task, i) for i in range(len(task.ground_truth_proof))
         )
+        # Each rule sentence with its positive body predicates, in sentence order.
+        self._rule_bodies = tuple(
+            (nl, frozenset(a.predicate for a in sym.body_pos))
+            for nl, sym in sorted(task.nl_pairing.items()) if isinstance(sym, Rule)
+        )
 
     def _position(self, ctx: GenerationContext) -> int:
         return len(ctx.prior_steps)
@@ -113,13 +118,10 @@ class ScriptedNoisyBackend:
             sym = self.task.nl_pairing.get(nl)
             if isinstance(sym, Fact):
                 fact_preds.add(sym.atom.predicate)
-        out = []
-        for nl, sym in sorted(self.task.nl_pairing.items()):
-            if isinstance(sym, Rule) and nl != step.rule:
-                body_preds = {a.predicate for a in sym.body_pos}
-                if not body_preds <= fact_preds:
-                    out.append(nl)
-        return out
+        return [
+            nl for nl, body_preds in self._rule_bodies
+            if nl != step.rule and not body_preds <= fact_preds
+        ]
 
     def generate_candidates(self, ctx: GenerationContext, n: int) -> list[CandidateStep]:
         if n < 1:

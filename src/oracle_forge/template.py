@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import cached_property, lru_cache, reduce
 
 TAG_ORDER = (
     "QUERY",
@@ -296,8 +296,16 @@ def parse_response(raw: str, require_final_answer: bool = False) -> StructuredRe
     Raises a ParseError subclass on any structural deviation: missing or
     reordered tags, unclosed blocks, empty required fields, stray text between
     blocks.  ``require_final_answer`` additionally demands a terminal
-    FINAL ANSWER line.
+    FINAL ANSWER line.  The last 8 results are remembered by (text, flag)
+    and shared, being frozen; a failure is never remembered.
     """
+    return _parse(raw, require_final_answer)
+
+
+# One memo per process, for all worker threads: the beam re-parses each candidate
+# and siblings share texts; at 2 workers 8 entries miss only first sightings.
+@lru_cache(maxsize=8)
+def _parse(raw: str, require_final_answer: bool) -> StructuredResponse:
     steps: list[ReasoningStep] = []
     final_answer = ""
     pos = 0

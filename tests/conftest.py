@@ -9,6 +9,7 @@ the second route the engine is checked against.
 from __future__ import annotations
 
 import itertools
+import json
 import random
 from dataclasses import dataclass
 
@@ -444,3 +445,29 @@ def planted_stage1_corpus(
             )
         out.append(PlantedSample(task, raw, label))
     return out
+
+
+# --------------------------------------------------------------------------
+# Golden stage-2 runs
+
+GOLDEN_CORPORA = {
+    "chain": {"kind": "chain", "hops": 4},
+    "rulebase": {"kind": "rulebase", "n_facts": 12, "n_rules": 8, "negation": True},
+}
+
+
+def golden_config(tmp_path, kind, count=40):
+    """The path of the config file of the golden stage-2 run of ``kind``: the
+    scripted-noisy config of perfbench/run.py:corpus_config at seed 3, whose
+    benchmark corpus is 400 tasks."""
+    config = {
+        "backend": "scripted-noisy",
+        "seed": 3,
+        "workers": 2,
+        "prompts_dir": None,
+        "corruption": {"p_bad_rule": 0.3, "p_bad_fact": 0.1},
+        "corpus": dict(GOLDEN_CORPORA[kind], count=count),
+    }
+    path = tmp_path / "cfg.yaml"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    return str(path)

@@ -10,7 +10,8 @@ import weakref
 
 import pytest
 
-from oracle_forge import cli, gateway, kernel, template
+from conftest import GOLDEN_CORPORA, golden_config
+from oracle_forge import cli, datafactory, gateway, kernel, template
 from oracle_forge.config import ConfigError, load_config
 from oracle_forge.datafactory import (
     GENERATION_ERROR,
@@ -228,19 +229,31 @@ class TestConfig:
         with pytest.raises(ConfigError, match=f"^{section} must be a mapping$"):
             load_config(path)
 
-    def test_http_backend_requires_prompt_assets(self, tmp_path):
+    @staticmethod
+    def http_config_without_feasibility(tmp_path):
+        """An http config whose prompts_dir holds every asset but feasibility.txt."""
         prompts = tmp_path / "prompts"
         prompts.mkdir()
         for name in ("generation.txt", "translation.txt", "precision.txt"):
             write(prompts / name, "x")
-        # feasibility.txt missing
         path = write(
             tmp_path / "cfg.yaml",
             f"backend: http\nprompts_dir: {prompts}\n"
             "http: {endpoint: 'http://x', model: m}\n",
         )
-        with pytest.raises(ConfigError, match="feasibility"):
-            load_config(path)
+        return path, prompts / "feasibility.txt"
+
+    def test_http_backend_requires_prompt_assets(self, tmp_path):
+        path, _ = self.http_config_without_feasibility(tmp_path)
+        with pytest.raises(ConfigError, match="^missing prompt asset: feasibility.txt$"):
+            load_config(path).load_prompts()
+
+    def test_http_prompt_asset_that_is_a_directory(self, tmp_path):
+        path, asset = self.http_config_without_feasibility(tmp_path)
+        asset.mkdir()
+        message = f"^cannot read prompt asset {re.escape(str(asset))}: "
+        with pytest.raises(ConfigError, match=message):
+            load_config(path).load_prompts()
 
     def test_http_backend_requires_endpoint(self, tmp_path):
         path = write(tmp_path / "cfg.yaml", "backend: http\n")
@@ -1013,25 +1026,6 @@ GOLDEN_DIGESTS = {
         "manifest.json": "706aafab0ebcbeb4273f85d8d0de6c26b210568827ddac21b0546548c97b3469",
     },
 }
-GOLDEN_CORPORA = {
-    "chain": {"kind": "chain", "hops": 4},
-    "rulebase": {"kind": "rulebase", "n_facts": 12, "n_rules": 8, "negation": True},
-}
-
-
-def golden_config(tmp_path, kind):
-    """The path of the config file of the golden stage-2 run of ``kind``."""
-    config = {
-        "backend": "scripted-noisy",
-        "seed": 3,
-        "workers": 2,
-        "prompts_dir": None,
-        "corruption": {"p_bad_rule": 0.3, "p_bad_fact": 0.1},
-        "corpus": dict(GOLDEN_CORPORA[kind], count=40),
-    }
-    return write(tmp_path / "cfg.yaml", json.dumps(config))
-
-
 def golden_run(tmp_path, capsys, kind):
     """The output directory of the golden stage-2 run of ``kind``."""
     cfg = golden_config(tmp_path, kind)
@@ -1049,6 +1043,51 @@ def test_stage2_outputs_match_golden_digests(tmp_path, capsys, kind):
         for name in GOLDEN_DIGESTS[kind]
     }
     assert digests == GOLDEN_DIGESTS[kind]
+
+
+# sha256 of the stage-2 outputs of the golden configs at 400 tasks, the
+# benchmark's corpora.  Unlike the 40-task runs, the chain run reaches the
+# max_dpo cut, which these digests therefore cover too.
+BENCH_SCALE_DIGESTS = {
+    "chain": {
+        "sft.jsonl": "316da31b20fa4fe437f6c612fbce5d5bff8ab004bd889e06fc531cc7f1a7a542",
+        "dpo.jsonl": "36f7866fb0f5cad9753ae7831e996ea2fb9061b12e9bf69824bbf0f073d88a9d",
+        "audit.jsonl": "a5f5c01c6aa4b85157e0954e6469c64b5bfd199b6a085a3b0176f99e3ae508de",
+    },
+    "rulebase": {
+        "sft.jsonl": "e0ec4b2fca813b9d9fe57df786e35ea239201b0f090691bad4ceb3483dd9d8c0",
+        "dpo.jsonl": "b1b46a97eabfb3bca8df555d5bc2ea6a13662d57bfd21396ab48da67986afee7",
+        "audit.jsonl": "0d836b45904837626522a7d91159d2de3aaede632fa2c03c24dde05e4029cc63",
+    },
+}
+DPO_CUT_AT_BENCH_SCALE = {"chain": 483, "rulebase": 0}
+
+
+@pytest.mark.parametrize("kind", sorted(BENCH_SCALE_DIGESTS))
+def test_stage2_outputs_at_bench_scale_match_digests(tmp_path, capsys, monkeypatch, kind):
+    offered = []
+
+    def counting_dpo_records(result):
+        records = dpo_records_from_result(result)
+        offered.append(len(records))
+        return records
+
+    dpo_records_from_result = datafactory.dpo_records_from_result
+    monkeypatch.setattr(datafactory, "dpo_records_from_result", counting_dpo_records)
+    out = tmp_path / "out"
+    cfg = golden_config(tmp_path, kind, count=400)
+    code, _, _ = run_cli(capsys, "stage2", "--config", cfg, "--out", str(out))
+    assert code == 0
+    digests = {
+        name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+        for name in BENCH_SCALE_DIGESTS[kind]
+    }
+    assert digests == BENCH_SCALE_DIGESTS[kind]
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert sum(offered) - manifest["counts"]["dpo"] == DPO_CUT_AT_BENCH_SCALE[kind]
+    assert manifest["partial"] == bool(DPO_CUT_AT_BENCH_SCALE[kind])
+    # An audit line is written without sort_keys: the record is built sorted.
+    assert all(list(rec) == sorted(rec) for rec in read_audit(out / "audit.jsonl"))
 
 
 @pytest.mark.parametrize("kind", sorted(GOLDEN_DIGESTS))

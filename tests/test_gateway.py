@@ -2,11 +2,13 @@ import json
 import socket
 import sys
 import threading
+from dataclasses import replace
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
-from oracle_forge import gateway, template
+from conftest import golden_config
+from oracle_forge import cli, gateway, template
 from oracle_forge.beam import BeamConfig, run_beam
 from oracle_forge.corpus import CorruptionModel, gen_chain_task, gold_step
 from oracle_forge.gateway import (
@@ -19,6 +21,7 @@ from oracle_forge.gateway import (
     ScriptedNoisyBackend,
     ScriptedOracleBackend,
 )
+from oracle_forge.config import load_config
 from oracle_forge.kernel import Fact, Rule, verify_step
 
 
@@ -138,6 +141,47 @@ class TestScriptedNoisy:
         shared += [n.step for n in result.nodes if n.depth == 1 and n.step == gold]
         assert len(shared) > 3
         assert all(s is gold for s in shared)
+
+    def test_candidates_depend_on_the_prefix_not_the_call_order(self, task):
+        corruption = CorruptionModel(p_bad_rule=0.5, p_bad_fact=0.5, seed=6)
+        gold = gold_step(task, 0)
+        contexts = [
+            ctx_for(task),
+            ctx_for(task, [gold]),
+            ctx_for(task),
+            ctx_for(task, [replace(gold, rule="Another rule sentence.")]),
+            ctx_for(task, [gold]),
+        ]
+        backend = ScriptedNoisyBackend(task, corruption)
+        for ctx in contexts:
+            fresh = ScriptedNoisyBackend(task, corruption)
+            assert backend.generate_candidates(ctx, 6) == fresh.generate_candidates(ctx, 6)
+
+    def test_non_firing_rules_match_a_scan_of_the_pairing(self, tmp_path):
+        def reference(task, step):
+            fact_preds = set()
+            for nl in step.facts:
+                sym = task.nl_pairing.get(nl)
+                if isinstance(sym, Fact):
+                    fact_preds.add(sym.atom.predicate)
+            out = []
+            for nl, sym in sorted(task.nl_pairing.items()):
+                if isinstance(sym, Rule) and nl != step.rule:
+                    body_preds = {a.predicate for a in sym.body_pos}
+                    if not body_preds <= fact_preds:
+                        out.append(nl)
+            return out
+
+        tasks = cli.build_tasks(load_config(golden_config(tmp_path, "rulebase")))
+        checked = 0
+        for task in tasks:
+            backend = ScriptedNoisyBackend(task, CorruptionModel())
+            for gold in backend.gold_steps:
+                bad_fact = replace(gold, facts=("The statement 7 holds.",) + gold.facts[1:])
+                for step in (gold, bad_fact):
+                    assert backend._non_firing_rule_nls(step) == reference(task, step)
+                    checked += 1
+        assert checked > len(tasks)
 
     def test_corrupted_step_fails_evaluation(self, task):
         backend = ScriptedNoisyBackend(task, CorruptionModel(p_bad_rule=1.0, seed=4))

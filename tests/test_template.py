@@ -7,11 +7,18 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from conftest import nonempty_field, reasoning_steps, reference_parse, structured_responses
-from oracle_forge import template
+from conftest import (
+    golden_config,
+    nonempty_field,
+    reasoning_steps,
+    reference_parse,
+    structured_responses,
+)
+from oracle_forge import cli, template
 from oracle_forge.template import (
     EmptyField,
     MissingTag,
+    NoFinalAnswer,
     ReasoningStep,
     RevisionResult,
     StructuredResponse,
@@ -418,6 +425,47 @@ class TestReferenceParser:
     @given(st.one_of(mutated_responses(), escape_piece_steps()))
     def test_grammar_agrees_with_the_tag_by_tag_scan(self, raw):
         assert parse_outcome(parse_response, raw) == parse_outcome(reference_parse, raw)
+
+
+class TestParseMemo:
+    @settings(max_examples=200)
+    @given(structured_responses())
+    def test_a_repeat_equals_the_source(self, resp):
+        raw = serialize_response(resp)
+        assert parse_response(raw) == resp
+        assert parse_response(raw) == resp
+        template._parse.cache_clear()
+        assert parse_response(raw) == resp
+
+    @settings(max_examples=300, deadline=None)
+    @given(mutated_responses())
+    def test_a_failure_is_raised_on_every_call(self, raw):
+        template._parse.cache_clear()
+        first = parse_outcome(parse_response, raw)
+        assert parse_outcome(parse_response, raw) == first
+        stored = isinstance(first, StructuredResponse)
+        assert template._parse.cache_info().currsize == stored
+
+    @settings(max_examples=100)
+    @given(structured_responses(), st.booleans())
+    def test_require_final_answer_in_either_order(self, resp, strict_first):
+        raw = serialize_response(replace(resp, final_answer=""))
+        for strict in (strict_first, not strict_first):
+            if strict:
+                with pytest.raises(NoFinalAnswer):
+                    parse_response(raw, require_final_answer=True)
+            else:
+                assert parse_response(raw).steps == resp.steps
+
+    def test_golden_chain_run_parses_each_text_once(self, tmp_path, capsys):
+        # Each candidate's text is parsed when the beam reads its answer, and
+        # identical sibling candidates share one parse: the 40 tasks' 660
+        # parse_response calls make 225 parses of 224 distinct texts.
+        template._parse.cache_clear()
+        cfg = golden_config(tmp_path, "chain")
+        assert cli.main(["stage2", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+        capsys.readouterr()
+        assert template._parse.cache_info().misses == 225
 
 
 def backslash_and_bracket_runs(size: int, seed: int) -> str:

@@ -9,6 +9,7 @@ README for the full key reference.
 
 from __future__ import annotations
 
+import math
 import os
 import re
 import typing
@@ -130,8 +131,8 @@ def _fits(value, tp) -> bool:
 def _check(data: dict, cls, where: str = "", exclude: frozenset = frozenset()) -> None:
     """Check ``data`` against the fields of ``cls``: every key names a field,
     every value fits the field's annotated type (a bool is no integer, an
-    integer is a number), and every number but a seed is non-negative.
-    Fields that are sections (dataclasses) are checked on their own."""
+    integer is a number), and every number is finite and, but for a seed,
+    non-negative.  Sections (dataclass fields) are checked on their own."""
     unknown = set(data) - ({f.name for f in fields(cls)} - exclude)
     if unknown:
         label = f"{where} key" if where else "top-level key"
@@ -145,6 +146,8 @@ def _check(data: dict, cls, where: str = "", exclude: frozenset = frozenset()) -
         if not any(_fits(value, tp) for tp in options):
             expected = " or ".join(_TYPE_NAMES[tp] for tp in options)
             raise ConfigError(f"{label} must be {expected}, got {value!r}")
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ConfigError(f"{label} must be a finite number, got {value!r}")
         if name != "seed" and _fits(value, float) and value < 0:
             raise ConfigError(f"{label} must be non-negative, got {value!r}")
 

@@ -113,12 +113,8 @@ def _rule_nl(rule: Rule) -> str:
 
 
 def gen_chain_task(hops: int, distractors: int = 2, seed: int = 0) -> TaskInstance:
-    """A unique hops-length implication chain from a subject constant to the
-    queried property; gold answer balanced by seed parity."""
-    if hops < 1:
-        raise ValueError("hops must be >= 1")
-    if distractors < 1:
-        raise ValueError("distractors must be >= 1")
+    """A unique hops-length implication chain from a subject constant; the
+    query holds for an even seed.  ``CorpusSpec`` keeps both sizes >= 1."""
     rng = random.Random(("chain", hops, distractors, seed).__repr__())
     words = _nonsense_words(rng, hops + 1 + 2 * distractors)
     chain = words[: hops + 1]
@@ -161,12 +157,8 @@ def gen_rulebase_task(
     negation: bool = False,
     seed: int = 0,
 ) -> TaskInstance:
-    """A random stratified rule base whose query truth is decided by forward
-    chaining; proof steps are read off the derivation trace."""
-    if not (1 <= n_facts <= MAX_RULEBASE_FACTS):
-        raise ValueError(f"n_facts out of bounds (1..{MAX_RULEBASE_FACTS})")
-    if not (1 <= n_rules <= MAX_RULEBASE_RULES):
-        raise ValueError(f"n_rules out of bounds (1..{MAX_RULEBASE_RULES})")
+    """A random stratified rule base, sized within ``CorpusSpec``'s bounds, whose
+    query truth forward chaining decides; proof steps come from its trace."""
     rng = random.Random(("rulebase", n_facts, n_rules, negation, seed).__repr__())
     for attempt in range(_GEN_RETRIES):
         task = _try_rulebase(rng, n_facts, n_rules, negation, seed)

@@ -172,7 +172,7 @@ _FAILURES = {GENERATION_ERROR: "failures_generation", TRANSLATION_ERROR: "failur
 def read_audit(path) -> list[dict]:
     """The records of an audit file; MalformedAudit names the first line that
     is not UTF-8 JSON, holds a field that stats reads with the wrong type, or
-    is a failed step without a failure class."""
+    is a failed step without a failure class or an executed one with one."""
     records = []
     with open(path, "rb") as fh:  # json.loads decodes each line itself
         for lineno, line in enumerate(fh, 1):
@@ -195,6 +195,8 @@ def read_audit(path) -> list[dict]:
                 )
             if rec["has_step"] and not rec["executed"] and rec.get("failure_class") is None:
                 raise MalformedAudit(f"line {lineno}: failed step without failure_class")
+            if rec["executed"] and rec.get("failure_class") is not None:
+                raise MalformedAudit(f"line {lineno}: executed step with failure_class")
             records.append(rec)
     return records
 
@@ -216,9 +218,9 @@ def compute_stats(audit: list[dict] | str | os.PathLike) -> RunStats:
     return RunStats(**totals, per_task_breakdown=rows)
 
 
-# A generated task's id is its family, then "-<seed>"; any other id is its
-# own family.
-_FAMILY_RE = re.compile(r"(chain-\d+h|rulebase-\d+f\d+r)-\d+")
+# A generated task's id is its family, then "-<seed>", a seed that may be
+# negative ("chain-1h--3000009"); any other id is its own family.
+_FAMILY_RE = re.compile(r"(chain-\d+h|rulebase-\d+f\d+r)--?\d+")
 
 
 def format_stats_tables(stats: RunStats) -> str:

@@ -124,8 +124,6 @@ class ScriptedNoisyBackend:
         ]
 
     def generate_candidates(self, ctx: GenerationContext, n: int) -> list[CandidateStep]:
-        if n < 1:
-            raise ValueError("n must be >= 1")
         i = self._position(ctx)
         if i >= len(self.gold_steps):
             return []
@@ -258,11 +256,10 @@ class HttpBackend:
         except urllib.error.HTTPError as exc:
             resp = exc  # a non-2xx reply: returned with its status, not raised
         with resp:
-            charset = resp.headers.get_content_charset() or "utf-8"
             body = resp.read(MAX_REPLY_BYTES + 1)  # a byte more shows a longer reply
             if len(body) > MAX_REPLY_BYTES:
                 raise ValueError(f"reply longer than {MAX_REPLY_BYTES} bytes")
-            return resp.status, body.decode(charset, errors="replace")
+            return resp.status, body.decode("utf-8", errors="replace")
 
     def _complete(self, prompt: str, temperature: float, n: int = 1) -> list[str]:
         spec = self.spec
@@ -318,8 +315,6 @@ class HttpBackend:
         return "\n\n".join(p for p in (self.prompts.get(asset, ""), *parts) if p)
 
     def generate_candidates(self, ctx: GenerationContext, n: int) -> list[CandidateStep]:
-        if n < 1:
-            raise ValueError("n must be >= 1")
         prior = template.serialize_response(template.StructuredResponse(ctx.prior_steps))
         prompt = self._prompt("generation", ctx.few_shot_asset, ctx.question, prior)
         out: list[CandidateStep] = []

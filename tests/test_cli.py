@@ -175,9 +175,11 @@ class TestConfig:
         cfg = load_config(write(
             tmp_path / "ok.yaml",
             "seed: -3\nhttp: {timeout: 5, api_key: null}\n"
-            "corpus: {kind: rulebase, negation: true}\n",
+            "corpus: {kind: rulebase, negation: true}\n"
+            f"max_sft: {'9' * 400}\n",  # too large for a float, yet finite
         ))
         assert (cfg.seed, cfg.beam.seed, cfg.http.timeout) == (-3, -3, 5)
+        assert cfg.max_sft == int("9" * 400)
         for text, message in [
             ("workers: true\n", "workers must be an integer, got True"),
             ("corpus: {kind: rulebase, negation: 1}\n",
@@ -188,6 +190,13 @@ class TestConfig:
             ("http: {max_in_flight: 0}\n", "unknown http key: max_in_flight"),
             ("http: {max_retries: 0}\n", "http.max_retries must be at least 1, got 0"),
             ("http: {timeout: 0}\n", "http.timeout must be greater than 0, got 0"),
+        ] + [
+            # nan < 0 is false: the sign check alone does not refuse nan.
+            (f"{section}: {{{key}: {text}}}\n",
+             f"{section}.{key} must be a finite number, got {got}")
+            for section, key in [("beam", "temperature"), ("http", "timeout"),
+                                 ("corruption", "p_bad_fact")]
+            for text, got in [(".nan", "nan"), (".inf", "inf"), ("-.inf", "-inf")]
         ]:
             with pytest.raises(ConfigError, match=f"^{re.escape(message)}"):
                 load_config(write(tmp_path / "bad.yaml", text))

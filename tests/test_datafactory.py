@@ -16,12 +16,21 @@ from conftest import (
     gold_response,
     planted_stage1_corpus,
 )
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from oracle_forge import datafactory, template
 from oracle_forge.beam import BeamConfig, BeamNode, ScoreBreakdown, expand_node, run_beam
-from oracle_forge.corpus import CorruptionModel, gen_chain_task, gold_step
+from oracle_forge.cli import build_tasks
+from oracle_forge.config import CorpusSpec, PipelineConfig
+from oracle_forge.corpus import (
+    MAX_RULEBASE_FACTS,
+    MAX_RULEBASE_RULES,
+    CorruptionModel,
+    RetryExhausted,
+    gen_chain_task,
+    gold_step,
+)
 from oracle_forge.datafactory import (
     DpoRecord,
     FORMAT_VIOLATION,
@@ -218,6 +227,42 @@ class TestAuditAndStats:
             ["TOTAL", "15", "10", "0.667"],
         ]
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        kind=st.sampled_from(["chain", "rulebase"]),
+        count=st.integers(1, 4),
+        hops=st.integers(1, 30),
+        distractors=st.integers(1, 40),  # at most 30 + 1 + 80 of the 112 words
+        n_facts=st.integers(1, MAX_RULEBASE_FACTS),
+        n_rules=st.integers(1, MAX_RULEBASE_RULES),
+        negation=st.booleans(),
+        seed=st.integers(-10**7, 10**7),
+        file_id=st.from_regex(r"[a-z]+-[0-9]+", fullmatch=True),
+    )
+    def test_table_files_each_generated_id_under_its_family(
+        self, kind, count, hops, distractors, n_facts, n_rules, negation, seed, file_id
+    ):
+        # A negative run seed gives negative task seeds, "chain-1h--3000009".
+        spec = CorpusSpec(kind, count, hops, distractors, n_facts, n_rules, negation)
+        try:
+            tasks = build_tasks(PipelineConfig(seed=seed, corpus=spec))
+        except RetryExhausted:
+            reject()
+        expected = {file_id: 1}
+        for i, task in enumerate(tasks):
+            family = f"chain-{1 + i % hops}h" if kind == "chain" else f"rulebase-{n_facts}f{n_rules}r"
+            assert task.id == f"{family}-{seed * 1_000_003 + i}"
+            expected[family] = expected.get(family, 0) + 1
+        recs = [
+            {"id": 1, "task_id": task_id, "has_step": True, "executed": True,
+             "failure_class": None}
+            for task_id in [t.id for t in tasks] + [file_id]
+        ]
+        lines = format_stats_tables(compute_stats(recs)).splitlines()
+        rows = [line.split() for line in lines[2:lines.index("") - 1]]
+        assert {row[0]: int(row[1]) for row in rows} == expected
+        assert len(rows) == len(expected)
+
     @pytest.mark.parametrize(
         "content, reason",
         [
@@ -250,10 +295,15 @@ class TestAuditAndStats:
                 b' "failure_class": null}\n',
                 "line 1: failed step without failure_class",
             ),
+            (
+                b'{"id": 0, "task_id": "t", "has_step": true, "executed": true,'
+                b' "failure_class": "GenerationError"}\n',
+                "line 1: executed step with failure_class",
+            ),
         ],
         ids=[
             "no-task-id", "no-executed", "int-task-id", "string-executed", "bool-id",
-            "unknown-failure-class", "not-utf8", "unclassified-failure",
+            "unknown-failure-class", "not-utf8", "unclassified-failure", "classified-success",
         ],
     )
     def test_malformed_line_raises(self, tmp_path, content, reason):

@@ -40,8 +40,6 @@ class TestScriptedOracle:
         cands = backend.generate_candidates(ctx_for(task), 3)
         assert len(cands) == 1
         assert cands[0].step == gold_step(task, 0)
-        with pytest.raises(ValueError, match="n must be >= 1"):
-            backend.generate_candidates(ctx_for(task), 0)
 
     def test_terminal_step_carries_final_answer(self, task):
         backend = ScriptedOracleBackend(task)
@@ -491,14 +489,16 @@ class TestHttpMemo:
 
 
 class ScriptedServer(ThreadingHTTPServer):
-    """Loopback server that answers POSTs from a script of (status, body)
-    and records each request's headers and JSON payload."""
+    """Loopback server that answers POSTs from a script of (status, body),
+    each body sent as UTF-8 under ``content_type``, and records each
+    request's headers and JSON payload."""
 
     daemon_threads = True
 
-    def __init__(self, script):
+    def __init__(self, script, content_type="application/json"):
         super().__init__(("127.0.0.1", 0), ScriptedHandler)
         self.script = list(script)
+        self.content_type = content_type
         self.received = []
 
     @property
@@ -517,7 +517,7 @@ class ScriptedHandler(BaseHTTPRequestHandler):
         status, text = server.script.pop(0) if len(server.script) > 1 else server.script[0]
         data = text.encode("utf-8")
         self.send_response(status)
-        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Type", server.content_type)
         self.send_header("Content-Length", str(len(data)))
         self.end_headers()
         self.wfile.write(data)
@@ -527,8 +527,8 @@ class ScriptedHandler(BaseHTTPRequestHandler):
 def serve():
     servers = []
 
-    def start(script):
-        server = ScriptedServer(script)
+    def start(script, **kwargs):
+        server = ScriptedServer(script, **kwargs)
         threading.Thread(
             target=server.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True
         ).start()
@@ -563,6 +563,16 @@ class TestDefaultTransport:
         assert headers["Authorization"] == "Bearer sk-test"
         assert payload["model"] == "test-model"
         assert payload["messages"] == [{"role": "user", "content": "hi"}]
+        assert backend.telemetry == {}
+
+    @pytest.mark.parametrize("charset", ["latin-1", "bogus"])
+    def test_reply_is_read_as_utf8_whatever_charset_it_declares(self, serve, charset):
+        # JSON between systems is UTF-8 (RFC 8259, section 8.1), and
+        # application/json defines no charset parameter (section 11).
+        body = json.dumps({"choices": [{"message": {"content": "Ünïcode"}}]}, ensure_ascii=False)
+        server = serve([(200, body)], content_type=f"application/json; charset={charset}")
+        backend = default_http_backend(server.url, max_retries=1)
+        assert backend._complete("hi", 0.0) == ["Ünïcode"]
         assert backend.telemetry == {}
 
     def test_http_error_is_counted_and_retried(self, serve):

@@ -33,7 +33,11 @@ PROMPT_ASSETS = ("generation.txt", "translation.txt", "precision.txt", "feasibil
 BACKENDS = ("scripted-oracle", "scripted-noisy", "http")
 
 
-def _interpolate(value):
+def _interpolate(value, depth: int = 2):
+    """``value`` with each ``${NAME}`` string in it, down to ``depth`` mappings
+    deep (the top level and the sections), replaced by that variable.  A config
+    holds nothing deeper, so nothing deeper is read: a value that holds itself
+    is left to the type check."""
     if isinstance(value, str):
         m = _ENV_RE.match(value)
         if m:
@@ -43,10 +47,8 @@ def _interpolate(value):
                 raise ConfigError(f"environment variable {name} is not set")
             return resolved
         return value
-    if isinstance(value, dict):
-        return {k: _interpolate(v) for k, v in value.items()}
-    if isinstance(value, list):
-        return [_interpolate(v) for v in value]
+    if isinstance(value, dict) and depth:
+        return {k: _interpolate(v, depth - 1) for k, v in value.items()}
     return value
 
 
@@ -206,20 +208,18 @@ def _build(data: dict) -> PipelineConfig:
 
 
 class _Loader(yaml.SafeLoader):
-    """PyYAML's safe loader, except that a timestamp which names no real date
-    or time, such as ``2001-13-45``, is a YAML error at its place instead of
-    the bare ``ValueError`` that PyYAML lets out."""
+    """PyYAML's safe loader, except that a value its tag cannot hold, such as
+    ``!!int abc`` or the timestamp ``2001-13-45``, is a YAML error at its place,
+    not the bare ``ValueError`` or ``KeyError`` that PyYAML lets out."""
 
-    def construct_yaml_timestamp(self, node):
+    def construct_object(self, node, deep=False):
         try:
-            return super().construct_yaml_timestamp(node)
-        except ValueError as exc:
+            return super().construct_object(node, deep)
+        except (ValueError, LookupError) as exc:
+            tag = node.tag.rsplit(":", 1)[-1]
             raise yaml.constructor.ConstructorError(
-                None, None, f"invalid timestamp {node.value!r}: {exc}", node.start_mark
+                None, None, f"invalid {tag} {node.value!r}: {exc}", node.start_mark
             ) from exc
-
-
-_Loader.add_constructor("tag:yaml.org,2002:timestamp", _Loader.construct_yaml_timestamp)
 
 
 def _yaml_error(path: str, exc: yaml.YAMLError) -> str:
@@ -250,6 +250,8 @@ def load_config(path: str | None = None, **overrides) -> PipelineConfig:
             raise ConfigError(f"cannot read config: {exc}") from exc
         except yaml.YAMLError as exc:
             raise ConfigError(f"invalid YAML: {_yaml_error(path, exc)}") from exc
+        except RecursionError as exc:  # PyYAML composes nested nodes recursively
+            raise ConfigError(f"invalid YAML: {path}: nested too deeply") from exc
         if not isinstance(data, dict):
             raise ConfigError("config root must be a mapping")
     return _build({**_interpolate(data), **overrides})

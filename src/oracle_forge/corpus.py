@@ -381,14 +381,16 @@ def task_from_dict(d: dict) -> TaskInstance:
         for sym in (*ps.body_facts, ps.rule, ps.conclusion):
             if sym not in task._nl_by_symbol:
                 raise ValueError(f"no sentence for {_src(sym)}")
+    for i in range(len(proof)):  # a step that cites no fact has a blank field
+        gold_step(task, i)
     return task
 
 
 def load_tasks(path) -> list[TaskInstance]:
     """The tasks of a JSONL file, one per non-blank line.  A line that does
-    not hold a task, holds one with a blank sentence or a proof symbol
-    without a sentence, holds one whose id an earlier line took, or is not
-    UTF-8, raises ValueError naming the file and the line."""
+    not hold a task, holds one with a blank sentence, a proof symbol without
+    a sentence or a proof step without a fact, holds one whose id an earlier
+    line took, or is not UTF-8, raises ValueError naming the file and the line."""
     tasks: dict[str, TaskInstance] = {}
     with open(path, "rb") as fh:  # json.loads decodes each line itself
         for lineno, line in enumerate(fh, 1):

@@ -65,10 +65,6 @@ class DpoRecord:
     rejected: str
     task_id: str
 
-    def __post_init__(self):
-        if self.chosen == self.rejected:
-            raise ValueError("chosen and rejected must differ")
-
 
 @dataclass(frozen=True)
 class RejectReason:
@@ -126,8 +122,6 @@ def classify_failure(translation: TranslationResult | None, verdict: kernel.Step
     generated step itself vs defects introduced going symbolic.  A stage-2
     step is validated before it becomes a candidate, so only its translation
     can show a generation defect."""
-    if verdict.executed:
-        raise ValueError("classify_failure requires a failed verdict")
     if translation is not None and translation.error_kind == SOURCE_UNMATCHED:
         return GENERATION_ERROR
     return TRANSLATION_ERROR

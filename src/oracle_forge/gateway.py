@@ -20,6 +20,7 @@ import random
 import time
 from collections import Counter
 from dataclasses import dataclass, field, replace
+from threading import TIMEOUT_MAX
 
 from . import kernel, template
 from .corpus import CorruptionModel, TaskInstance, gold_step, stable_digest
@@ -206,12 +207,14 @@ class HttpSpec:
     timeout: float = 60.0
 
     def __post_init__(self):
-        # 0 retries would make no request at all, and no request can
-        # complete within a timeout of 0.
+        # 0 retries would make no request at all, no request can complete
+        # within a timeout of 0, and a socket refuses one above TIMEOUT_MAX.
         if self.max_retries < 1:
             raise ValueError(f"http.max_retries must be at least 1, got {self.max_retries!r}")
         if self.timeout <= 0:
             raise ValueError(f"http.timeout must be greater than 0, got {self.timeout!r}")
+        if self.timeout > TIMEOUT_MAX:
+            raise ValueError(f"http.timeout must be at most {TIMEOUT_MAX}, got {self.timeout!r}")
 
 
 class HttpBackend:

@@ -66,14 +66,12 @@ class ArityMismatchError(KbError):
         super().__init__(
             f"predicate {predicate} used with arity {seen}, expected {expected}"
         )
-        self.predicate = predicate
 
 
 class UnsafeRuleError(KbError):
     def __init__(self, rule: "Rule", variables):
         names = ", ".join(sorted(variables))
         super().__init__(f"unsafe rule {rule}: unbound variables {names}")
-        self.rule = rule
 
 
 class KblSyntaxError(KbError):

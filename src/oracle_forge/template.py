@@ -73,42 +73,8 @@ _OPEN_TAG_RE = re.compile(r"[ \t\r\n]*(?:<(" + "|".join(TAG_ORDER) + ")>)?")
 
 
 class ParseError(ValueError):
-    """Base class for strict-mode template parse failures."""
-
-
-class MissingTag(ParseError):
-    def __init__(self, tag: str, step_index: int):
-        super().__init__(f"missing <{tag}> in step {step_index}")
-        self.tag = tag
-        self.step_index = step_index
-
-
-class TagOrderViolation(ParseError):
-    def __init__(self, detail: str):
-        super().__init__(detail)
-
-
-class UnclosedBlock(ParseError):
-    def __init__(self, tag: str):
-        super().__init__(f"unclosed <{tag}> block")
-        self.tag = tag
-
-
-class EmptyField(ParseError):
-    def __init__(self, tag: str):
-        super().__init__(f"empty <{tag}> field")
-        self.tag = tag
-
-
-class NoFinalAnswer(ParseError):
-    def __init__(self):
-        super().__init__("response has no FINAL ANSWER line")
-
-
-class MalformedField(ParseError):
-    def __init__(self, tag: str, detail: str):
-        super().__init__(f"malformed <{tag}>: {detail}")
-        self.tag = tag
+    """A strict-mode template parse failure; the message names the defect
+    and where it is (see docs/template_format.md)."""
 
 
 @dataclass(frozen=True)
@@ -140,17 +106,17 @@ class ReasoningStep:
         self.validate()
 
     def validate(self) -> None:
-        """Raise EmptyField for the first blank field in tag order: QUERY,
-        FACTS (no entry, or a blank one), RULE, REASONING_RESULT.  A step is
-        checked once, when it is built, whether parsed or made in code."""
+        """Raise ParseError ``empty <TAG> field`` for the first blank field in tag
+        order: QUERY, FACTS (no entry, or a blank one), RULE, REASONING_RESULT.
+        A step is checked once, when it is built, whether parsed or made in code."""
         if not self.query.strip():
-            raise EmptyField("QUERY")
+            raise ParseError("empty <QUERY> field")
         if not self.facts or not all(map(str.strip, self.facts)):
-            raise EmptyField("FACTS")
+            raise ParseError("empty <FACTS> field")
         if not self.rule.strip():
-            raise EmptyField("RULE")
+            raise ParseError("empty <RULE> field")
         if not self.reasoning_result.strip():
-            raise EmptyField("REASONING_RESULT")
+            raise ParseError("empty <REASONING_RESULT> field")
 
     @cached_property
     def text(self) -> str:
@@ -178,10 +144,6 @@ class ReasoningStep:
 class StructuredResponse:
     steps: tuple[ReasoningStep, ...]
     final_answer: str = ""
-
-    @property
-    def terminal(self) -> bool:
-        return bool(self.final_answer)
 
 
 def _escape(body: str, escape_newlines: bool = False) -> str:
@@ -225,14 +187,14 @@ def _parse_facts_body(body: str) -> tuple[str, ...]:
     # Body layout: newline, then "- entry" lines (newlines inside entries are
     # escaped), then a trailing newline before the closing tag.
     if not body.startswith("\n"):
-        raise MalformedField("FACTS", "expected newline after <FACTS>")
+        raise ParseError("malformed <FACTS>: expected newline after <FACTS>")
     inner = body[1:]
     if inner.endswith("\n"):
         inner = inner[:-1]
     entries = []
     for line in inner.split("\n") if inner else []:
         if not line.startswith("- "):
-            raise MalformedField("FACTS", f"fact line must start with '- ': {line!r}")
+            raise ParseError(f"malformed <FACTS>: fact line must start with '- ': {line!r}")
         entries.append(_unescape(line[2:], unescape_newlines=True))
     return tuple(entries)
 
@@ -245,8 +207,8 @@ def _parse_revision_result(body: str) -> RevisionResult:
         if text.startswith(" "):
             text = text[1:]
         return RevisionResult.revised_to(_unescape(text))
-    raise MalformedField(
-        "REVISION_RESULT", f"expected {RETAINED_TOKEN} or {REVISED_PREFIX} ..."
+    raise ParseError(
+        f"malformed <REVISION_RESULT>: expected {RETAINED_TOKEN} or {REVISED_PREFIX} ..."
     )
 
 
@@ -276,10 +238,10 @@ def _parse_step(raw: str, pos: int, step_index: int) -> tuple[ReasoningStep, int
         tag = TAG_ORDER[n]
         seen = _OPEN_TAG_RE.match(raw, m.end())[1]
         if seen == tag:
-            raise UnclosedBlock(tag)
+            raise ParseError(f"unclosed <{tag}> block")
         if seen is None or TAG_ORDER.index(seen) > n:
-            raise MissingTag(tag, step_index)
-        raise TagOrderViolation(
+            raise ParseError(f"missing <{tag}> in step {step_index}")
+        raise ParseError(
             f"<{seen}> appears where <{tag}> was expected in step {step_index}"
         )
     return ReasoningStep(*fields), m.end()
@@ -293,7 +255,7 @@ _FINAL_RE = re.compile(
 def parse_response(raw: str, require_final_answer: bool = False) -> StructuredResponse:
     """Strict parse of a template response.
 
-    Raises a ParseError subclass on any structural deviation: missing or
+    Raises ParseError on any structural deviation: missing or
     reordered tags, unclosed blocks, empty required fields, stray text between
     blocks.  ``require_final_answer`` additionally demands a terminal
     FINAL ANSWER line.  The last 8 results are remembered by (text, flag)
@@ -317,25 +279,25 @@ def _parse(raw: str, require_final_answer: bool) -> StructuredResponse:
             continue
         if m[1] is not None:
             # A non-leading tag at step start means the step lost its QUERY.
-            raise MissingTag("QUERY", len(steps))
+            raise ParseError(f"missing <QUERY> in step {len(steps)}")
         pos = m.end()
         if pos == len(raw):
             break
         if not raw.startswith(FINAL_ANSWER_PREFIX, pos):
-            raise TagOrderViolation(
+            raise ParseError(
                 f"unexpected content at offset {pos}: {raw[pos:pos + 30]!r}"
             )
         m = _FINAL_RE.match(raw, pos)
         final_answer = m.group("answer").strip()
         if not final_answer:
-            raise NoFinalAnswer()
+            raise ParseError("response has no FINAL ANSWER line")
         if raw[m.end():].lstrip(" \t\r\n"):
-            raise TagOrderViolation("content after FINAL ANSWER line")
+            raise ParseError("content after FINAL ANSWER line")
         break
     if not steps:
-        raise MissingTag("QUERY", 0)
+        raise ParseError("missing <QUERY> in step 0")
     if require_final_answer and not final_answer:
-        raise NoFinalAnswer()
+        raise ParseError("response has no FINAL ANSWER line")
     return StructuredResponse(steps=tuple(steps), final_answer=final_answer)
 
 

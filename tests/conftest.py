@@ -105,14 +105,14 @@ def _reference_step(raw: str, pos: int, step_index: int):
         seen = m[1]
         if seen != tag:
             if seen is None or template.TAG_ORDER.index(seen) > k:
-                raise template.MissingTag(tag, step_index)
-            raise template.TagOrderViolation(
+                raise template.ParseError(f"missing <{tag}> in step {step_index}")
+            raise template.ParseError(
                 f"<{seen}> appears where <{tag}> was expected in step {step_index}"
             )
         close = f"</{tag}>"
         end = _find_unescaped(raw, close, m.end())
         if end < 0:
-            raise template.UnclosedBlock(tag)
+            raise template.ParseError(f"unclosed <{tag}> block")
         body = raw[m.end():end]
         pos = end + len(close)
         if tag == "FACTS":
@@ -126,7 +126,7 @@ def _reference_step(raw: str, pos: int, step_index: int):
 
 def reference_parse(raw: str, require_final_answer: bool = False):
     """``template.parse_response`` written as a scan of one tag at a time:
-    the same steps, or the same error class, message and attributes."""
+    the same steps, or the same error message."""
     steps = []
     final_answer = ""
     pos = 0
@@ -137,25 +137,25 @@ def reference_parse(raw: str, require_final_answer: bool = False):
             steps.append(step)
             continue
         if m[1] is not None:
-            raise template.MissingTag("QUERY", len(steps))
+            raise template.ParseError(f"missing <QUERY> in step {len(steps)}")
         pos = m.end()
         if pos == len(raw):
             break
         if not raw.startswith(template.FINAL_ANSWER_PREFIX, pos):
-            raise template.TagOrderViolation(
+            raise template.ParseError(
                 f"unexpected content at offset {pos}: {raw[pos:pos + 30]!r}"
             )
         m = template._FINAL_RE.match(raw, pos)
         final_answer = m.group("answer").strip()
         if not final_answer:
-            raise template.NoFinalAnswer()
+            raise template.ParseError("response has no FINAL ANSWER line")
         if raw[m.end():].lstrip(" \t\r\n"):
-            raise template.TagOrderViolation("content after FINAL ANSWER line")
+            raise template.ParseError("content after FINAL ANSWER line")
         break
     if not steps:
-        raise template.MissingTag("QUERY", 0)
+        raise template.ParseError("missing <QUERY> in step 0")
     if require_final_answer and not final_answer:
-        raise template.NoFinalAnswer()
+        raise template.ParseError("response has no FINAL ANSWER line")
     return template.StructuredResponse(steps=tuple(steps), final_answer=final_answer)
 
 

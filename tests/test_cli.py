@@ -190,6 +190,9 @@ class TestConfig:
             ("http: {max_in_flight: 0}\n", "unknown http key: max_in_flight"),
             ("http: {max_retries: 0}\n", "http.max_retries must be at least 1, got 0"),
             ("http: {timeout: 0}\n", "http.timeout must be greater than 0, got 0"),
+            # Finite, but more than a socket takes.
+            ("http: {timeout: 10000000000}\n",
+             f"http.timeout must be at most {threading.TIMEOUT_MAX}, got 10000000000"),
         ] + [
             # nan < 0 is false: the sign check alone does not refuse nan.
             (f"{section}: {{{key}: {text}}}\n",
@@ -332,24 +335,37 @@ class TestStage1Cli:
         # Invalid YAML of any kind is one line that names the file and the
         # place in it: a line and column, or the offset of an undecodable byte.
         cfg = tmp_path / "cfg.yaml"
-        for content, reason in [
+        invalid = f"invalid YAML: {cfg}"
+        for content, message in [
             (b"seed: 3\nout_dir: \xff\n",
-             "byte 17: 'utf-8' codec can't decode 0xff: invalid start byte"),
-            (b"\xff\n", "byte 0: 'utf-8' codec can't decode 0xff: invalid start byte"),
-            (b"seed: [3\n", "line 2, col 1: while parsing a flow sequence, "
+             f"{invalid}, byte 17: 'utf-8' codec can't decode 0xff: invalid start byte"),
+            (b"\xff\n", f"{invalid}, byte 0: 'utf-8' codec can't decode 0xff: invalid start byte"),
+            (b"seed: [3\n", f"{invalid}, line 2, col 1: while parsing a flow sequence, "
                             "expected ',' or ']', but got '<stream end>'"),
             (b"beam:\n  width: 3\n    top_k: 1\n",
-             "line 3, col 10: mapping values are not allowed here"),
+             f"{invalid}, line 3, col 10: mapping values are not allowed here"),
             # A YAML timestamp that names no real date.
             (b"seed: 2001-13-45\n",
-             "line 1, col 7: invalid timestamp '2001-13-45': month must be in 1..12"),
+             f"{invalid}, line 1, col 7: invalid timestamp '2001-13-45': month must be in 1..12"),
             (b"seed: 3\nout_dir: 2001-12-45\n",
-             "line 2, col 10: invalid timestamp '2001-12-45': day is out of range for month"),
+             f"{invalid}, line 2, col 10: invalid timestamp '2001-12-45': "
+             "day is out of range for month"),
+            # Any other value that its tag cannot hold.
+            (b"seed: !!int abc\n",
+             f"{invalid}, line 1, col 7: invalid int 'abc': "
+             "invalid literal for int() with base 10: 'abc'"),
+            (b"beam: {temperature: !!float x}\n",
+             f"{invalid}, line 1, col 21: invalid float 'x': could not convert string to float: 'x'"),
+            (b"seed: !!bool maybe\n", f"{invalid}, line 1, col 7: invalid bool 'maybe': 'maybe'"),
+            # A value that holds itself, and nesting deeper than the stack.
+            (b"a: &a {b: *a}\n", "unknown top-level key: a"),
+            (b"seed: &a [*a]\n", "seed must be an integer, got [[...]]"),
+            (b"seed: " + b"[" * 5000 + b"]" * 5000 + b"\n", f"{invalid}: nested too deeply"),
         ]:
             cfg.write_bytes(content)
             code, stdout, stderr = run_cli(capsys, stage, "--config", str(cfg))
             assert code == cli.EXIT_CONFIG
-            assert stderr == f"config error: invalid YAML: {cfg}, {reason}\n" and stdout == ""
+            assert stderr == f"config error: {message}\n" and stdout == ""
 
 
 class TestStage2Cli:
@@ -920,6 +936,10 @@ class TestCorpusFileRoundTrip:
                 "ValueError: unknown symbol kind: 'ruel'",
             ),
             (
+                lambda d: dict(d, proof=[dict(d["proof"][0], facts=[])]),
+                "ParseError: empty <FACTS> field",
+            ),
+            (
                 lambda d: json.dumps(d).encode().replace(b'"question": "', b'"question": "\xff'),
                 "UnicodeDecodeError: 'utf-8' codec can't decode byte 0xff",
             ),
@@ -927,7 +947,7 @@ class TestCorpusFileRoundTrip:
         ids=[
             "missing-key", "bad-json", "not-an-object", "null-text", "bad-kbl", "no-rule",
             "atom-then-text", "unpaired-proof-symbol", "blank-sentence", "rule-entry-with-fact",
-            "proof-rule-with-fact", "unknown-symbol-kind", "not-utf8",
+            "proof-rule-with-fact", "unknown-symbol-kind", "proof-step-without-facts", "not-utf8",
         ],
     )
     def test_malformed_line_is_a_one_line_error(self, tmp_path, capsys, edit, reason):

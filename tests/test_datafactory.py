@@ -32,7 +32,6 @@ from oracle_forge.corpus import (
     gold_step,
 )
 from oracle_forge.datafactory import (
-    DpoRecord,
     FORMAT_VIOLATION,
     GENERATION_ERROR,
     MalformedAudit,
@@ -142,13 +141,6 @@ class TestClassifyFailure:
         t = backend.translate(gold_step(task, 0))
         assert t.ok
         assert classify_failure(t, self._failed()) == TRANSLATION_ERROR
-
-    def test_executed_verdict_rejected(self):
-        from oracle_forge.kernel import Fact, parse_atom
-
-        ok = StepVerdict(conclusions=(Fact(parse_atom("p(a)")),))
-        with pytest.raises(ValueError):
-            classify_failure(None, ok)
 
 
 def _results(n_tasks=5, p_bad_rule=0.3, seed=0):
@@ -422,9 +414,43 @@ class TestEmitDatasets:
             assert r["chosen"] != r["rejected"]
             assert r["prompt"]
 
-    def test_dpo_record_rejects_identical_sides(self):
-        with pytest.raises(ValueError):
-            DpoRecord(prompt="p", chosen="x", rejected="x", task_id="t")
+    def test_pair_whose_sides_render_the_same_is_dropped(self):
+        # The translation prompt holds a step's own REASONING_RESULT, so two
+        # candidates that differ only there can translate apart.  The one the
+        # engine executes gets the engine's conclusions as its result, which
+        # the other one, rejected, may have written itself.
+        task = gen_chain_task(2, seed=0)
+        gold = gold_step(task, 0)
+        ps = task.ground_truth_proof[0]
+        kbl = "".join(f"fact {f.atom}.\n" for f in ps.body_facts) + f"rule {ps.rule}"
+        guessed = replace(gold, reasoning_result="a guess")
+        generated = [
+            template.serialize_step(gold),
+            template.serialize_step(guessed) + f"FINAL ANSWER: {task.gold_answer}\n",
+        ]
+
+        def transport(url, payload, headers, timeout):
+            prompt = payload["messages"][0]["content"]
+            name = prompt.split("\n\n", 1)[0]
+            if name == "g":
+                contents = generated
+            elif name == "t":
+                contents = [kbl if "a guess" in prompt else "not a clause"]
+            else:
+                contents = ["NO"]
+            return 200, json.dumps({"choices": [{"message": {"content": c}} for c in contents]})
+
+        backend = HttpBackend(
+            HttpSpec(endpoint="http://example.test/v1/chat/completions", model="test-model"),
+            prompts={"generation": "g", "translation": "t", "precision": "p", "feasibility": "f"},
+            transport=transport,
+            sleep=lambda _t: None,
+        )
+        result = run_beam(task, BeamConfig(width=2, top_k=1, max_depth=1), backend)
+        (pair,) = result.pairs
+        assert (pair.chosen.verdict.executed, pair.rejected.verdict.executed) == (True, False)
+        assert pair.chosen.step == pair.rejected.step == gold
+        assert datafactory.dpo_records_from_result(result) == []
 
     def test_config_hash_stable_and_order_free(self):
         assert config_hash({"a": 1, "b": 2}) == config_hash({"b": 2, "a": 1})

@@ -541,8 +541,8 @@ def serve():
         server.server_close()
 
 
-def default_http_backend(endpoint, **fields):
-    spec = HttpSpec(endpoint=endpoint, model="test-model", api_key="sk-test", timeout=5.0, **fields)
+def default_http_backend(endpoint, timeout=5.0, **fields):
+    spec = HttpSpec(endpoint=endpoint, model="test-model", api_key="sk-test", timeout=timeout, **fields)
     return HttpBackend(spec, sleep=lambda _t: None)
 
 
@@ -586,10 +586,12 @@ class TestDefaultTransport:
         with socket.socket() as sock:
             sock.bind(("127.0.0.1", 0))
             port = sock.getsockname()[1]
-        backend = default_http_backend(f"http://127.0.0.1:{port}/", max_retries=2)
-        with pytest.raises(BackendUnavailable, match="transport error: .*refused"):
-            backend._complete("hi", 0.0)
-        assert backend.telemetry["transport_errors"] == 2
+        # The longest timeout a config may give reaches the socket whole.
+        for timeout in (5.0, threading.TIMEOUT_MAX):
+            backend = default_http_backend(f"http://127.0.0.1:{port}/", timeout, max_retries=2)
+            with pytest.raises(BackendUnavailable, match="transport error: .*refused"):
+                backend._complete("hi", 0.0)
+            assert backend.telemetry["transport_errors"] == 2
 
     def test_reply_longer_than_the_cap_is_a_transport_error(self, serve):
         cap = gateway.MAX_REPLY_BYTES

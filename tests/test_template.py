@@ -2,6 +2,7 @@ import itertools
 import random
 import re
 from dataclasses import fields, replace
+from pathlib import Path
 
 import hypothesis.strategies as st
 import pytest
@@ -16,13 +17,10 @@ from conftest import (
 )
 from oracle_forge import cli, template
 from oracle_forge.template import (
-    EmptyField,
-    MissingTag,
-    NoFinalAnswer,
+    ParseError,
     ReasoningStep,
     RevisionResult,
     StructuredResponse,
-    UnclosedBlock,
     conforms_strictly,
     parse_response,
     serialize_response,
@@ -49,15 +47,12 @@ class TestParseResponse:
         resp = parse_response(raw)
         assert len(resp.steps) == 1
         assert resp.final_answer == "true"
-        assert resp.terminal
 
     def test_missing_rule_tag(self):
         raw = serialize_step(make_step())
         raw = raw.replace("<RULE>All men are mortal.</RULE>\n", "")
-        with pytest.raises(MissingTag) as exc:
+        with pytest.raises(ParseError, match=r"^missing <RULE> in step 0$"):
             parse_response(raw)
-        assert exc.value.tag == "RULE"
-        assert exc.value.step_index == 0
 
     def test_unclosed_block(self):
         raw = serialize_step(make_step()).replace("</RULE>", "")
@@ -68,13 +63,13 @@ class TestParseResponse:
         raw = serialize_step(make_step()).replace(
             "<QUERY>Is socrates mortal?</QUERY>", "<QUERY> </QUERY>"
         )
-        with pytest.raises(EmptyField):
+        with pytest.raises(ParseError, match=r"^empty <QUERY> field$"):
             parse_response(raw)
 
     def test_require_final_answer(self):
         raw = serialize_step(make_step())
         parse_response(raw)
-        with pytest.raises(template.NoFinalAnswer):
+        with pytest.raises(ParseError, match=r"^response has no FINAL ANSWER line$"):
             parse_response(raw, require_final_answer=True)
 
     def test_content_after_final_answer_rejected(self):
@@ -89,9 +84,8 @@ class TestParseResponse:
 
 
 # A step whose RULE body holds an escaped closing tag, and parse outcomes of
-# edits to it.  The error types and messages were taken from the
-# character-by-character scanner that the compiled opening-tag pattern
-# replaced.
+# edits to it.  The messages were taken from the character-by-character
+# scanner that the compiled opening-tag pattern replaced.
 _PINNED_STEP = serialize_step(
     ReasoningStep("q?", ("f1", "f2"), "r </RULE> x", "", RevisionResult.retained(), "c")
 )
@@ -100,63 +94,61 @@ _PINNED_RULE = "<RULE>r \\</RULE> x</RULE>\n"
 PINNED_PARSE_ERRORS = {
     "unclosed-block": (
         _PINNED_STEP.replace("<REVISION></REVISION>", "<REVISION>"),
-        "UnclosedBlock", "unclosed <REVISION> block",
+        "unclosed <REVISION> block",
     ),
     "only-an-escaped-close-tag": (
         _PINNED_STEP.replace(" x</RULE>", " x"),
-        "UnclosedBlock", "unclosed <RULE> block",
+        "unclosed <RULE> block",
     ),
     "escaped-backslash-before-close-tag": (
         _PINNED_STEP.replace("r \\</RULE>", "r \\\\</RULE>"),
-        "MissingTag", "missing <REVISION> in step 0",
+        "missing <REVISION> in step 0",
     ),
     "tag-from-later-in-the-order": (
         _PINNED_STEP.replace(_PINNED_FACTS + _PINNED_RULE, _PINNED_RULE + _PINNED_FACTS),
-        "MissingTag", "missing <FACTS> in step 0",
+        "missing <FACTS> in step 0",
     ),
     "tag-from-earlier-in-the-order": (
         _PINNED_STEP.replace("<FACTS>", "<QUERY>again</QUERY>\n<FACTS>"),
-        "TagOrderViolation", "<QUERY> appears where <FACTS> was expected in step 0",
+        "<QUERY> appears where <FACTS> was expected in step 0",
     ),
     "text-after-final-answer": (
         _PINNED_STEP + "\nFINAL ANSWER: yes\n\t<QUERY>",
-        "TagOrderViolation", "content after FINAL ANSWER line",
+        "content after FINAL ANSWER line",
     ),
     "empty-final-answer": (
         _PINNED_STEP + "\nFINAL ANSWER:   \nx",
-        "NoFinalAnswer", "response has no FINAL ANSWER line",
+        "response has no FINAL ANSWER line",
     ),
     "stray-text-between-steps": (
         _PINNED_STEP + "\n  stray text that goes on and on past thirty chars",
-        "TagOrderViolation",
         "unexpected content at offset 179: 'stray text that goes on and on'",
     ),
     "second-step-without-query": (
         _PINNED_STEP + "\n" + _PINNED_STEP.replace("<QUERY>q?</QUERY>\n", ""),
-        "MissingTag", "missing <QUERY> in step 1",
+        "missing <QUERY> in step 1",
     ),
     "lowercase-tag": (
         _PINNED_STEP.replace("<QUERY>", "<query>"),
-        "TagOrderViolation",
         "unexpected content at offset 0: '<query>q?</QUERY>\\n<FACTS>\\n- f1'",
     ),
-    "only-blanks": (" \r\n\t", "MissingTag", "missing <QUERY> in step 0"),
+    "only-blanks": (" \r\n\t", "missing <QUERY> in step 0"),
     # Only space, tab, CR and LF are blanks.
     "no-break-space-before-tag": (
         _PINNED_STEP.replace("\n<RULE>", "\n\u00a0<RULE>"),
-        "MissingTag", "missing <RULE> in step 0",
+        "missing <RULE> in step 0",
     ),
     "form-feed-after-final-answer": (
         _PINNED_STEP + "\nFINAL ANSWER: yes\n\f",
-        "TagOrderViolation", "content after FINAL ANSWER line",
+        "content after FINAL ANSWER line",
     ),
     # Blank fields; the error comes from building the step.
     "blank-fact-entry": (
-        _PINNED_STEP.replace("- f2\n", "- \t\n"), "EmptyField", "empty <FACTS> field",
+        _PINNED_STEP.replace("- f2\n", "- \t\n"), "empty <FACTS> field",
     ),
     "no-fact-entry": (
         _PINNED_STEP.replace(_PINNED_FACTS, "<FACTS>\n</FACTS>\n"),
-        "EmptyField", "empty <FACTS> field",
+        "empty <FACTS> field",
     ),
 }
 
@@ -164,10 +156,10 @@ PINNED_PARSE_ERRORS = {
 class TestPinnedParseOutcomes:
     @pytest.mark.parametrize("name", sorted(PINNED_PARSE_ERRORS))
     def test_error_type_and_message(self, name):
-        raw, kind, message = PINNED_PARSE_ERRORS[name]
-        with pytest.raises(template.ParseError) as exc:
+        raw, message = PINNED_PARSE_ERRORS[name]
+        with pytest.raises(ParseError) as exc:
             parse_response(raw)
-        assert (type(exc.value).__name__, str(exc.value)) == (kind, message)
+        assert (type(exc.value), str(exc.value)) == (ParseError, message)
 
     def test_escaped_close_tag_stays_in_the_body(self):
         (step,) = parse_response(_PINNED_STEP).steps
@@ -194,9 +186,8 @@ class TestSerializeStep:
     def test_invariant_violation_on_empty_rule(self):
         # A step checks its fields when it is built, so a blank rule never
         # reaches the serializer.
-        with pytest.raises(EmptyField) as exc:
+        with pytest.raises(ParseError, match=r"^empty <RULE> field$"):
             make_step(rule="  ")
-        assert exc.value.tag == "RULE"
 
     def test_lf_line_endings(self):
         assert "\r" not in serialize_step(make_step())
@@ -412,12 +403,11 @@ def escape_piece_steps(draw):
 
 
 def parse_outcome(parse, raw):
-    """The response a parser returns, or its error's class, message, tag and
-    step index."""
+    """The response a parser returns, or its error's type and message."""
     try:
         return parse(raw)
-    except template.ParseError as exc:
-        return type(exc), str(exc), getattr(exc, "tag", None), getattr(exc, "step_index", None)
+    except ParseError as exc:
+        return type(exc), str(exc)
 
 
 class TestReferenceParser:
@@ -425,6 +415,39 @@ class TestReferenceParser:
     @given(st.one_of(mutated_responses(), escape_piece_steps()))
     def test_grammar_agrees_with_the_tag_by_tag_scan(self, raw):
         assert parse_outcome(parse_response, raw) == parse_outcome(reference_parse, raw)
+
+
+_TAG = "<(?:" + "|".join(template.TAG_ORDER) + ")>"
+# The eight message forms, as docs/template_format.md writes them, each with
+# the pattern its messages match.  The message is all a caller learns of a
+# defect.
+PARSE_ERROR_FORMS = {
+    "missing <T> in step N": rf"missing {_TAG} in step \d+",
+    "<S> appears where <T> was expected in step N":
+        rf"{_TAG} appears where {_TAG} was expected in step \d+",
+    "unclosed <T> block": rf"unclosed {_TAG} block",
+    "empty <T> field": rf"empty {_TAG} field",
+    "malformed <T>: ...": rf"malformed {_TAG}: .+",
+    "response has no FINAL ANSWER line": r"response has no FINAL ANSWER line",
+    "content after FINAL ANSWER line": r"content after FINAL ANSWER line",
+    "unexpected content at offset P: '...'": r"unexpected content at offset \d+: .+",
+}
+
+
+class TestMessageTaxonomy:
+    @settings(max_examples=500, deadline=None)
+    @given(st.one_of(mutated_responses(), escape_piece_steps()), st.booleans())
+    def test_every_error_has_a_documented_form(self, raw, require_final_answer):
+        try:
+            parse_response(raw, require_final_answer=require_final_answer)
+        except ParseError as exc:
+            assert type(exc) is ParseError
+            assert any(re.fullmatch(p, str(exc)) for p in PARSE_ERROR_FORMS.values()), str(exc)
+
+    def test_the_format_document_lists_each_form(self):
+        doc = (Path(__file__).parent.parent / "docs" / "template_format.md").read_text()
+        for form in PARSE_ERROR_FORMS:
+            assert f"`{form}`" in doc, form
 
 
 class TestParseMemo:
@@ -452,7 +475,7 @@ class TestParseMemo:
         raw = serialize_response(replace(resp, final_answer=""))
         for strict in (strict_first, not strict_first):
             if strict:
-                with pytest.raises(NoFinalAnswer):
+                with pytest.raises(ParseError, match=r"^response has no FINAL ANSWER line$"):
                     parse_response(raw, require_final_answer=True)
             else:
                 assert parse_response(raw).steps == resp.steps
@@ -485,9 +508,8 @@ class TestLinearTime:
     # No timing assertion: an exponential match would hang these tests.
 
     def test_one_mib_unclosed_body(self):
-        with pytest.raises(UnclosedBlock) as exc:
+        with pytest.raises(ParseError, match=r"^unclosed <QUERY> block$"):
             parse_response("<QUERY>" + backslash_and_bracket_runs(1 << 20, 0))
-        assert exc.value.tag == "QUERY"
 
     def test_five_long_blocks_then_an_unclosed_one(self):
         blocks = []
@@ -497,6 +519,5 @@ class TestLinearTime:
             body = framed(tag, backslash_and_bracket_runs(160_000, k) + ".")
             blocks.append(f"<{tag}>{body}</{tag}>\n")
         raw = "".join(blocks) + "<REASONING_RESULT>" + backslash_and_bracket_runs(160_000, 5)
-        with pytest.raises(UnclosedBlock) as exc:
+        with pytest.raises(ParseError, match=r"^unclosed <REASONING_RESULT> block$"):
             parse_response(raw)
-        assert exc.value.tag == "REASONING_RESULT"

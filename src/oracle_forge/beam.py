@@ -107,6 +107,8 @@ class BeamResult:
 
 
 _ZERO_SCORE = ScoreBreakdown(0, 0, 0)
+# The engine's verdict on every step whose translation failed.
+_UNTRANSLATED = StepVerdict(failure=FailureKind.PARSE_FAILURE)
 
 
 def score_candidate(executed: bool, ev: EvalVerdict, cfg: BeamConfig) -> ScoreBreakdown:
@@ -146,7 +148,7 @@ def expand_node(
             if verdict is None:
                 verdict = verdicts[key] = kernel.verify_step(*key)
         else:
-            verdict = StepVerdict(failure=FailureKind.PARSE_FAILURE, detail=translation.detail)
+            verdict = _UNTRANSLATED
         step = cand.step
         result = (
             kernel.render_conclusions(verdict) if verdict.executed else step.reasoning_result

@@ -178,12 +178,12 @@ def cmd_stage2(cfg: PipelineConfig, prompts: dict[str, str]) -> int:
 
 def cmd_stats(audit_path: str, as_json: bool) -> int:
     try:
-        stats = datafactory.compute_stats(audit_path)
+        stats = datafactory.compute_stats(datafactory.read_audit(audit_path))
     except (datafactory.MalformedAudit, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAILURE
     if as_json:
-        print(json.dumps(stats.to_dict(), sort_keys=True, indent=2))
+        print(json.dumps(stats, sort_keys=True, indent=2))
     else:
         print(datafactory.format_stats_tables(stats), end="")
     return EXIT_OK

@@ -217,8 +217,10 @@ class _Loader(yaml.SafeLoader):
             return super().construct_object(node, deep)
         except (ValueError, LookupError) as exc:
             tag = node.tag.rsplit(":", 1)[-1]
+            # PyYAML's KeyError for ``!!bool maybe`` holds only the value.
+            reason = exc if isinstance(exc, ValueError) else "not a known value"
             raise yaml.constructor.ConstructorError(
-                None, None, f"invalid {tag} {node.value!r}: {exc}", node.start_mark
+                None, None, f"invalid {tag} {node.value!r}: {reason}", node.start_mark
             ) from exc
 
 

@@ -1,5 +1,9 @@
 """Stage-1 filtering, SFT/DPO emission, run statistics, failure taxonomy.
 
+A failed step's audit class is the one its translation names, or
+``TRANSLATION_ERROR`` when the engine fails a translated step; ``_FAILURES``
+gives each class its run count and its row in the failure taxonomy.
+
 Emitted files (all UTF-8, LF, fixed key order, no timestamps in records).
 A line of a record file holds its record's fields, in declaration order:
 
@@ -28,16 +32,13 @@ import hashlib
 import json
 import os
 import re
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass
 
 from . import kernel, template
 from .beam import BeamResult
 from .corpus import task_to_dict
-from .gateway import SOURCE_UNMATCHED, TranslationResult
+from .gateway import GENERATION_ERROR, TRANSLATION_ERROR
 from .template import normalize_answer
-
-GENERATION_ERROR = "GenerationError"
-TRANSLATION_ERROR = "TranslationError"
 
 FORMAT_VIOLATION = "FormatViolation"
 WRONG_ANSWER = "WrongAnswer"
@@ -73,25 +74,6 @@ class RejectReason:
     detail: str = ""
 
 
-_STAT_COUNTS = ("steps_total", "steps_executed", "failures_generation", "failures_translation")
-
-
-@dataclass
-class RunStats:
-    steps_total: int = 0
-    steps_executed: int = 0
-    failures_generation: int = 0
-    failures_translation: int = 0
-    per_task_breakdown: dict = field(default_factory=dict)
-
-    @property
-    def success_rate(self) -> float:
-        return self.steps_executed / self.steps_total if self.steps_total else 0.0
-
-    def to_dict(self) -> dict:
-        return {**asdict(self), "success_rate": self.success_rate}
-
-
 def stage1_filter(samples) -> tuple[list[SftRecord], list[RejectReason]]:
     """Keep the (task, raw response) pairs whose response strictly conforms
     to the template and answers the task correctly; label rejects
@@ -117,16 +99,6 @@ def stage1_filter(samples) -> tuple[list[SftRecord], list[RejectReason]]:
     return kept, rejected
 
 
-def classify_failure(translation: TranslationResult | None, verdict: kernel.StepVerdict) -> str:
-    """Split engine failures into the two reported classes: defects in the
-    generated step itself vs defects introduced going symbolic.  A stage-2
-    step is validated before it becomes a candidate, so only its translation
-    can show a generation defect."""
-    if translation is not None and translation.error_kind == SOURCE_UNMATCHED:
-        return GENERATION_ERROR
-    return TRANSLATION_ERROR
-
-
 # --------------------------------------------------------------------------
 # Audit file
 
@@ -136,7 +108,7 @@ def node_to_audit(node, task_id: str) -> dict:
     failure_class = None
     failure_kind = None
     if node.step is not None and not executed:
-        failure_class = classify_failure(node.translation, node.verdict)
+        failure_class = node.translation.error_kind or TRANSLATION_ERROR
         failure_kind = node.verdict.failure.value
     # In sorted key order, so the line is written without sort_keys.
     return {
@@ -159,8 +131,13 @@ def node_to_audit(node, task_id: str) -> dict:
 
 
 _AUDIT_TYPES = {"id": int, "task_id": str, "has_step": bool, "executed": bool}
-# The run count that a failed step of each class adds to.
-_FAILURES = {GENERATION_ERROR: "failures_generation", TRANSLATION_ERROR: "failures_translation"}
+# Each failure class: the run count that its failed steps add to, and its row
+# in the failure taxonomy.
+_FAILURES = {
+    GENERATION_ERROR: ("failures_generation", "Generation Error"),
+    TRANSLATION_ERROR: ("failures_translation", "Translation Error"),
+}
+_STAT_COUNTS = ("steps_total", "steps_executed", *(key for key, _ in _FAILURES.values()))
 
 
 def read_audit(path) -> list[dict]:
@@ -195,21 +172,23 @@ def read_audit(path) -> list[dict]:
     return records
 
 
-def compute_stats(audit: list[dict] | str | os.PathLike) -> RunStats:
-    """Aggregate engine successes and failure classes from an audit dump.
-    Each step counts once, in its task's row; the run totals sum the rows.
-    A list of records is trusted to be as ``read_audit`` accepts them."""
-    records = read_audit(audit) if isinstance(audit, (str, os.PathLike)) else audit
+def compute_stats(records: list[dict]) -> dict:
+    """The run statistics of the records ``read_audit`` returns, as ``stats
+    --json`` prints them: each step counts once, in its task's row of
+    ``per_task_breakdown``, and the run totals sum the rows."""
     rows: dict[str, dict[str, int]] = {}
     for rec in records:
         if not rec["has_step"]:
             continue
-        outcome = "steps_executed" if rec["executed"] else _FAILURES[rec["failure_class"]]
+        outcome = "steps_executed" if rec["executed"] else _FAILURES[rec["failure_class"]][0]
         per = rows.setdefault(rec["task_id"], dict.fromkeys(_STAT_COUNTS, 0))
         per["steps_total"] += 1
         per[outcome] += 1
-    totals = {key: sum(per[key] for per in rows.values()) for key in _STAT_COUNTS}
-    return RunStats(**totals, per_task_breakdown=rows)
+    stats = {key: sum(per[key] for per in rows.values()) for key in _STAT_COUNTS}
+    total = stats["steps_total"]
+    stats["success_rate"] = stats["steps_executed"] / total if total else 0.0
+    stats["per_task_breakdown"] = rows
+    return stats
 
 
 # A generated task's id is its family, then "-<seed>", a seed that may be
@@ -217,10 +196,11 @@ def compute_stats(audit: list[dict] | str | os.PathLike) -> RunStats:
 _FAMILY_RE = re.compile(r"(chain-\d+h|rulebase-\d+f\d+r)--?\d+")
 
 
-def format_stats_tables(stats: RunStats) -> str:
-    """Success-rate and error-taxonomy tables, one row per task family."""
+def format_stats_tables(stats: dict) -> str:
+    """Success-rate and error-taxonomy tables of ``compute_stats``' result,
+    one row per task family and one per failure class."""
     families: dict[str, dict[str, int]] = {}
-    for task_id, per in stats.per_task_breakdown.items():
+    for task_id, per in stats["per_task_breakdown"].items():
         m = _FAMILY_RE.fullmatch(task_id)
         row = families.setdefault(m[1] if m else task_id, dict.fromkeys(_STAT_COUNTS, 0))
         for key in _STAT_COUNTS:
@@ -233,18 +213,15 @@ def format_stats_tables(stats: RunStats) -> str:
             f"{family:40s} {per['steps_total']:7d} {per['steps_executed']:9d} {rate:7.3f}"
         )
     lines.append(
-        f"{'TOTAL':40s} {stats.steps_total:7d} {stats.steps_executed:9d} "
-        f"{stats.success_rate:7.3f}"
+        f"{'TOTAL':40s} {stats['steps_total']:7d} {stats['steps_executed']:9d} "
+        f"{stats['success_rate']:7.3f}"
     )
     lines.append("")
     lines.append("failure taxonomy (engine failures only)")
-    n_fail = stats.failures_generation + stats.failures_translation
-    for label, count in (
-        ("Generation Error", stats.failures_generation),
-        ("Translation Error", stats.failures_translation),
-    ):
-        pct = 100.0 * count / n_fail if n_fail else 0.0
-        lines.append(f"{label:20s} {count:7d} {pct:6.1f}%")
+    n_fail = stats["steps_total"] - stats["steps_executed"]
+    for key, label in _FAILURES.values():
+        pct = 100.0 * stats[key] / n_fail if n_fail else 0.0
+        lines.append(f"{label:20s} {stats[key]:7d} {pct:6.1f}%")
     return "\n".join(lines) + "\n"
 
 

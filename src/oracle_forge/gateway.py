@@ -11,6 +11,9 @@ Three backends:
   backoff (docs/http_backend.md); its settings are an ``HttpSpec``.  One
   backend serves one task and remembers its translation and judge replies,
   so each distinct such prompt is sent once per task.
+
+A failed translation names its failure class in the audit, ``GENERATION_ERROR``
+or ``TRANSLATION_ERROR``, as its ``error_kind``.
 """
 
 from __future__ import annotations
@@ -32,11 +35,11 @@ BACKOFF_BASE_S = 0.5
 BACKOFF_MAX_S = 30.0  # the longest wait before a retry, however many there are
 MAX_REPLY_BYTES = 256 * 1024  # the longest reply body the default transport reads
 
-# Translation failure kinds; the failure taxonomy keys off these.  A symbolic
-# form that parses is always returned: its arity and safety are judged by
-# kernel.verify_step, which audits them as ArityMismatch / UnsafeRule.
-SOURCE_UNMATCHED = "source-unmatched"   # NL has no symbolic counterpart
-SYMBOLIC_DEFECT = "symbolic-defect"     # kbl syntax error, or not exactly one rule
+# Failure classes (docs/audit_schema.md).  A symbolic form that parses is always
+# returned: kernel.verify_step judges its arity and safety, which the audit
+# gives as ArityMismatch / UnsafeRule, of class TRANSLATION_ERROR.
+GENERATION_ERROR = "GenerationError"    # NL has no symbolic counterpart
+TRANSLATION_ERROR = "TranslationError"  # kbl syntax error, or not exactly one rule
 
 
 class BackendUnavailable(RuntimeError):
@@ -62,7 +65,7 @@ class CandidateStep:
 class TranslationResult:
     facts: tuple[Fact, ...] = ()
     rule: Rule | None = None
-    error_kind: str | None = None
+    error_kind: str | None = None  # GENERATION_ERROR or TRANSLATION_ERROR on failure
     detail: str = ""
 
     @property
@@ -167,13 +170,13 @@ class ScriptedNoisyBackend:
             sym = self.task.nl_pairing.get(nl)
             if not isinstance(sym, Fact):
                 return TranslationResult(
-                    error_kind=SOURCE_UNMATCHED, detail=f"no pairing for fact: {nl!r}"
+                    error_kind=GENERATION_ERROR, detail=f"no pairing for fact: {nl!r}"
                 )
             facts.append(sym)
         rule = self.task.nl_pairing.get(step.rule)
         if not isinstance(rule, Rule):
             return TranslationResult(
-                error_kind=SOURCE_UNMATCHED, detail=f"no pairing for rule: {step.rule!r}"
+                error_kind=GENERATION_ERROR, detail=f"no pairing for rule: {step.rule!r}"
             )
         return TranslationResult(facts=tuple(facts), rule=rule)
 
@@ -341,10 +344,10 @@ class HttpBackend:
         try:
             facts, rules = kernel.parse_clauses(text)
         except kernel.KbError as exc:
-            return TranslationResult(error_kind=SYMBOLIC_DEFECT, detail=str(exc))
+            return TranslationResult(error_kind=TRANSLATION_ERROR, detail=str(exc))
         if len(rules) != 1:
             return TranslationResult(
-                error_kind=SYMBOLIC_DEFECT,
+                error_kind=TRANSLATION_ERROR,
                 detail=f"expected exactly 1 rule, got {len(rules)}",
             )
         return TranslationResult(facts=tuple(sorted(facts)), rule=rules[0])

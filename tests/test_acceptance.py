@@ -20,18 +20,21 @@ from conftest import (
 )
 
 from oracle_forge import cli, template
-from oracle_forge.beam import BeamConfig, run_beam
+from oracle_forge.beam import BeamConfig, BeamNode, ScoreBreakdown, run_beam
 from oracle_forge.corpus import CorruptionModel, gen_chain_task, gold_step
 from oracle_forge.datafactory import (
     FORMAT_VIOLATION,
-    GENERATION_ERROR,
-    TRANSLATION_ERROR,
     WRONG_ANSWER,
-    classify_failure,
+    node_to_audit,
     stage1_filter,
 )
-from oracle_forge.gateway import ScriptedNoisyBackend, ScriptedOracleBackend
-from oracle_forge.kernel import forward_chain, verify_step
+from oracle_forge.gateway import (
+    GENERATION_ERROR,
+    TRANSLATION_ERROR,
+    ScriptedNoisyBackend,
+    ScriptedOracleBackend,
+)
+from oracle_forge.kernel import FailureKind, StepVerdict, forward_chain, verify_step
 
 class Gate:
     """Collects checks for one criterion and prints a single verdict line."""
@@ -342,11 +345,11 @@ def test_10_failure_taxonomy_determinism():
             if t.ok:
                 verdict = verify_step(t.facts, t.rule)
             else:
-                from oracle_forge.kernel import FailureKind, StepVerdict
-
                 verdict = StepVerdict(failure=FailureKind.PARSE_FAILURE)
             gate.check(not verdict.executed, f"injected defect {n} still executed")
-            got = classify_failure(t, verdict)
+            node = BeamNode(id=1, parent=0, steps=(bad,), score=ScoreBreakdown(0, 0, 0),
+                            verdict=verdict, translation=t)
+            got = node_to_audit(node, task.id)["failure_class"]
             gate.check(got == want, f"defect {n}: classified {got}, wanted {want}")
             n += 1
     gate.finish()

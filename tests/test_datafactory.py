@@ -33,11 +33,8 @@ from oracle_forge.corpus import (
 )
 from oracle_forge.datafactory import (
     FORMAT_VIOLATION,
-    GENERATION_ERROR,
     MalformedAudit,
-    TRANSLATION_ERROR,
     WRONG_ANSWER,
-    classify_failure,
     compute_stats,
     config_hash,
     emit_datasets,
@@ -48,16 +45,15 @@ from oracle_forge.datafactory import (
     stage1_filter,
 )
 from oracle_forge.gateway import (
-    SOURCE_UNMATCHED,
-    SYMBOLIC_DEFECT,
+    GENERATION_ERROR,
+    TRANSLATION_ERROR,
     GenerationContext,
     HttpBackend,
     HttpSpec,
     ScriptedNoisyBackend,
     ScriptedOracleBackend,
-    TranslationResult,
 )
-from oracle_forge.kernel import RULE_LANGUAGE_VERSION, FailureKind, StepVerdict
+from oracle_forge.kernel import RULE_LANGUAGE_VERSION, FailureKind, StepVerdict, verify_step
 from oracle_forge.template import serialize_response
 
 
@@ -121,26 +117,43 @@ class TestStage1Filter:
         assert got[WRONG_ANSWER] == by_label[PLANT_WRONG_ANSWER]
 
 
-class TestClassifyFailure:
-    def _failed(self, kind=FailureKind.NO_RULE_FIRING):
-        return StepVerdict(failure=kind)
-
-    def test_unmatched_translation_is_generation_error(self):
-        t = TranslationResult(error_kind=SOURCE_UNMATCHED, detail="no pairing")
-        assert classify_failure(t, self._failed()) == GENERATION_ERROR
-
-    def test_symbolic_defect_is_translation_error(self):
-        t = TranslationResult(error_kind=SYMBOLIC_DEFECT, detail="unsafe")
-        assert classify_failure(t, self._failed()) == TRANSLATION_ERROR
-
-    def test_engine_failure_with_ok_translation_is_translation_error(self):
+class TestFailureClass:
+    @pytest.mark.parametrize(
+        "case, want",
+        [
+            ("no-pairing", (GENERATION_ERROR, "ParseFailure")),
+            ("kbl-defect", (TRANSLATION_ERROR, "ParseFailure")),
+            ("engine-failure", (TRANSLATION_ERROR, "NoRuleFiring")),
+        ],
+        ids=["no-pairing", "kbl-defect", "engine-failure"],
+    )
+    def test_node_to_audit_class(self, case, want):
+        # A failed translation names the class; an engine failure after a
+        # translation that succeeded is a TranslationError.
         task = gen_chain_task(2, seed=0)
-        backend = ScriptedOracleBackend(task)
-        from oracle_forge.corpus import gold_step
-
-        t = backend.translate(gold_step(task, 0))
-        assert t.ok
-        assert classify_failure(t, self._failed()) == TRANSLATION_ERROR
+        step = gold_step(task, 0)
+        if case == "no-pairing":
+            step = replace(step, rule="Nonsense sentence.")
+            translation = ScriptedOracleBackend(task).translate(step)
+        elif case == "kbl-defect":
+            reply = json.dumps({"choices": [{"message": {"content": "this is not kbl"}}]})
+            backend = HttpBackend(
+                HttpSpec(endpoint="http://example.test/v1/chat/completions", model="m"),
+                transport=lambda url, payload, headers, timeout: (200, reply),
+            )
+            translation = backend.translate(step)
+        else:
+            translation = ScriptedOracleBackend(task).translate(step)
+            assert translation.ok
+        if translation.ok:
+            # The premises left out, the rule fires nothing.
+            verdict = verify_step((), translation.rule)
+        else:
+            verdict = StepVerdict(failure=FailureKind.PARSE_FAILURE)
+        node = BeamNode(id=1, parent=0, steps=(step,), score=ScoreBreakdown(0, 0, 0),
+                        verdict=verdict, translation=translation)
+        record = node_to_audit(node, task.id)
+        assert (record["failure_class"], record["failure_kind"]) == want
 
 
 def _results(n_tasks=5, p_bad_rule=0.3, seed=0):
@@ -158,7 +171,7 @@ class TestAuditAndStats:
     def test_stats_arithmetic(self, tmp_path):
         results = _results()
         emit_datasets(results, tmp_path, seed=0, config={})
-        stats = compute_stats(str(tmp_path / "audit.jsonl"))
+        stats = compute_stats(read_audit(tmp_path / "audit.jsonl"))
         executed = failed = 0
         for r in results:
             for n in r.nodes:
@@ -168,18 +181,10 @@ class TestAuditAndStats:
                     executed += 1
                 else:
                     failed += 1
-        assert stats.steps_total == executed + failed
-        assert stats.steps_executed == executed
-        assert stats.failures_generation + stats.failures_translation == failed
-        assert stats.success_rate == pytest.approx(executed / (executed + failed))
-
-    def test_stats_from_records_list(self, tmp_path):
-        results = _results(2)
-        emit_datasets(results, tmp_path, seed=0, config={})
-        path = tmp_path / "audit.jsonl"
-        assert compute_stats(read_audit(path)).to_dict() == compute_stats(
-            str(path)
-        ).to_dict()
+        assert stats["steps_total"] == executed + failed
+        assert stats["steps_executed"] == executed
+        assert stats["failures_generation"] + stats["failures_translation"] == failed
+        assert stats["success_rate"] == pytest.approx(executed / (executed + failed))
 
     def test_known_counts(self):
         recs = []
@@ -195,8 +200,8 @@ class TestAuditAndStats:
                 }
             )
         stats = compute_stats(recs)
-        assert stats.success_rate == pytest.approx(0.70)
-        assert stats.failures_generation == 3
+        assert stats["success_rate"] == pytest.approx(0.70)
+        assert stats["failures_generation"] == 3
 
     def test_table_has_one_row_per_family(self):
         # A generated id loses its trailing seed; any other id stays whole.
@@ -209,7 +214,7 @@ class TestAuditAndStats:
             )
         ]
         stats = compute_stats(recs)
-        assert sorted(stats.per_task_breakdown) == sorted(ids)
+        assert sorted(stats["per_task_breakdown"]) == sorted(ids)
         rows = format_stats_tables(stats).splitlines()[2:7]
         assert [row.split() for row in rows] == [
             ["chain-13h", "3", "2", "0.667"],
@@ -334,9 +339,14 @@ class TestAuditAndStats:
         record = node_to_audit(child, "t")
         assert (record["failure_kind"], record["failure_class"]) == (kind, TRANSLATION_ERROR)
 
+    def test_the_audit_schema_names_each_class_and_kind(self):
+        doc = (Path(__file__).parent.parent / "docs" / "audit_schema.md").read_text()
+        for name in [*datafactory._FAILURES, *(kind.value for kind in FailureKind)]:
+            assert f"`{name}`" in doc, name
+
     def test_tables_render(self, tmp_path):
         emit_datasets(_results(2), tmp_path, seed=0, config={})
-        text = format_stats_tables(compute_stats(tmp_path / "audit.jsonl"))
+        text = format_stats_tables(compute_stats(read_audit(tmp_path / "audit.jsonl")))
         assert "success rate" in text
         assert "Generation Error" in text
         assert "Translation Error" in text

@@ -12,8 +12,8 @@ from oracle_forge import cli, gateway, template
 from oracle_forge.beam import BeamConfig, run_beam
 from oracle_forge.corpus import CorruptionModel, gen_chain_task, gold_step
 from oracle_forge.gateway import (
-    SOURCE_UNMATCHED,
-    SYMBOLIC_DEFECT,
+    GENERATION_ERROR,
+    TRANSLATION_ERROR,
     BackendUnavailable,
     GenerationContext,
     HttpBackend,
@@ -73,7 +73,7 @@ class TestScriptedOracle:
 
         bad = dataclasses.replace(gold_step(task, 0), rule="Nonsense sentence.")
         result = backend.translate(bad)
-        assert result.error_kind == SOURCE_UNMATCHED
+        assert result.error_kind == GENERATION_ERROR
 
     def test_evaluate_gold_passes(self, task):
         backend = ScriptedOracleBackend(task)
@@ -340,7 +340,7 @@ class TestHttpBackend:
             query="q", facts=("f",), rule="r", revision="",
             revision_result=template.RevisionResult.retained(), reasoning_result="c",
         )
-        assert backend.translate(step).error_kind == SYMBOLIC_DEFECT
+        assert backend.translate(step).error_kind == TRANSLATION_ERROR
 
     def test_prompt_strings_are_pinned(self):
         # Each prompt is its asset, then its parts with empty ones dropped,

@@ -210,14 +210,16 @@ def _build(data: dict) -> PipelineConfig:
 class _Loader(yaml.SafeLoader):
     """PyYAML's safe loader, except that a value its tag cannot hold, such as
     ``!!int abc`` or the timestamp ``2001-13-45``, is a YAML error at its place,
-    not the bare ``ValueError`` or ``KeyError`` that PyYAML lets out."""
+    not the bare ``ValueError``, ``KeyError`` or ``AttributeError`` that PyYAML
+    lets out."""
 
     def construct_object(self, node, deep=False):
         try:
             return super().construct_object(node, deep)
-        except (ValueError, LookupError) as exc:
+        except (ValueError, LookupError, AttributeError) as exc:
             tag = node.tag.rsplit(":", 1)[-1]
-            # PyYAML's KeyError for ``!!bool maybe`` holds only the value.
+            # PyYAML's KeyError for ``!!bool maybe`` holds only the value, and
+            # its AttributeError for ``!!timestamp abc`` only a failed match.
             reason = exc if isinstance(exc, ValueError) else "not a known value"
             raise yaml.constructor.ConstructorError(
                 None, None, f"invalid {tag} {node.value!r}: {reason}", node.start_mark

@@ -398,7 +398,7 @@ def load_tasks(path) -> list[TaskInstance]:
                 continue
             try:
                 task = task_from_dict(json.loads(line))
-            except (ValueError, LookupError, TypeError, AttributeError) as exc:
+            except (ValueError, LookupError, TypeError, AttributeError, RecursionError) as exc:
                 raise ValueError(
                     f"{path}, line {lineno}: {type(exc).__name__}: {exc}"
                 ) from exc

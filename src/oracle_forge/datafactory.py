@@ -151,7 +151,7 @@ def read_audit(path) -> list[dict]:
                 continue
             try:
                 rec = json.loads(line)
-            except ValueError as exc:
+            except (ValueError, RecursionError) as exc:  # or nested too deeply
                 raise MalformedAudit(f"line {lineno}: {exc}") from exc
             if not isinstance(rec, dict):
                 raise MalformedAudit(f"line {lineno}: not an audit record")

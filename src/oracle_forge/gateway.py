@@ -66,7 +66,6 @@ class TranslationResult:
     facts: tuple[Fact, ...] = ()
     rule: Rule | None = None
     error_kind: str | None = None  # GENERATION_ERROR or TRANSLATION_ERROR on failure
-    detail: str = ""
 
     @property
     def ok(self) -> bool:
@@ -165,20 +164,12 @@ class ScriptedNoisyBackend:
         return raw
 
     def translate(self, step: template.ReasoningStep) -> TranslationResult:
-        facts = []
-        for nl in step.facts:
-            sym = self.task.nl_pairing.get(nl)
-            if not isinstance(sym, Fact):
-                return TranslationResult(
-                    error_kind=GENERATION_ERROR, detail=f"no pairing for fact: {nl!r}"
-                )
-            facts.append(sym)
-        rule = self.task.nl_pairing.get(step.rule)
-        if not isinstance(rule, Rule):
-            return TranslationResult(
-                error_kind=GENERATION_ERROR, detail=f"no pairing for rule: {step.rule!r}"
-            )
-        return TranslationResult(facts=tuple(facts), rule=rule)
+        pairing = self.task.nl_pairing
+        facts = tuple(map(pairing.get, step.facts))
+        rule = pairing.get(step.rule)
+        if not isinstance(rule, Rule) or not all(isinstance(f, Fact) for f in facts):
+            return TranslationResult(error_kind=GENERATION_ERROR)
+        return TranslationResult(facts=facts, rule=rule)
 
     def evaluate(
         self, step: template.ReasoningStep, ctx: GenerationContext, executed: bool = False
@@ -300,7 +291,7 @@ class HttpBackend:
                 if not texts or not all(isinstance(t, str) for t in texts):
                     raise ValueError("no text in choices")
                 return texts
-            except (ValueError, KeyError, TypeError) as exc:
+            except (ValueError, KeyError, TypeError, RecursionError) as exc:
                 last_error = f"bad response body: {exc}"
                 self.telemetry["malformed_responses"] += 1
                 continue
@@ -342,15 +333,10 @@ class HttpBackend:
     def translate(self, step: template.ReasoningStep) -> TranslationResult:
         text = self._answer(self._prompt("translation", template.serialize_step(step)))
         try:
-            facts, rules = kernel.parse_clauses(text)
-        except kernel.KbError as exc:
-            return TranslationResult(error_kind=TRANSLATION_ERROR, detail=str(exc))
-        if len(rules) != 1:
-            return TranslationResult(
-                error_kind=TRANSLATION_ERROR,
-                detail=f"expected exactly 1 rule, got {len(rules)}",
-            )
-        return TranslationResult(facts=tuple(sorted(facts)), rule=rules[0])
+            facts, (rule,) = kernel.parse_clauses(text)
+        except ValueError:  # a KblSyntaxError, or not exactly one rule
+            return TranslationResult(error_kind=TRANSLATION_ERROR)
+        return TranslationResult(facts=tuple(sorted(facts)), rule=rule)
 
     def _yes_no(self, prompt_name: str, step: template.ReasoningStep, ctx) -> bool:
         prompt = self._prompt(prompt_name, ctx.question, template.serialize_step(step))

@@ -39,6 +39,7 @@ FINAL_ANSWER_PREFIX = "FINAL ANSWER:"
 
 _TRUE_WORDS = {"yes", "true"}
 _FALSE_WORDS = {"no", "false"}
+_TRAILING_RE = re.compile(r"[\s.!?;:]*")
 
 
 def normalize_answer(raw: str) -> str:
@@ -46,9 +47,11 @@ def normalize_answer(raw: str) -> str:
     collapse inner whitespace.  Idempotent."""
     text = raw.strip().casefold()
     # Strip punctuation and whitespace together so "! !" cannot leave a
-    # new terminal "!" behind for a second pass to remove.
-    text = re.sub(r"[\s.!?;:]+$", "", text)
-    text = re.sub(r"\s+", " ", text)
+    # new terminal "!" behind for a second pass to remove.  The run is matched
+    # on the reversed text: a search for it forwards restarts at each
+    # character of a run that something else follows, in quadratic time.
+    text = text[: len(text) - _TRAILING_RE.match(text[::-1]).end()]
+    text = " ".join(text.split())
     if text in _TRUE_WORDS:
         return "true"
     if text in _FALSE_WORDS:

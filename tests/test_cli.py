@@ -7,6 +7,7 @@ import sys
 import threading
 import time
 import weakref
+from pathlib import Path
 
 import pytest
 
@@ -353,6 +354,8 @@ class TestStage1Cli:
             (b"beam: {temperature: !!float x}\n",
              f"{invalid}, line 1, col 21: invalid float 'x': could not convert string to float: 'x'"),
             (b"seed: !!bool maybe\n", f"{invalid}, line 1, col 7: invalid bool 'maybe': not a known value"),
+            (b"seed: !!timestamp abc\n",
+             f"{invalid}, line 1, col 7: invalid timestamp 'abc': not a known value"),
             # A value that holds itself, and nesting deeper than the stack.
             (b"a: &a {b: *a}\n", "unknown top-level key: a"),
             (b"seed: &a [*a]\n", "seed must be an integer, got [[...]]"),
@@ -558,6 +561,21 @@ class TestConcurrency:
         assert (out1 / "dpo.jsonl").read_text()
         for name in ("sft.jsonl", "dpo.jsonl", "audit.jsonl"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+    def test_reply_nested_too_deeply_loses_only_the_tasks(self, tmp_path, capsys, monkeypatch):
+        # json.loads raises RecursionError on such a body; it is a malformed
+        # reply, retried and then a lost task, not the end of the run.
+        config = json.loads(Path(http_config(tmp_path, 1, count=3)).read_text())
+        config["http"]["max_retries"] = 1
+        path = write(tmp_path / "cfg.yaml", json.dumps(config))
+        monkeypatch.setattr(
+            gateway.HttpBackend, "_default_transport",
+            staticmethod(lambda *args: (200, "[" * 100_000)),
+        )
+        code, _, stderr = run_cli(capsys, "stage2", "--config", path, "--out", str(tmp_path / "o"))
+        assert code == cli.EXIT_FAILURE
+        assert "3/3 tasks lost" in stderr and "bad response body" in stderr
+        assert "Traceback" not in stderr
 
     def test_scripted_backends_run_serially(self, tmp_path, capsys, monkeypatch):
         def no_pool(*args, **kwargs):
@@ -769,8 +787,9 @@ class TestStatsCli:
                 b'{"id": 0, "task_id": "t", "has_step": true, "executed": false}\n',
                 "line 1: failed step without failure_class",
             ),
+            (b"[" * 100_000 + b"\n", "line 1: maximum recursion depth exceeded"),
         ],
-        ids=["not-utf8", "string-executed", "unclassified-failure"],
+        ids=["not-utf8", "string-executed", "unclassified-failure", "nested-too-deeply"],
     )
     def test_unreadable_audit_is_a_one_line_error(self, tmp_path, capsys, content, reason):
         audit = tmp_path / "audit.jsonl"
@@ -939,11 +958,13 @@ class TestCorpusFileRoundTrip:
                 lambda d: json.dumps(d).encode().replace(b'"question": "', b'"question": "\xff'),
                 "UnicodeDecodeError: 'utf-8' codec can't decode byte 0xff",
             ),
+            (lambda d: "[" * 100_000, "RecursionError: maximum recursion depth exceeded"),
         ],
         ids=[
             "missing-key", "bad-json", "not-an-object", "null-text", "bad-kbl", "no-rule",
             "atom-then-text", "unpaired-proof-symbol", "blank-sentence", "rule-entry-with-fact",
             "proof-rule-with-fact", "unknown-symbol-kind", "proof-step-without-facts", "not-utf8",
+            "nested-too-deeply",
         ],
     )
     def test_malformed_line_is_a_one_line_error(self, tmp_path, capsys, edit, reason):

@@ -4,7 +4,9 @@ import json
 import os
 import re
 import string
+import sys
 import tempfile
+import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -57,6 +59,10 @@ from oracle_forge.kernel import RULE_LANGUAGE_VERSION, FailureKind, StepVerdict,
 from oracle_forge.template import serialize_response
 
 
+# Every character that str.isspace and the regex class \s accept.
+_WHITESPACE = "".join(c for c in map(chr, range(sys.maxunicode + 1)) if c.isspace())
+
+
 class TestNormalizeAnswer:
     @pytest.mark.parametrize(
         "raw,expected",
@@ -78,6 +84,27 @@ class TestNormalizeAnswer:
     def test_idempotent(self, raw):
         once = normalize_answer(raw)
         assert normalize_answer(once) == once
+
+    # Whitespace, the terminal punctuation, the boolean words' letters, and
+    # letters that case-folding changes, some into more than one character.
+    @given(st.text(
+        alphabet=st.sampled_from(_WHITESPACE + ".!?;:" + "yesnoYESNO" + "ßİΣσςﬁ"), max_size=40
+    ))
+    @settings(max_examples=500)
+    def test_matches_its_regex_definition(self, raw):
+        # The definition, whose search for the trailing run is quadratic in
+        # the length of a run that something else follows.
+        text = re.sub(r"[\s.!?;:]+$", "", raw.strip().casefold())
+        text = re.sub(r"\s+", " ", text)
+        expected = {"yes": "true", "no": "false"}.get(text, text)
+        assert normalize_answer(raw) == expected
+
+    def test_long_punctuation_run_takes_linear_time(self):
+        raw = "!" * 200_000 + "x"
+        start = time.perf_counter()
+        assert normalize_answer(raw) == raw
+        assert normalize_answer(raw[::-1]) == "x"
+        assert time.perf_counter() - start < 1.0
 
 
 class TestStage1Filter:
@@ -297,10 +324,12 @@ class TestAuditAndStats:
                 b' "failure_class": "GenerationError"}\n',
                 "line 1: executed step with failure_class",
             ),
+            (b"[" * 100_000 + b"\n", "line 1: maximum recursion depth exceeded"),
         ],
         ids=[
             "no-task-id", "no-executed", "int-task-id", "string-executed", "bool-id",
             "unknown-failure-class", "not-utf8", "unclassified-failure", "classified-success",
+            "nested-too-deeply",
         ],
     )
     def test_malformed_line_raises(self, tmp_path, content, reason):

@@ -292,6 +292,13 @@ class TestHttpBackend:
                 call()
         assert backend.telemetry["malformed_responses"] == 8
 
+    def test_reply_nested_too_deeply_retries(self, task):
+        # json.loads raises RecursionError on it, well inside MAX_REPLY_BYTES.
+        backend = http_backend(FakeTransport([(200, "[" * 100_000)]), max_retries=2)
+        with pytest.raises(BackendUnavailable, match="bad response body: maximum recursion"):
+            backend.translate(gold_step(task, 0))
+        assert backend.telemetry["malformed_responses"] == 2
+
     def test_backoff_doubles_up_to_its_ceiling(self):
         # Without a ceiling, max_retries: 20 would wait about 36 h before its
         # last attempt, and a count past 1,025 would overflow a float.

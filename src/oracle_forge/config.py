@@ -13,6 +13,7 @@ import math
 import os
 import re
 import typing
+import urllib.parse
 from dataclasses import asdict, dataclass, field, fields, is_dataclass
 
 import yaml
@@ -202,6 +203,19 @@ def _build(data: dict) -> PipelineConfig:
     if cfg.backend == "http":
         if not cfg.http.endpoint or not cfg.http.model:
             raise ConfigError("http backend requires endpoint and model")
+        try:
+            url = urllib.parse.urlsplit(cfg.http.endpoint)
+            usable = url.scheme in ("http", "https") and url.hostname
+        except ValueError:  # a bracketed host that is no IPv6 address
+            usable = False
+        if not usable:
+            raise ConfigError(
+                f"http.endpoint must be an http:// or https:// URL with a host, "
+                f"got {cfg.http.endpoint!r}"
+            )
+        if re.search(r"[\x00-\x1f\x7f-\x9f]", cfg.http.api_key or ""):
+            # A header cannot carry it; the message leaves the key out.
+            raise ConfigError("http.api_key holds a control character")
         if not cfg.prompts_dir:
             raise ConfigError("http backend requires prompts_dir")
     return cfg

@@ -274,7 +274,7 @@ def gold_step(task: TaskInstance, index: int) -> template.ReasoningStep:
         facts=tuple(task.nl_of(f) for f in ps.body_facts),
         rule=task.nl_of(ps.rule),
         revision="The selected facts and rule are sufficient for this step.",
-        revision_result=template.RevisionResult.retained(),
+        revision_result=template.RETAINED_TOKEN,
         reasoning_result=kernel.render_conclusions(kernel.StepVerdict((ps.conclusion,))),
     )
 
@@ -347,6 +347,9 @@ def task_from_dict(d: dict) -> TaskInstance:
     for key in ("id", "question", "context", "gold_answer"):
         if not isinstance(d[key], str):
             raise TypeError(f"{key} is not a string: {d[key]!r}")
+    answer = d["gold_answer"].strip()
+    if not answer or "\n" in answer:  # a response states it on one FINAL ANSWER line
+        raise ValueError(f"gold_answer is not one non-blank line: {d['gold_answer']!r}")
 
     def load_sym(entry):
         if entry["kind"] == "fact":
@@ -388,9 +391,10 @@ def task_from_dict(d: dict) -> TaskInstance:
 
 def load_tasks(path) -> list[TaskInstance]:
     """The tasks of a JSONL file, one per non-blank line.  A line that does
-    not hold a task, holds one with a blank sentence, a proof symbol without
-    a sentence or a proof step without a fact, holds one whose id an earlier
-    line took, or is not UTF-8, raises ValueError naming the file and the line."""
+    not hold a task, holds one with a blank sentence, a gold answer that is
+    not one non-blank line, a proof symbol without a sentence or a proof step
+    without a fact, holds one whose id an earlier line took, or is not UTF-8,
+    raises ValueError naming the file and the line."""
     tasks: dict[str, TaskInstance] = {}
     with open(path, "rb") as fh:  # json.loads decodes each line itself
         for lineno, line in enumerate(fh, 1):

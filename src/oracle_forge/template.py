@@ -14,10 +14,12 @@ fields in a fixed order, optionally followed by a final answer line:
     <REASONING_RESULT>...</REASONING_RESULT>
     FINAL ANSWER: true
 
-Literal tag text and backslashes inside field bodies are backslash-escaped by
-the serializer and unescaped by the parser, so serialize -> parse is the
-identity on the structured form.  See docs/template_format.md for the full
-grammar.
+A step's fields are its tags' bodies, unescaped: literal tag text and
+backslashes inside a body are backslash-escaped by the serializer and
+unescaped by the parser, and FACTS holds one entry per "- " line.
+``ReasoningStep.validate`` checks every step when it is built, so serialize ->
+parse is the identity on every step the type accepts.  See
+docs/template_format.md for the full grammar.
 """
 
 from __future__ import annotations
@@ -81,43 +83,34 @@ class ParseError(ValueError):
 
 
 @dataclass(frozen=True)
-class RevisionResult:
-    """Outcome of the reflection field: retained as-is, or revised text."""
-
-    revised: bool
-    text: str = ""
-
-    @staticmethod
-    def retained() -> "RevisionResult":
-        return RevisionResult(revised=False)
-
-    @staticmethod
-    def revised_to(text: str) -> "RevisionResult":
-        return RevisionResult(revised=True, text=text)
-
-
-@dataclass(frozen=True)
 class ReasoningStep:
     query: str
     facts: tuple[str, ...]
     rule: str
     revision: str
-    revision_result: RevisionResult
+    revision_result: str
     reasoning_result: str
 
     def __post_init__(self):
         self.validate()
 
     def validate(self) -> None:
-        """Raise ParseError ``empty <TAG> field`` for the first blank field in tag
-        order: QUERY, FACTS (no entry, or a blank one), RULE, REASONING_RESULT.
-        A step is checked once, when it is built, whether parsed or made in code."""
+        """Raise ParseError for the first defect in tag order: ``empty <TAG>
+        field`` for a blank QUERY, FACTS (no entry, or a blank one) or RULE, a
+        malformed REVISION_RESULT (neither RETAINED nor ``REVISED:`` and any
+        text), then a blank REASONING_RESULT.  A step is checked once, when it
+        is built, whether parsed or made in code."""
         if not self.query.strip():
             raise ParseError("empty <QUERY> field")
         if not self.facts or not all(map(str.strip, self.facts)):
             raise ParseError("empty <FACTS> field")
         if not self.rule.strip():
             raise ParseError("empty <RULE> field")
+        rr = self.revision_result
+        if rr != RETAINED_TOKEN and not rr.startswith(REVISED_PREFIX):
+            raise ParseError(
+                f"malformed <REVISION_RESULT>: expected {RETAINED_TOKEN} or {REVISED_PREFIX} ..."
+            )
         if not self.reasoning_result.strip():
             raise ParseError("empty <REASONING_RESULT> field")
 
@@ -131,12 +124,7 @@ class ReasoningStep:
         lines.append("</FACTS>")
         lines.append(f"<RULE>{_escape(self.rule)}</RULE>")
         lines.append(f"<REVISION>{_escape(self.revision)}</REVISION>")
-        rr = self.revision_result
-        if rr.revised:
-            rr_body = f"{REVISED_PREFIX} {_escape(rr.text)}"
-        else:
-            rr_body = RETAINED_TOKEN
-        lines.append(f"<REVISION_RESULT>{rr_body}</REVISION_RESULT>")
+        lines.append(f"<REVISION_RESULT>{_escape(self.revision_result)}</REVISION_RESULT>")
         lines.append(
             f"<REASONING_RESULT>{_escape(self.reasoning_result)}</REASONING_RESULT>"
         )
@@ -202,19 +190,6 @@ def _parse_facts_body(body: str) -> tuple[str, ...]:
     return tuple(entries)
 
 
-def _parse_revision_result(body: str) -> RevisionResult:
-    if body == RETAINED_TOKEN:
-        return RevisionResult.retained()
-    if body.startswith(REVISED_PREFIX):
-        text = body[len(REVISED_PREFIX):]
-        if text.startswith(" "):
-            text = text[1:]
-        return RevisionResult.revised_to(_unescape(text))
-    raise ParseError(
-        f"malformed <REVISION_RESULT>: expected {RETAINED_TOKEN} or {REVISED_PREFIX} ..."
-    )
-
-
 # One block per tag in TAG_ORDER, each optional after the one before, so
 # ``lastindex`` counts the blocks read and group k holds block k's body.  A
 # body ends at the first </TAG> after an even run of backslashes: the body
@@ -228,7 +203,7 @@ _STEP_RE = re.compile(reduce(
     "",
 ))
 # The decoder of each block's body, in TAG_ORDER.
-_DECODERS = (_unescape, _parse_facts_body, _unescape, _unescape, _parse_revision_result, _unescape)
+_DECODERS = (_unescape, _parse_facts_body, _unescape, _unescape, _unescape, _unescape)
 
 
 def _parse_step(raw: str, pos: int, step_index: int) -> tuple[ReasoningStep, int]:

@@ -49,8 +49,8 @@ _answer_text = st.text(
 ).filter(lambda s: s == s.strip() and bool(s))
 
 revision_results = st.one_of(
-    st.just(template.RevisionResult.retained()),
-    field_text.map(template.RevisionResult.revised_to),
+    st.just(template.RETAINED_TOKEN),
+    field_text.map(lambda text: f"{template.REVISED_PREFIX} {text}"),
 )
 
 
@@ -117,8 +117,6 @@ def _reference_step(raw: str, pos: int, step_index: int):
         pos = end + len(close)
         if tag == "FACTS":
             fields.append(template._parse_facts_body(body))
-        elif tag == "REVISION_RESULT":
-            fields.append(template._parse_revision_result(body))
         else:
             fields.append(template._unescape(body))
     return template.ReasoningStep(*fields), pos

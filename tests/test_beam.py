@@ -71,14 +71,14 @@ def node(i, total):
 
 
 def _dummy_step(index):
-    from oracle_forge.template import ReasoningStep, RevisionResult
+    from oracle_forge.template import RETAINED_TOKEN, ReasoningStep
 
     return ReasoningStep(
         query=f"q{index}",
         facts=(f"f{index}",),
         rule=f"r{index}",
         revision="",
-        revision_result=RevisionResult.retained(),
+        revision_result=RETAINED_TOKEN,
         reasoning_result=f"c{index}",
     )
 

@@ -18,6 +18,9 @@ from oracle_forge.datafactory import compute_stats, read_audit
 from oracle_forge.gateway import GENERATION_ERROR, TRANSLATION_ERROR
 
 
+PROMPTS_DIR = Path(__file__).parent.parent / "prompts"
+
+
 def write(path, text):
     path.write_text(text, encoding="utf-8")
     return str(path)
@@ -268,6 +271,44 @@ class TestConfig:
         path = write(tmp_path / "cfg.yaml", "backend: http\n")
         with pytest.raises(ConfigError):
             load_config(path)
+
+    @pytest.mark.parametrize("endpoint", [
+        "api.example.com/v1/chat/completions", "localhost:8080/v1", "ftp://host/v1",
+        "http:///v1", "http://:80/v1", "http://[::1/v1",
+    ])
+    def test_http_endpoint_that_takes_no_request_is_a_config_error(
+        self, tmp_path, capsys, endpoint
+    ):
+        cfg = write(
+            tmp_path / "cfg.yaml",
+            f"backend: http\nprompts_dir: {PROMPTS_DIR}\n"
+            f"http: {{endpoint: '{endpoint}', model: m}}\n",
+        )
+        out = tmp_path / "out"
+        code, stdout, stderr = run_cli(capsys, "stage2", "--config", cfg, "--out", str(out))
+        assert code == cli.EXIT_CONFIG
+        assert stderr == (
+            "config error: http.endpoint must be an http:// or https:// URL with a host, "
+            f"got {endpoint!r}\n"
+        )
+        assert stdout == "" and not out.exists()
+
+    @pytest.mark.parametrize("key", ["sk-1\n", "sk-1\r\nX-Extra: 1", "sk\t1", "sk-1\x7f"])
+    def test_http_api_key_with_a_control_character_is_a_config_error(
+        self, tmp_path, capsys, monkeypatch, key
+    ):
+        # The message leaves the key out.
+        monkeypatch.setenv("OF_TEST_KEY", key)
+        cfg = write(
+            tmp_path / "cfg.yaml",
+            f"backend: http\nprompts_dir: {PROMPTS_DIR}\n"
+            "http: {endpoint: 'http://127.0.0.1:9/v1', model: m, api_key: '${OF_TEST_KEY}'}\n",
+        )
+        out = tmp_path / "out"
+        code, stdout, stderr = run_cli(capsys, "stage2", "--config", cfg, "--out", str(out))
+        assert code == cli.EXIT_CONFIG
+        assert stderr == "config error: http.api_key holds a control character\n"
+        assert stdout == "" and not out.exists()
 
     def test_corpus_file_must_exist(self, tmp_path):
         path = write(
@@ -959,12 +1000,20 @@ class TestCorpusFileRoundTrip:
                 "UnicodeDecodeError: 'utf-8' codec can't decode byte 0xff",
             ),
             (lambda d: "[" * 100_000, "RecursionError: maximum recursion depth exceeded"),
+            (
+                lambda d: dict(d, gold_answer=" \t"),
+                "ValueError: gold_answer is not one non-blank line: ' \\t'",
+            ),
+            (
+                lambda d: dict(d, gold_answer="true\nfalse"),
+                "ValueError: gold_answer is not one non-blank line: 'true\\nfalse'",
+            ),
         ],
         ids=[
             "missing-key", "bad-json", "not-an-object", "null-text", "bad-kbl", "no-rule",
             "atom-then-text", "unpaired-proof-symbol", "blank-sentence", "rule-entry-with-fact",
             "proof-rule-with-fact", "unknown-symbol-kind", "proof-step-without-facts", "not-utf8",
-            "nested-too-deeply",
+            "nested-too-deeply", "blank-gold-answer", "multi-line-gold-answer",
         ],
     )
     def test_malformed_line_is_a_one_line_error(self, tmp_path, capsys, edit, reason):

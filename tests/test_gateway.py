@@ -229,7 +229,7 @@ class TestHttpBackend:
                 facts=("f",),
                 rule="r",
                 revision="",
-                revision_result=template.RevisionResult.retained(),
+                revision_result=template.RETAINED_TOKEN,
                 reasoning_result="c",
             )
         )
@@ -320,7 +320,7 @@ class TestHttpBackend:
         backend = http_backend(transport)
         step = template.ReasoningStep(
             query="q", facts=("f",), rule="r", revision="",
-            revision_result=template.RevisionResult.retained(), reasoning_result="c",
+            revision_result=template.RETAINED_TOKEN, reasoning_result="c",
         )
         verdict = backend.evaluate(step, GenerationContext(question="Q"))
         assert not verdict.precision_pass and not verdict.feasibility_pass
@@ -333,7 +333,7 @@ class TestHttpBackend:
         backend = http_backend(transport)
         step = template.ReasoningStep(
             query="q", facts=("Socrates is a man.",), rule="All men are mortal.",
-            revision="", revision_result=template.RevisionResult.retained(),
+            revision="", revision_result=template.RETAINED_TOKEN,
             reasoning_result="c",
         )
         result = backend.translate(step)
@@ -345,7 +345,7 @@ class TestHttpBackend:
         backend = http_backend(transport)
         step = template.ReasoningStep(
             query="q", facts=("f",), rule="r", revision="",
-            revision_result=template.RevisionResult.retained(), reasoning_result="c",
+            revision_result=template.RETAINED_TOKEN, reasoning_result="c",
         )
         assert backend.translate(step).error_kind == TRANSLATION_ERROR
 
@@ -354,11 +354,11 @@ class TestHttpBackend:
         # one blank line apart; perfbench/stub.py parses this layout.
         first = template.ReasoningStep(
             query="q?", facts=("f",), rule="r", revision="",
-            revision_result=template.RevisionResult.retained(), reasoning_result="c",
+            revision_result=template.RETAINED_TOKEN, reasoning_result="c",
         )
         second = template.ReasoningStep(
             query="Is <b> so?", facts=("f", "g\nh"), rule="r2", revision="ok",
-            revision_result=template.RevisionResult.revised_to("x"), reasoning_result="d",
+            revision_result="REVISED: x", reasoning_result="d",
         )
         first_text = (
             "<QUERY>q?</QUERY>\n<FACTS>\n- f\n</FACTS>\n<RULE>r</RULE>\n"
@@ -402,7 +402,7 @@ class TestHttpBackend:
 def _step(i):
     return template.ReasoningStep(
         query=f"q{i}?", facts=(f"f{i}",), rule=f"r{i}", revision="",
-        revision_result=template.RevisionResult.retained(), reasoning_result="c",
+        revision_result=template.RETAINED_TOKEN, reasoning_result="c",
     )
 
 

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import (
+    field_text,
     golden_config,
     nonempty_field,
     reasoning_steps,
@@ -17,9 +18,9 @@ from conftest import (
 )
 from oracle_forge import cli, template
 from oracle_forge.template import (
+    RETAINED_TOKEN,
     ParseError,
     ReasoningStep,
-    RevisionResult,
     StructuredResponse,
     conforms_strictly,
     parse_response,
@@ -34,7 +35,7 @@ def make_step(**overrides) -> ReasoningStep:
         facts=("Socrates is a man.",),
         rule="All men are mortal.",
         revision="Facts and rule suffice.",
-        revision_result=RevisionResult.retained(),
+        revision_result=RETAINED_TOKEN,
         reasoning_result="mortal(socrates)",
     )
     base.update(overrides)
@@ -78,16 +79,28 @@ class TestParseResponse:
             parse_response(raw)
 
     def test_revised_result(self):
-        step = make_step(revision_result=RevisionResult.revised_to("use rule B"))
+        step = make_step(revision_result="REVISED: use rule B")
         parsed = parse_response(serialize_step(step)).steps[0]
-        assert parsed.revision_result == RevisionResult.revised_to("use rule B")
+        assert parsed.revision_result == "REVISED: use rule B"
+
+    def test_revision_result_is_checked_in_tag_order(self):
+        # The form of REVISION_RESULT is checked with the other fields, when
+        # the step is built: a defect that comes first is named first.
+        raw = serialize_step(make_step()).replace(RETAINED_TOKEN, "KEPT")
+        with pytest.raises(ParseError, match=r"^malformed <REVISION_RESULT>: "):
+            parse_response(raw)
+        blank_query = raw.replace("<QUERY>Is socrates mortal?</QUERY>", "<QUERY> </QUERY>")
+        with pytest.raises(ParseError, match=r"^empty <QUERY> field$"):
+            parse_response(blank_query)
+        with pytest.raises(ParseError, match=r"^missing <REASONING_RESULT> in step 0$"):
+            parse_response(raw[: raw.index("<REASONING_RESULT>")])
 
 
 # A step whose RULE body holds an escaped closing tag, and parse outcomes of
 # edits to it.  The messages were taken from the character-by-character
 # scanner that the compiled opening-tag pattern replaced.
 _PINNED_STEP = serialize_step(
-    ReasoningStep("q?", ("f1", "f2"), "r </RULE> x", "", RevisionResult.retained(), "c")
+    ReasoningStep("q?", ("f1", "f2"), "r </RULE> x", "", RETAINED_TOKEN, "c")
 )
 _PINNED_FACTS = "<FACTS>\n- f1\n- f2\n</FACTS>\n"
 _PINNED_RULE = "<RULE>r \\</RULE> x</RULE>\n"
@@ -189,8 +202,25 @@ class TestSerializeStep:
         with pytest.raises(ParseError, match=r"^empty <RULE> field$"):
             make_step(rule="  ")
 
+    def test_revision_result_must_be_retained_or_revised(self):
+        message = r"^malformed <REVISION_RESULT>: expected RETAINED or REVISED: \.\.\.$"
+        with pytest.raises(ParseError, match=message):
+            make_step(revision_result="KEPT")
+
     def test_lf_line_endings(self):
         assert "\r" not in serialize_step(make_step())
+
+
+# Every REVISION_RESULT that a step accepts: RETAINED, or REVISED: with or
+# without a space and then any text, none included.
+accepted_revision_results = st.one_of(
+    st.just(RETAINED_TOKEN),
+    st.builds(
+        lambda space, text: template.REVISED_PREFIX + space + text,
+        st.sampled_from(["", " "]),
+        field_text,
+    ),
+)
 
 
 class TestRoundTrip:
@@ -199,6 +229,12 @@ class TestRoundTrip:
     def test_step_round_trip(self, step):
         parsed = parse_response(serialize_step(step))
         assert parsed.steps[0] == step
+
+    @settings(max_examples=300)
+    @given(reasoning_steps(), accepted_revision_results)
+    def test_every_accepted_step_reads_back_as_itself(self, step, revision_result):
+        step = replace(step, revision_result=revision_result)
+        assert parse_response(serialize_step(step)).steps == (step,)
 
     @settings(max_examples=300)
     @given(structured_responses())

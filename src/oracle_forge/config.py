@@ -213,9 +213,20 @@ def _build(data: dict) -> PipelineConfig:
                 f"http.endpoint must be an http:// or https:// URL with a host, "
                 f"got {cfg.http.endpoint!r}"
             )
+        # A request cannot carry these.  urlsplit drops tabs and newlines from
+        # its parts, so spaces and control characters are sought in the whole.
+        if re.search(r"[\x00-\x20\x7f-\x9f]", cfg.http.endpoint) or re.search(
+            r"[^\x00-\x7f]", url.path + url.query
+        ):
+            raise ConfigError(
+                "http.endpoint must hold no space or control character, and no "
+                f"non-ASCII character in its path or query, got {cfg.http.endpoint!r}"
+            )
+        # A header cannot carry these; the messages leave the key out.
         if re.search(r"[\x00-\x1f\x7f-\x9f]", cfg.http.api_key or ""):
-            # A header cannot carry it; the message leaves the key out.
             raise ConfigError("http.api_key holds a control character")
+        if re.search(r"[^\x00-\xff]", cfg.http.api_key or ""):
+            raise ConfigError("http.api_key holds a character outside Latin-1")
         if not cfg.prompts_dir:
             raise ConfigError("http backend requires prompts_dir")
     return cfg

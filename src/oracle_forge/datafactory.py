@@ -103,31 +103,33 @@ def stage1_filter(samples) -> tuple[list[SftRecord], list[RejectReason]]:
 # Audit file
 
 
-def node_to_audit(node, task_id: str) -> dict:
-    executed = bool(node.verdict and node.verdict.executed)
-    failure_class = None
-    failure_kind = None
-    if node.step is not None and not executed:
-        failure_class = node.translation.error_kind or TRANSLATION_ERROR
-        failure_kind = node.verdict.failure.value
-    # In sorted key order, so the line is written without sort_keys.
-    return {
-        "answer": node.answer,
-        "depth": node.depth,
-        "executed": executed,
-        "failure_class": failure_class,
-        "failure_kind": failure_kind,
-        "has_step": node.step is not None,
-        "id": node.id,
-        "parent": node.parent,
-        "selected": node.selected,
-        "task_id": task_id,
-        "terminal": node.terminal,
-        "total": node.score.total,
-        "w1": node.score.w1,
-        "w2": node.score.w2,
-        "w3": node.score.w3,
-    }
+_JSON_BOOL = {False: "false", True: "true"}
+
+
+def _audit_lines(task_id: str, nodes):
+    """One audit line per node: its record's keys in sorted order, laid out
+    as ``json.dumps`` writes a dict (", " and ": ", ASCII only).  Strings go
+    through ``json.dumps``; ints, booleans and null are written as literals."""
+    task = json.dumps(task_id)
+    for node in nodes:
+        verdict = node.verdict
+        executed = bool(verdict and verdict.executed)
+        failure_class = failure_kind = "null"
+        if node.steps and not executed:
+            failure_class = json.dumps(node.translation.error_kind or TRANSLATION_ERROR)
+            failure_kind = json.dumps(verdict.failure.value)
+        answer = node.answer
+        score = node.score
+        yield (
+            f'{{"answer": {"null" if answer is None else json.dumps(answer)}, '
+            f'"depth": {len(node.steps)}, "executed": {_JSON_BOOL[executed]}, '
+            f'"failure_class": {failure_class}, "failure_kind": {failure_kind}, '
+            f'"has_step": {_JSON_BOOL[bool(node.steps)]}, "id": {node.id}, '
+            f'"parent": {"null" if node.parent is None else node.parent}, '
+            f'"selected": {_JSON_BOOL[node.selected]}, "task_id": {task}, '
+            f'"terminal": {_JSON_BOOL[answer is not None]}, "total": {score.total}, '
+            f'"w1": {score.w1}, "w2": {score.w2}, "w3": {score.w3}}}'
+        )
 
 
 _AUDIT_TYPES = {"id": int, "task_id": str, "has_step": bool, "executed": bool}
@@ -365,8 +367,7 @@ def emit_datasets(
                 counts[kind] += len(kept)
                 manifest["partial"] |= len(kept) < len(records)
                 yield from ((f"{kind}.jsonl", _line(rec)) for rec in kept)
-            for node in result.nodes:
-                yield "audit.jsonl", json.dumps(node_to_audit(node, task_id))
+            yield from (("audit.jsonl", line) for line in _audit_lines(task_id, result.nodes))
         manifest["partial"] |= bool(lost_tasks)
         yield "manifest.json", json.dumps(manifest, sort_keys=True, indent=2)
 

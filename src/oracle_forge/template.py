@@ -25,8 +25,9 @@ docs/template_format.md for the full grammar.
 from __future__ import annotations
 
 import re
+import threading
 from dataclasses import dataclass
-from functools import cached_property, lru_cache, reduce
+from functools import cached_property, reduce
 
 TAG_ORDER = (
     "QUERY",
@@ -167,10 +168,18 @@ def serialize_step(step: ReasoningStep) -> str:
 
 
 def serialize_response(resp: StructuredResponse) -> str:
+    """Render a response as template text.  When the text parses back to
+    exactly ``resp`` (its steps are a non-empty tuple, and its final answer
+    is empty or is one line without surrounding whitespace), the parse memo
+    holds it with ``resp``, so that parsing the text again costs one lookup."""
     parts = [serialize_step(s) for s in resp.steps]
     text = "\n".join(parts)
-    if resp.final_answer:
-        text += f"\n{FINAL_ANSWER_PREFIX} {resp.final_answer}\n"
+    answer = resp.final_answer
+    if answer:
+        text += f"\n{FINAL_ANSWER_PREFIX} {answer}\n"
+    if (parts and type(resp.steps) is tuple
+            and (not answer or (answer == answer.strip() and "\n" not in answer))):
+        _remember(text, resp)
     return text
 
 
@@ -236,16 +245,39 @@ def parse_response(raw: str, require_final_answer: bool = False) -> StructuredRe
     Raises ParseError on any structural deviation: missing or
     reordered tags, unclosed blocks, empty required fields, stray text between
     blocks.  ``require_final_answer`` additionally demands a terminal
-    FINAL ANSWER line.  The last 8 results are remembered by (text, flag)
-    and shared, being frozen; a failure is never remembered.
+    FINAL ANSWER line.  A text found in the parse memo is not parsed again:
+    its response is returned, and shared, being frozen.  A failure is never
+    remembered.
     """
-    return _parse(raw, require_final_answer)
+    resp = _memo.get(raw)
+    if resp is None:
+        resp = _parse(raw)
+        _remember(raw, resp)
+    if require_final_answer and not resp.final_answer:
+        raise ParseError("response has no FINAL ANSWER line")
+    return resp
 
 
-# One memo per process, for all worker threads: the beam re-parses each candidate
-# and siblings share texts; at 2 workers 8 entries miss only first sightings.
-@lru_cache(maxsize=8)
-def _parse(raw: str, require_final_answer: bool) -> StructuredResponse:
+# The parse memo: text -> the response it parses to, one table per process
+# for all worker threads.  serialize_response adds the texts it renders and
+# parse_response the ones it parses; the oldest entry goes first.  The beam
+# reads each candidate's answer back from the text rendered (or, over HTTP,
+# parsed) for it a moment before.  Scripted runs are serial, so no entry is
+# evicted before that read; 64 entries leave room for HTTP workers, whose
+# round trips come in between.
+_MEMO_SIZE = 64
+_memo: dict[str, StructuredResponse] = {}
+_memo_lock = threading.Lock()
+
+
+def _remember(raw: str, resp: StructuredResponse) -> None:
+    with _memo_lock:
+        _memo[raw] = resp
+        if len(_memo) > _MEMO_SIZE:
+            del _memo[next(iter(_memo))]
+
+
+def _parse(raw: str) -> StructuredResponse:
     steps: list[ReasoningStep] = []
     final_answer = ""
     pos = 0
@@ -274,8 +306,6 @@ def _parse(raw: str, require_final_answer: bool) -> StructuredResponse:
         break
     if not steps:
         raise ParseError("missing <QUERY> in step 0")
-    if require_final_answer and not final_answer:
-        raise ParseError("response has no FINAL ANSWER line")
     return StructuredResponse(steps=tuple(steps), final_answer=final_answer)
 
 

@@ -17,6 +17,7 @@ import hypothesis.strategies as st
 
 from oracle_forge import template
 from oracle_forge.corpus import TaskInstance, gold_step
+from oracle_forge.gateway import TRANSLATION_ERROR
 from oracle_forge.kernel import Atom, Fact, KnowledgeBase, Rule
 
 # --------------------------------------------------------------------------
@@ -388,6 +389,37 @@ def reference_trace(kb: KnowledgeBase):
             known |= new
             delta = new
     return trace
+
+
+# --------------------------------------------------------------------------
+# Reference audit record: a beam node's audit fields as a dict, in sorted key
+# order.  ``json.dumps`` of it is the line that ``datafactory`` renders.
+
+
+def reference_record(node, task_id: str) -> dict:
+    executed = bool(node.verdict and node.verdict.executed)
+    failure_class = None
+    failure_kind = None
+    if node.step is not None and not executed:
+        failure_class = node.translation.error_kind or TRANSLATION_ERROR
+        failure_kind = node.verdict.failure.value
+    return {
+        "answer": node.answer,
+        "depth": node.depth,
+        "executed": executed,
+        "failure_class": failure_class,
+        "failure_kind": failure_kind,
+        "has_step": node.step is not None,
+        "id": node.id,
+        "parent": node.parent,
+        "selected": node.selected,
+        "task_id": task_id,
+        "terminal": node.terminal,
+        "total": node.score.total,
+        "w1": node.score.w1,
+        "w2": node.score.w2,
+        "w3": node.score.w3,
+    }
 
 
 # --------------------------------------------------------------------------

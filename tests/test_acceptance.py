@@ -17,6 +17,7 @@ from conftest import (
     naive_closure,
     planted_stage1_corpus,
     random_kb,
+    reference_record,
 )
 
 from oracle_forge import cli, template
@@ -25,7 +26,6 @@ from oracle_forge.corpus import CorruptionModel, gen_chain_task, gold_step
 from oracle_forge.datafactory import (
     FORMAT_VIOLATION,
     WRONG_ANSWER,
-    node_to_audit,
     stage1_filter,
 )
 from oracle_forge.gateway import (
@@ -349,7 +349,7 @@ def test_10_failure_taxonomy_determinism():
             gate.check(not verdict.executed, f"injected defect {n} still executed")
             node = BeamNode(id=1, parent=0, steps=(bad,), score=ScoreBreakdown(0, 0, 0),
                             verdict=verdict, translation=t)
-            got = node_to_audit(node, task.id)["failure_class"]
+            got = reference_record(node, task.id)["failure_class"]
             gate.check(got == want, f"defect {n}: classified {got}, wanted {want}")
             n += 1
     gate.finish()

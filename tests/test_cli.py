@@ -20,6 +20,38 @@ from oracle_forge.gateway import GENERATION_ERROR, TRANSLATION_ERROR
 
 PROMPTS_DIR = Path(__file__).parent.parent / "prompts"
 
+_NO_URL = "http.endpoint must be an http:// or https:// URL with a host"
+_NO_REQUEST_LINE = (
+    "http.endpoint must hold no space or control character, and no non-ASCII "
+    "character in its path or query"
+)
+# Endpoints that load but that no request could be sent to, each with the
+# config error it gives.
+UNSENDABLE_ENDPOINTS = {
+    "api.example.com/v1/chat/completions": _NO_URL,
+    "localhost:8080/v1": _NO_URL,
+    "ftp://host/v1": _NO_URL,
+    "http:///v1": _NO_URL,
+    "http://:80/v1": _NO_URL,
+    "http://[::1/v1": _NO_URL,
+    "http://127.0.0.1:9/v1/chat completions": _NO_REQUEST_LINE,
+    "http://127.0.0.1:9/v1/chat\tcompletions": _NO_REQUEST_LINE,
+    "http://127.0.0.1:9/v1\n": _NO_REQUEST_LINE,
+    "http://127.0.0.1:9/v1?model=a b": _NO_REQUEST_LINE,
+    "http://127.0.0.1:9/v1/ch\u00e4t": _NO_REQUEST_LINE,
+    "http://127.0.0.1:9/v1?q=\u2013": _NO_REQUEST_LINE,
+}
+# API keys that no Authorization header can carry, each with what the
+# config error says the key holds.
+UNSENDABLE_KEYS = {
+    "sk-1\n": "a control character",
+    "sk-1\r\nX-Extra: 1": "a control character",
+    "sk\t1": "a control character",
+    "sk-1\x7f": "a control character",
+    "sk\u2013abc": "a character outside Latin-1",
+    "sk-\U0001f511": "a character outside Latin-1",
+}
+
 
 def write(path, text):
     path.write_text(text, encoding="utf-8")
@@ -272,28 +304,22 @@ class TestConfig:
         with pytest.raises(ConfigError):
             load_config(path)
 
-    @pytest.mark.parametrize("endpoint", [
-        "api.example.com/v1/chat/completions", "localhost:8080/v1", "ftp://host/v1",
-        "http:///v1", "http://:80/v1", "http://[::1/v1",
-    ])
+    @pytest.mark.parametrize("endpoint", list(UNSENDABLE_ENDPOINTS))
     def test_http_endpoint_that_takes_no_request_is_a_config_error(
         self, tmp_path, capsys, endpoint
     ):
         cfg = write(
             tmp_path / "cfg.yaml",
             f"backend: http\nprompts_dir: {PROMPTS_DIR}\n"
-            f"http: {{endpoint: '{endpoint}', model: m}}\n",
+            f"http: {{endpoint: {json.dumps(endpoint)}, model: m}}\n",
         )
         out = tmp_path / "out"
         code, stdout, stderr = run_cli(capsys, "stage2", "--config", cfg, "--out", str(out))
         assert code == cli.EXIT_CONFIG
-        assert stderr == (
-            "config error: http.endpoint must be an http:// or https:// URL with a host, "
-            f"got {endpoint!r}\n"
-        )
+        assert stderr == f"config error: {UNSENDABLE_ENDPOINTS[endpoint]}, got {endpoint!r}\n"
         assert stdout == "" and not out.exists()
 
-    @pytest.mark.parametrize("key", ["sk-1\n", "sk-1\r\nX-Extra: 1", "sk\t1", "sk-1\x7f"])
+    @pytest.mark.parametrize("key", list(UNSENDABLE_KEYS))
     def test_http_api_key_with_a_control_character_is_a_config_error(
         self, tmp_path, capsys, monkeypatch, key
     ):
@@ -307,7 +333,7 @@ class TestConfig:
         out = tmp_path / "out"
         code, stdout, stderr = run_cli(capsys, "stage2", "--config", cfg, "--out", str(out))
         assert code == cli.EXIT_CONFIG
-        assert stderr == "config error: http.api_key holds a control character\n"
+        assert stderr == f"config error: http.api_key holds {UNSENDABLE_KEYS[key]}\n"
         assert stdout == "" and not out.exists()
 
     def test_corpus_file_must_exist(self, tmp_path):

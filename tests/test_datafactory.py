@@ -17,6 +17,7 @@ from conftest import (
     PLANT_WRONG_ANSWER,
     gold_response,
     planted_stage1_corpus,
+    reference_record,
 )
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
@@ -41,7 +42,6 @@ from oracle_forge.datafactory import (
     config_hash,
     emit_datasets,
     format_stats_tables,
-    node_to_audit,
     normalize_answer,
     read_audit,
     stage1_filter,
@@ -54,8 +54,16 @@ from oracle_forge.gateway import (
     HttpSpec,
     ScriptedNoisyBackend,
     ScriptedOracleBackend,
+    TranslationResult,
 )
-from oracle_forge.kernel import RULE_LANGUAGE_VERSION, FailureKind, StepVerdict, verify_step
+from oracle_forge.kernel import (
+    RULE_LANGUAGE_VERSION,
+    Fact,
+    FailureKind,
+    StepVerdict,
+    parse_atom,
+    verify_step,
+)
 from oracle_forge.template import serialize_response
 
 
@@ -179,8 +187,50 @@ class TestFailureClass:
             verdict = StepVerdict(failure=FailureKind.PARSE_FAILURE)
         node = BeamNode(id=1, parent=0, steps=(step,), score=ScoreBreakdown(0, 0, 0),
                         verdict=verdict, translation=translation)
-        record = node_to_audit(node, task.id)
+        record = reference_record(node, task.id)
         assert (record["failure_class"], record["failure_kind"]) == want
+
+
+# Text that json.dumps must escape: quotes, backslashes, control and
+# non-ASCII characters, and anything else.
+_audit_text = st.text(st.one_of(
+    st.sampled_from(['"', "\\", "\n", "\x00", "\x1f", "\x7f", "\u2028", "é", "\U0001f600"]),
+    st.characters(),
+), max_size=12)
+
+
+@st.composite
+def audit_nodes(draw):
+    """A beam node of any shape the audit records: the root, an executed
+    step, or a failed one of every failure class and kind."""
+    shape = draw(st.sampled_from(["root", "executed", "failed"]))
+    ints = st.integers(min_value=0, max_value=10**6)
+    kwargs = {}
+    if shape == "executed":
+        kwargs["verdict"] = StepVerdict(conclusions=(Fact(parse_atom("p(a)")),))
+        kwargs["translation"] = TranslationResult()
+    elif shape == "failed":
+        kwargs["verdict"] = StepVerdict(failure=draw(st.sampled_from(FailureKind)))
+        kinds = st.sampled_from([None, GENERATION_ERROR, TRANSLATION_ERROR])
+        kwargs["translation"] = TranslationResult(error_kind=draw(kinds))
+    depth = 0 if shape == "root" else draw(st.integers(min_value=1, max_value=4))
+    return BeamNode(
+        id=draw(ints),
+        parent=None if shape == "root" else draw(st.none() | ints),
+        steps=(gold_step(gen_chain_task(2, seed=0), 0),) * depth,
+        score=ScoreBreakdown(draw(ints), draw(ints), draw(ints)),
+        answer=draw(st.none() | _audit_text),
+        selected=draw(st.booleans()),
+        **kwargs,
+    )
+
+
+class TestAuditLines:
+    @settings(max_examples=300, deadline=None)
+    @given(_audit_text, st.lists(audit_nodes(), max_size=4))
+    def test_a_line_is_json_dumps_of_the_reference_record(self, task_id, nodes):
+        want = [json.dumps(reference_record(node, task_id)) for node in nodes]
+        assert list(datafactory._audit_lines(task_id, nodes)) == want
 
 
 def _results(n_tasks=5, p_bad_rule=0.3, seed=0):
@@ -365,7 +415,7 @@ class TestAuditAndStats:
         (child,) = expand_node(
             root, GenerationContext(question="q"), 1, backend, BeamConfig(), 1, {}
         )
-        record = node_to_audit(child, "t")
+        record = reference_record(child, "t")
         assert (record["failure_kind"], record["failure_class"]) == (kind, TRANSLATION_ERROR)
 
     def test_the_audit_schema_names_each_class_and_kind(self):
@@ -417,12 +467,15 @@ class TestEmitDatasets:
         before = {name: (tmp_path / name).read_bytes() for name in names}
         calls = itertools.count()
 
-        def failing_node_to_audit(node, task_id):
-            if next(calls) == 5:
-                raise RuntimeError("emission failed")
-            return node_to_audit(node, task_id)
+        audit_lines = datafactory._audit_lines
 
-        monkeypatch.setattr(datafactory, "node_to_audit", failing_node_to_audit)
+        def failing_audit_lines(task_id, nodes):
+            for line in audit_lines(task_id, nodes):
+                if next(calls) == 5:
+                    raise RuntimeError("emission failed")
+                yield line
+
+        monkeypatch.setattr(datafactory, "_audit_lines", failing_audit_lines)
         with pytest.raises(RuntimeError):
             emit_datasets(_results(3, seed=5), tmp_path, seed=5)
         assert {name: (tmp_path / name).read_bytes() for name in names} == before
@@ -525,7 +578,7 @@ def oracle_emit(results, seed, max_sft, max_dpo, lost_tasks):
         "partial": lost_tasks > 0 or len(sft) < len(all_sft) or len(dpo) < len(all_dpo),
     }
     audit = [
-        json.dumps(node_to_audit(node, r.task.id), sort_keys=True)
+        json.dumps(reference_record(node, r.task.id), sort_keys=True)
         for r in results for node in r.nodes
     ]
     texts = {

@@ -1,6 +1,10 @@
 import itertools
+import os
 import random
 import re
+import sys
+import threading
+import time
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -486,6 +490,39 @@ class TestMessageTaxonomy:
             assert f"`{form}`" in doc, form
 
 
+# Final answers that do and do not read back as themselves: one word, with
+# whitespace (as str.strip sees it) around it or a newline inside, blank, or
+# any text at all.
+_word = st.text(
+    alphabet=st.characters(blacklist_categories=("Cs", "Cc", "Zs", "Zl", "Zp")),
+    min_size=1, max_size=6,
+)
+_blank = st.sampled_from([" ", "\t", "\n", "\r", "\r\n", "\x1c", "\x85", "\u2028", "\u3000"])
+_memo_answers = st.one_of(
+    st.just(""),
+    _word,
+    st.builds("{}{}".format, _blank, _word),
+    st.builds("{}{}".format, _word, _blank),
+    st.builds("{}\n{}".format, _word, _word),
+    _blank,
+    st.text(alphabet=st.characters(blacklist_categories=("Cs",)), max_size=12),
+)
+
+
+@st.composite
+def memo_responses(draw):
+    """Responses of zero to three steps and any final answer, so that some
+    texts parse back to their response, some to another, and some not."""
+    steps = tuple(draw(st.lists(reasoning_steps(), max_size=3)))
+    return StructuredResponse(steps=steps, final_answer=draw(_memo_answers))
+
+
+def fill_memo(n: int) -> None:
+    """Render n distinct one-step texts, each one new to the memo."""
+    for i in range(n):
+        serialize_response(StructuredResponse((make_step(query=f"filler {i}"),)))
+
+
 class TestParseMemo:
     @settings(max_examples=200)
     @given(structured_responses())
@@ -493,17 +530,33 @@ class TestParseMemo:
         raw = serialize_response(resp)
         assert parse_response(raw) == resp
         assert parse_response(raw) == resp
-        template._parse.cache_clear()
+        template._memo.clear()
         assert parse_response(raw) == resp
+
+    @settings(max_examples=300, deadline=None)
+    @given(memo_responses(), st.booleans(), st.sampled_from(["fresh", "seeded", "evicted"]))
+    def test_a_rendered_text_reads_as_the_reference_reads_it(self, resp, strict_first, memo):
+        raw = serialize_response(resp)
+        if memo == "fresh":
+            template._memo.clear()
+        elif memo == "evicted":
+            template._memo.clear()
+            raw = serialize_response(resp)
+            fill_memo(template._MEMO_SIZE)
+            assert raw not in template._memo
+        for strict in (strict_first, not strict_first):
+            got = parse_outcome(lambda r: parse_response(r, require_final_answer=strict), raw)
+            want = parse_outcome(lambda r: reference_parse(r, require_final_answer=strict), raw)
+            assert got == want
 
     @settings(max_examples=300, deadline=None)
     @given(mutated_responses())
     def test_a_failure_is_raised_on_every_call(self, raw):
-        template._parse.cache_clear()
+        template._memo.clear()
         first = parse_outcome(parse_response, raw)
         assert parse_outcome(parse_response, raw) == first
         stored = isinstance(first, StructuredResponse)
-        assert template._parse.cache_info().currsize == stored
+        assert len(template._memo) == stored
 
     @settings(max_examples=100)
     @given(structured_responses(), st.booleans())
@@ -516,15 +569,71 @@ class TestParseMemo:
             else:
                 assert parse_response(raw).steps == resp.steps
 
-    def test_golden_chain_run_parses_each_text_once(self, tmp_path, capsys):
-        # Each candidate's text is parsed when the beam reads its answer, and
-        # identical sibling candidates share one parse: the 40 tasks' 660
-        # parse_response calls make 225 parses of 224 distinct texts.
-        template._parse.cache_clear()
+    def test_the_memo_is_bounded(self):
+        fill_memo(3 * template._MEMO_SIZE)
+        assert len(template._memo) == template._MEMO_SIZE
+
+    def test_golden_chain_run_parses_each_text_once(self, tmp_path, capsys, monkeypatch):
+        # The beam reads each candidate's answer back from the text the
+        # backend rendered for it, which the memo holds: the 40 tasks' 660
+        # parse_response calls make no parse at all.
+        counts = {"calls": 0, "parses": 0}
+
+        def counted(key, fn):
+            def wrapper(*args, **kwargs):
+                counts[key] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(template, "parse_response", counted("calls", parse_response))
+        monkeypatch.setattr(template, "_parse", counted("parses", template._parse))
+        template._memo.clear()
         cfg = golden_config(tmp_path, "chain")
         assert cli.main(["stage2", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
         capsys.readouterr()
-        assert template._parse.cache_info().misses == 225
+        assert counts == {"calls": 660, "parses": 0}
+
+    def test_threads_share_the_memo(self):
+        # Each thread renders and reads back responses of its own, more than
+        # the memo holds, so entries are added and evicted while other
+        # threads read; a short switch interval makes them interleave often.
+        n_threads = (os.cpu_count() or 1) + 2
+        per_thread = [
+            [StructuredResponse((make_step(query=f"thread {t} text {i}"),), "yes" * (i % 2))
+             for i in range(template._MEMO_SIZE)]
+            for t in range(n_threads)
+        ]
+        errors = []
+        deadline = time.monotonic() + 1.0
+
+        def work(responses):
+            try:
+                while time.monotonic() < deadline:
+                    for resp in responses:
+                        raw = serialize_response(resp)
+                        assert parse_response(raw) == resp
+                        assert parse_response(raw + "\n") == resp
+                        if resp.final_answer:
+                            assert parse_response(raw, require_final_answer=True) == resp
+                        else:
+                            with pytest.raises(ParseError):
+                                parse_response(raw, require_final_answer=True)
+            except (Exception, pytest.fail.Exception) as exc:  # asserted on below
+                errors.append(exc)
+
+        old_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=work, args=(r,)) for r in per_thread]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=30)
+        finally:
+            sys.setswitchinterval(old_interval)
+        assert not any(th.is_alive() for th in threads)
+        assert errors == []
+        assert len(template._memo) <= template._MEMO_SIZE
 
 
 def backslash_and_bracket_runs(size: int, seed: int) -> str:

@@ -118,14 +118,6 @@ def score_candidate(executed: bool, ev: EvalVerdict, cfg: BeamConfig) -> ScoreBr
     return ScoreBreakdown(w1, w2, w3)
 
 
-def _extract_answer(raw: str) -> str | None:
-    try:
-        resp = template.parse_response(raw)
-    except ValueError:
-        return None
-    return resp.final_answer or None
-
-
 def expand_node(
     node: BeamNode,
     ctx: GenerationContext,
@@ -160,7 +152,6 @@ def expand_node(
             ev = backend.evaluate(step, ctx, verdict.executed)
         except BackendUnavailable:
             ev = EvalVerdict(precision_pass=False, feasibility_pass=False)
-        answer = _extract_answer(cand.raw_text)
         children.append(
             BeamNode(
                 id=first_id + len(children),
@@ -169,7 +160,7 @@ def expand_node(
                 score=score_candidate(verdict.executed, ev, cfg),
                 verdict=verdict,
                 translation=translation,
-                answer=answer,
+                answer=cand.answer,
             )
         )
     return children

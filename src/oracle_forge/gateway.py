@@ -58,7 +58,22 @@ class GenerationContext:
 @dataclass(frozen=True)
 class CandidateStep:
     step: template.ReasoningStep
+    answer: str | None  # the text's FINAL ANSWER; None if it has none
     raw_text: str
+
+
+def _read_candidate(raw: str, telemetry: Counter) -> CandidateStep | None:
+    """The candidate that ``raw`` says: its one step and its final answer.  A
+    text that does not parse, or holds some number of steps other than one,
+    is None, counted as a discarded candidate: the FINAL ANSWER a text may
+    carry belongs to its step, so a text with more steps is discarded whole."""
+    try:
+        resp = template.parse_response(raw)
+        (step,) = resp.steps
+    except ValueError:
+        telemetry["discarded_candidates"] += 1
+        return None
+    return CandidateStep(step, resp.final_answer or None, raw)
 
 
 @dataclass(frozen=True)
@@ -148,10 +163,9 @@ class ScriptedNoisyBackend:
             if rng.random() < self.corruption.p_format_break:
                 raw = raw.replace("<REVISION>", "", 1)
                 self.telemetry["format_breaks"] += 1
-                if not template.conforms_strictly(raw):
-                    self.telemetry["discarded_candidates"] += 1
-                    continue
-            out.append(CandidateStep(step=step, raw_text=raw))
+            cand = _read_candidate(raw, self.telemetry)
+            if cand is not None:
+                out.append(cand)
         return out
 
     def generate_response(self, ctx: GenerationContext) -> str:
@@ -316,14 +330,9 @@ class HttpBackend:
         prompt = self._prompt("generation", ctx.few_shot_asset, ctx.question, prior)
         out: list[CandidateStep] = []
         for raw in self._complete(prompt, ctx.temperature, n=n):
-            # A candidate is one step; the FINAL ANSWER it may carry belongs to
-            # that step, so a completion with more steps is discarded whole.
-            try:
-                (step,) = template.parse_response(raw).steps
-            except ValueError:
-                self.telemetry["discarded_candidates"] += 1
-                continue
-            out.append(CandidateStep(step=step, raw_text=raw))
+            cand = _read_candidate(raw, self.telemetry)
+            if cand is not None:
+                out.append(cand)
         return out
 
     def generate_response(self, ctx: GenerationContext) -> str:

@@ -25,7 +25,6 @@ docs/template_format.md for the full grammar.
 from __future__ import annotations
 
 import re
-import threading
 from dataclasses import dataclass
 from functools import cached_property, reduce
 
@@ -167,11 +166,21 @@ def serialize_step(step: ReasoningStep) -> str:
     return step.text
 
 
+# The text that serialize_response returned last, with the response it parses
+# to; (None, None) before the first.  A thread rebinds or reads the pair whole,
+# so it needs no lock.  parse_response skips the parse only for that very text
+# object, which a scripted backend reads right after rendering it, and never
+# writes the pair.
+_last_rendered: tuple[str | None, StructuredResponse | None] = (None, None)
+
+
 def serialize_response(resp: StructuredResponse) -> str:
     """Render a response as template text.  When the text parses back to
     exactly ``resp`` (its steps are a non-empty tuple, and its final answer
-    is empty or is one line without surrounding whitespace), the parse memo
-    holds it with ``resp``, so that parsing the text again costs one lookup."""
+    is empty or is one line without surrounding whitespace), the text and
+    ``resp`` become the last rendered pair, so that parsing that very text
+    object next costs one comparison."""
+    global _last_rendered
     parts = [serialize_step(s) for s in resp.steps]
     text = "\n".join(parts)
     answer = resp.final_answer
@@ -179,7 +188,7 @@ def serialize_response(resp: StructuredResponse) -> str:
         text += f"\n{FINAL_ANSWER_PREFIX} {answer}\n"
     if (parts and type(resp.steps) is tuple
             and (not answer or (answer == answer.strip() and "\n" not in answer))):
-        _remember(text, resp)
+        _last_rendered = (text, resp)
     return text
 
 
@@ -245,36 +254,17 @@ def parse_response(raw: str, require_final_answer: bool = False) -> StructuredRe
     Raises ParseError on any structural deviation: missing or
     reordered tags, unclosed blocks, empty required fields, stray text between
     blocks.  ``require_final_answer`` additionally demands a terminal
-    FINAL ANSWER line.  A text found in the parse memo is not parsed again:
-    its response is returned, and shared, being frozen.  A failure is never
-    remembered.
+    FINAL ANSWER line.  The very text object that ``serialize_response``
+    returned last is not parsed: its response is returned, and shared, being
+    frozen.  An equal text made another way, such as a reply off the wire,
+    is parsed.
     """
-    resp = _memo.get(raw)
-    if resp is None:
+    text, resp = _last_rendered
+    if raw is not text:
         resp = _parse(raw)
-        _remember(raw, resp)
     if require_final_answer and not resp.final_answer:
         raise ParseError("response has no FINAL ANSWER line")
     return resp
-
-
-# The parse memo: text -> the response it parses to, one table per process
-# for all worker threads.  serialize_response adds the texts it renders and
-# parse_response the ones it parses; the oldest entry goes first.  The beam
-# reads each candidate's answer back from the text rendered (or, over HTTP,
-# parsed) for it a moment before.  Scripted runs are serial, so no entry is
-# evicted before that read; 64 entries leave room for HTTP workers, whose
-# round trips come in between.
-_MEMO_SIZE = 64
-_memo: dict[str, StructuredResponse] = {}
-_memo_lock = threading.Lock()
-
-
-def _remember(raw: str, resp: StructuredResponse) -> None:
-    with _memo_lock:
-        _memo[raw] = resp
-        if len(_memo) > _MEMO_SIZE:
-            del _memo[next(iter(_memo))]
 
 
 def _parse(raw: str) -> StructuredResponse:
@@ -307,13 +297,3 @@ def _parse(raw: str) -> StructuredResponse:
     if not steps:
         raise ParseError("missing <QUERY> in step 0")
     return StructuredResponse(steps=tuple(steps), final_answer=final_answer)
-
-
-def conforms_strictly(raw: str, require_final_answer: bool = False) -> bool:
-    """True iff the text parses in strict mode.  Every parsed step is
-    checked by ``ReasoningStep.validate`` when it is built."""
-    try:
-        parse_response(raw, require_final_answer=require_final_answer)
-        return True
-    except ValueError:
-        return False

@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 import json
 import random
+import re
 from dataclasses import dataclass
 
 import hypothesis.strategies as st
@@ -73,6 +74,43 @@ def structured_responses(draw):
     steps = tuple(draw(reasoning_steps()) for _ in range(n))
     final = draw(st.one_of(st.just(""), _answer_text))
     return template.StructuredResponse(steps=steps, final_answer=final)
+
+
+# Escape pieces: the characters the escape table reads, and every tag.
+ESCAPE_PIECES = ["\\", "<", ">", "/", "\n", "a", "n", " "] + [
+    f"<{slash}{tag}>" for tag in template.TAG_ORDER for slash in ("", "/")
+]
+# Pieces a mutation inserts: tags, backslashes, blank fact entries, blanks.
+_MUTATION_PIECES = ESCAPE_PIECES + ["\\\\", "- \n", "\n- \n", "\t", "\n\n", "FINAL ANSWER: "]
+# Bodies a mutation puts after an opening tag: blanks, blank fact entries,
+# lone backslashes and half-written REVISION_RESULT forms.
+_MUTATION_BODIES = [
+    "", " ", "\t", "\n", "\\", "\\ ", "\n- \n", "\n- a\n- \n", "\n-  \n- b\n", "\n- \t\n",
+    "REVISED:", "REVISED: ", " RETAINED",
+]
+
+
+@st.composite
+def mutated_responses(draw):
+    """A serialized response after one to four edits: insert a piece, delete
+    a few characters, or replace the body after an opening tag (up to the
+    next ``<``)."""
+    raw = template.serialize_response(draw(structured_responses()))
+    for _ in range(draw(st.integers(1, 4))):
+        edit = draw(st.sampled_from(["insert", "delete", "body"]))
+        i = draw(st.integers(0, len(raw)))
+        if edit == "insert":
+            raw = raw[:i] + draw(st.sampled_from(_MUTATION_PIECES)) + raw[i:]
+        elif edit == "delete":
+            raw = raw[:i] + raw[i + draw(st.integers(1, 8)):]
+        else:
+            tags = [m.end() for m in re.finditer(r"<[A-Z_]+>", raw)]
+            if tags:
+                start = draw(st.sampled_from(tags))
+                end = raw.find("<", start)
+                body = draw(st.sampled_from(_MUTATION_BODIES))
+                raw = raw[:start] + body + raw[end if end >= 0 else len(raw):]
+    return raw
 
 
 # --------------------------------------------------------------------------
@@ -156,6 +194,14 @@ def reference_parse(raw: str, require_final_answer: bool = False):
     if require_final_answer and not final_answer:
         raise template.ParseError("response has no FINAL ANSWER line")
     return template.StructuredResponse(steps=tuple(steps), final_answer=final_answer)
+
+
+def parse_outcome(parse, raw):
+    """The response a parser returns, or its error's type and message."""
+    try:
+        return parse(raw)
+    except template.ParseError as exc:
+        return type(exc), str(exc)
 
 
 # --------------------------------------------------------------------------

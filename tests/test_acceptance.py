@@ -284,7 +284,7 @@ def test_09_template_round_trip():
     gate = Gate(9, "template round trip and tag-deletion detection", budget_s=60)
     from hypothesis import HealthCheck, given, settings
 
-    from conftest import structured_responses
+    from conftest import parse_outcome, structured_responses
 
     failures = []
 
@@ -303,14 +303,16 @@ def test_09_template_round_trip():
     gate.check(not failures, "fuzzed round trip failed")
     task = gen_chain_task(3, seed=0)
     raw = template.serialize_response(gold_response(task))
-    gate.check(
-        template.conforms_strictly(raw, require_final_answer=True), "gold not strict"
-    )
+
+    def strict(text):
+        return parse_outcome(lambda r: template.parse_response(r, require_final_answer=True), text)
+
+    gate.check(strict(raw) == gold_response(task), "gold not strict")
     for tag in ("QUERY", "FACTS", "RULE", "REVISION", "REVISION_RESULT",
                 "REASONING_RESULT"):
         mutated = raw.replace(f"<{tag}>", "", 1)
         gate.check(
-            not template.conforms_strictly(mutated, require_final_answer=True),
+            not isinstance(strict(mutated), template.StructuredResponse),
             f"deleting <{tag}> not detected",
         )
     gate.finish()

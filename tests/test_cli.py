@@ -1327,6 +1327,33 @@ def test_scripted_oracle_outputs_match_golden_digests(tmp_path, capsys, stage, k
     assert digests == ORACLE_DIGESTS[stage, kind]
 
 
+# sha256 of each stage-2 output of the http run of http_config through
+# FakeChatTransport, the same at 1 and at 4 workers.  The run starts in the
+# config's directory with a relative prompts_dir, as the manifest's
+# config_hash covers the path.
+HTTP_DIGESTS = {
+    "sft.jsonl": "b3a463413ccc9b57388fc9c7a0d8fbf2ec2403860ba9a25f3b7e396edb41fccf",
+    "dpo.jsonl": "e55a1db796240a812059543e987ab1e3629722c4ee5d21a0f6eed0b457664cbb",
+    "audit.jsonl": "adb6162cb9ea9e9e2a17673fcc68d4adac6e84772ee6566318f7b50bf32a6c28",
+    "manifest.json": "662b0ac2536f45d42b1f62bdaa4c0e447c76d2d99ed490bb38323eee248c65a8",
+}
+
+
+@pytest.mark.parametrize("workers", [1, 4])
+def test_http_outputs_match_golden_digests(tmp_path, capsys, monkeypatch, workers):
+    config = json.loads(Path(http_config(tmp_path, workers)).read_text())
+    path = write(tmp_path / "cfg.yaml", json.dumps(dict(config, prompts_dir="prompts")))
+    monkeypatch.chdir(tmp_path)
+    fake_http(monkeypatch, path)
+    out = tmp_path / "out"
+    code, _, _ = run_cli(capsys, "stage2", "--config", path, "--out", str(out))
+    assert code == 0
+    digests = {
+        name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in HTTP_DIGESTS
+    }
+    assert digests == HTTP_DIGESTS
+
+
 # sha256 of the manifest, whose config_hash covers every config value, of
 # stage-2 runs that take their seed and backend from flags: with no config
 # file, and with the golden chain config (seed 3) run at seed 5.

@@ -11,6 +11,7 @@ from conftest import (
     PLANT_MALFORMED,
     PLANT_WRONG_ANSWER,
     gold_response,
+    parse_outcome,
     planted_stage1_corpus,
     random_kb,
 )
@@ -26,6 +27,10 @@ from oracle_forge.corpus import (
 )
 from oracle_forge.datafactory import save_tasks
 from oracle_forge.kernel import Atom, Fact, Rule, answer_query, parse_atom, verify_step
+
+
+def strict_parse(raw):
+    return template.parse_response(raw, require_final_answer=True)
 
 
 def replay_proof(task):
@@ -237,9 +242,8 @@ class TestGoldResponse:
     def test_conforms_and_answers(self):
         task = gen_chain_task(3, seed=0)
         raw = template.serialize_response(gold_response(task))
-        assert template.conforms_strictly(raw, require_final_answer=True)
-        resp = template.parse_response(raw)
-        assert resp.final_answer == task.gold_answer
+        assert parse_outcome(strict_parse, raw) == gold_response(task)
+        assert strict_parse(raw).final_answer == task.gold_answer
 
 
 class TestCorruptionModel:
@@ -262,7 +266,7 @@ class TestPlantedCorpus:
         assert labels.count(PLANT_WRONG_ANSWER) == 10
         assert labels.count(PLANT_CLEAN) == 20
         for s in samples:
-            conforms = template.conforms_strictly(s.raw, require_final_answer=True)
+            conforms = isinstance(parse_outcome(strict_parse, s.raw), template.StructuredResponse)
             if s.label == PLANT_MALFORMED:
                 assert not conforms
             else:

@@ -2,15 +2,24 @@ import json
 import socket
 import sys
 import threading
+from contextlib import contextmanager
 from dataclasses import replace
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
-from conftest import golden_config
+from conftest import (
+    golden_config,
+    mutated_responses,
+    parse_outcome,
+    reference_parse,
+    structured_responses,
+)
 from oracle_forge import cli, gateway, template
 from oracle_forge.beam import BeamConfig, run_beam
-from oracle_forge.corpus import CorruptionModel, gen_chain_task, gold_step
+from oracle_forge.corpus import CorruptionModel, gen_chain_task, gen_rulebase_task, gold_step
 from oracle_forge.gateway import (
     GENERATION_ERROR,
     TRANSLATION_ERROR,
@@ -243,6 +252,7 @@ class TestHttpBackend:
         cands = backend.generate_candidates(GenerationContext(question="Q"), 3)
         assert len(cands) == 1
         assert cands[0].raw_text == step_text
+        assert cands[0].answer is None
         assert backend.telemetry["discarded_candidates"] == 2
 
     def test_retry_then_success(self):
@@ -493,6 +503,82 @@ class TestHttpMemo:
         assert len(judged) == len(set(judged)) == 2
         children = len(result.nodes) - 1
         assert backend.telemetry["reused_answers"] == 2 * children - 2
+
+
+def read_by_reference(texts):
+    """(step, answer, text) for each text that ``reference_parse`` reads as
+    exactly one step, in order: the candidates the texts say."""
+    kept = []
+    for raw in texts:
+        resp = parse_outcome(reference_parse, raw)
+        if isinstance(resp, template.StructuredResponse) and len(resp.steps) == 1:
+            kept.append((resp.steps[0], resp.final_answer or None, raw))
+    return kept
+
+
+@contextmanager
+def recorded_parses():
+    """The texts given to ``template.parse_response`` inside the block."""
+    texts = []
+    parse = template.parse_response
+
+    def recording(raw, *args, **kwargs):
+        texts.append(raw)
+        return parse(raw, *args, **kwargs)
+
+    template.parse_response = recording
+    try:
+        yield texts
+    finally:
+        template.parse_response = parse
+
+
+@st.composite
+def scripted_tasks(draw):
+    if draw(st.booleans()):
+        return gen_chain_task(draw(st.integers(1, 4)), seed=draw(st.integers(0, 30)))
+    return gen_rulebase_task(
+        draw(st.integers(6, 12)), draw(st.integers(5, 8)), draw(st.booleans()),
+        seed=draw(st.integers(0, 30)),
+    )
+
+
+_probabilities = st.sampled_from([0.0, 0.3, 1.0]) | st.floats(0.0, 1.0)
+
+
+class TestCandidateIsItsText:
+    """A kept candidate is the one step and the final answer that its text
+    says; a text that says no single step is discarded, and counted."""
+
+    @staticmethod
+    def check(cands, texts, telemetry):
+        kept = read_by_reference(texts)
+        assert [(c.step, c.answer, c.raw_text) for c in cands] == kept
+        assert telemetry["discarded_candidates"] == len(texts) - len(kept)
+
+    @settings(max_examples=150, deadline=None)
+    @given(scripted_tasks(), _probabilities, _probabilities, _probabilities,
+           st.integers(0, 2**16), st.integers(1, 6), st.data())
+    def test_scripted_noisy(self, task, p_bad_rule, p_bad_fact, p_format_break, seed, n, data):
+        corruption = CorruptionModel(p_bad_rule, p_bad_fact, p_format_break, seed)
+        backend = ScriptedNoisyBackend(task, corruption)
+        depth = data.draw(st.integers(0, len(backend.gold_steps)))
+        ctx = GenerationContext(task.question, backend.gold_steps[:depth], seed=seed)
+        with recorded_parses() as texts:
+            cands = backend.generate_candidates(ctx, n)
+        # One text per candidate asked for, each read once.
+        assert len(texts) == (n if depth < len(backend.gold_steps) else 0)
+        self.check(cands, texts, backend.telemetry)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(
+        st.one_of(structured_responses().map(template.serialize_response), mutated_responses()),
+        min_size=1, max_size=5,
+    ))
+    def test_http(self, texts):
+        backend = http_backend(FakeTransport([(200, chat_response(*texts))]))
+        cands = backend.generate_candidates(GenerationContext(question="Q"), len(texts))
+        self.check(cands, texts, backend.telemetry)
 
 
 class ScriptedServer(ThreadingHTTPServer):

@@ -13,9 +13,12 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import (
+    ESCAPE_PIECES,
     field_text,
     golden_config,
+    mutated_responses,
     nonempty_field,
+    parse_outcome,
     reasoning_steps,
     reference_parse,
     structured_responses,
@@ -26,7 +29,6 @@ from oracle_forge.template import (
     ParseError,
     ReasoningStep,
     StructuredResponse,
-    conforms_strictly,
     parse_response,
     serialize_response,
     serialize_step,
@@ -299,11 +301,6 @@ def bare_unescape(body: str, facts: bool) -> str:
     return template._UNESCAPE_RE.sub(r"\1", body)
 
 
-_ESCAPE_PIECES = ["\\", "<", ">", "/", "\n", "a", "n", " "] + [
-    f"<{slash}{tag}>" for tag in template.TAG_ORDER for slash in ("", "/")
-]
-
-
 class TestTextCache:
     @settings(max_examples=200)
     @given(reasoning_steps())
@@ -325,51 +322,23 @@ class TestTextCache:
         assert serialize_step(step) is text
 
     @settings(max_examples=500)
-    @given(st.lists(st.sampled_from(_ESCAPE_PIECES), max_size=12).map("".join), st.booleans())
+    @given(st.lists(st.sampled_from(ESCAPE_PIECES), max_size=12).map("".join), st.booleans())
     def test_guarded_escape_equals_the_bare_table(self, body, facts):
         assert template._escape(body, facts) == bare_escape(body, facts)
         assert template._unescape(body, facts) == bare_unescape(body, facts)
 
 
-# Pieces a mutation inserts: tags, backslashes, blank fact entries, blanks.
-_MUTATION_PIECES = _ESCAPE_PIECES + ["\\\\", "- \n", "\n- \n", "\t", "\n\n", "FINAL ANSWER: "]
-# Bodies a mutation puts after an opening tag: blanks, blank fact entries,
-# lone backslashes and half-written REVISION_RESULT forms.
-_MUTATION_BODIES = [
-    "", " ", "\t", "\n", "\\", "\\ ", "\n- \n", "\n- a\n- \n", "\n-  \n- b\n", "\n- \t\n",
-    "REVISED:", "REVISED: ", " RETAINED",
-]
-
-
-@st.composite
-def mutated_responses(draw):
-    """A serialized response after one to four edits: insert a piece, delete
-    a few characters, or replace the body after an opening tag (up to the
-    next ``<``)."""
-    raw = serialize_response(draw(structured_responses()))
-    for _ in range(draw(st.integers(1, 4))):
-        edit = draw(st.sampled_from(["insert", "delete", "body"]))
-        i = draw(st.integers(0, len(raw)))
-        if edit == "insert":
-            raw = raw[:i] + draw(st.sampled_from(_MUTATION_PIECES)) + raw[i:]
-        elif edit == "delete":
-            raw = raw[:i] + raw[i + draw(st.integers(1, 8)):]
-        else:
-            tags = [m.end() for m in re.finditer(r"<[A-Z_]+>", raw)]
-            if tags:
-                start = draw(st.sampled_from(tags))
-                end = raw.find("<", start)
-                body = draw(st.sampled_from(_MUTATION_BODIES))
-                raw = raw[:start] + body + raw[end if end >= 0 else len(raw):]
-    return raw
+def conforms(raw: str) -> bool:
+    """True iff ``parse_response`` accepts the text."""
+    return isinstance(parse_outcome(parse_response, raw), StructuredResponse)
 
 
 class TestConformsStrictly:
     def test_serializer_output_conforms(self):
-        assert conforms_strictly(serialize_step(make_step()))
+        assert conforms(serialize_step(make_step()))
 
     def test_empty_string(self):
-        assert not conforms_strictly("")
+        assert parse_outcome(parse_response, "") == (ParseError, "missing <QUERY> in step 0")
 
     def test_all_tag_permutations(self):
         # Exactly the canonical tag order conforms.
@@ -383,7 +352,7 @@ class TestConformsStrictly:
         n_pass = 0
         for perm in itertools.permutations(template.TAG_ORDER):
             candidate = "\n".join(blocks[t] for t in perm) + "\n"
-            ok = conforms_strictly(candidate)
+            ok = conforms(candidate)
             if perm == template.TAG_ORDER:
                 assert ok
             assert ok == (perm == template.TAG_ORDER)
@@ -391,10 +360,9 @@ class TestConformsStrictly:
         assert n_pass == 1
 
     def test_monotone_strictness(self):
-        # conforming text always parses
-        raw = serialize_step(make_step())
-        assert conforms_strictly(raw)
-        parse_response(raw)
+        # conforming text parses to the step it was rendered from
+        step = make_step()
+        assert parse_outcome(parse_response, serialize_step(step)) == StructuredResponse((step,))
 
     @settings(max_examples=300, deadline=None)
     @given(mutated_responses())
@@ -415,7 +383,7 @@ class TestConformsStrictly:
         for tag in template.TAG_ORDER:
             for variant in (f"<{tag}>", f"</{tag}>"):
                 mutated = raw.replace(variant, "", 1)
-                assert not conforms_strictly(mutated), variant
+                assert not conforms(mutated), variant
 
 
 def framed(tag: str, body: str) -> str:
@@ -435,19 +403,11 @@ def escape_piece_steps(draw):
     FACTS and REVISION_RESULT decode and later blocks are read."""
     blocks = []
     for tag in template.TAG_ORDER:
-        body = "".join(draw(st.lists(st.sampled_from(_ESCAPE_PIECES), max_size=12)))
+        body = "".join(draw(st.lists(st.sampled_from(ESCAPE_PIECES), max_size=12)))
         if draw(st.booleans()):
             body = framed(tag, body)
         blocks.append(f"<{tag}>{body}</{tag}>")
     return "\n".join(blocks) + "\n"
-
-
-def parse_outcome(parse, raw):
-    """The response a parser returns, or its error's type and message."""
-    try:
-        return parse(raw)
-    except ParseError as exc:
-        return type(exc), str(exc)
 
 
 class TestReferenceParser:
@@ -517,10 +477,35 @@ def memo_responses(draw):
     return StructuredResponse(steps=steps, final_answer=draw(_memo_answers))
 
 
-def fill_memo(n: int) -> None:
-    """Render n distinct one-step texts, each one new to the memo."""
-    for i in range(n):
-        serialize_response(StructuredResponse((make_step(query=f"filler {i}"),)))
+def render_another() -> str:
+    """Render a one-step text that no test reads, so that it is the last
+    rendered text."""
+    return serialize_response(StructuredResponse((make_step(query="another text"),)))
+
+
+def count_parses(monkeypatch, counted=lambda: True):
+    """Counts of the ``parse_response`` calls made where ``counted()`` is
+    true, and of the parses (``_parse`` calls) among them."""
+    counts = {"calls": 0, "parses": 0}
+    lock = threading.Lock()
+
+    def counting(key, fn):
+        def wrapper(*args, **kwargs):
+            if counted():
+                with lock:
+                    counts[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(template, "parse_response", counting("calls", parse_response))
+    monkeypatch.setattr(template, "_parse", counting("parses", template._parse))
+    return counts
+
+
+# parse_response calls of the golden rule-base run, and completions of the
+# 6-task http run through test_cli.FakeChatTransport.
+RULEBASE_CALLS = 156
+HTTP_COMPLETIONS = 72
 
 
 class TestParseMemo:
@@ -530,20 +515,19 @@ class TestParseMemo:
         raw = serialize_response(resp)
         assert parse_response(raw) == resp
         assert parse_response(raw) == resp
-        template._memo.clear()
+        render_another()
         assert parse_response(raw) == resp
 
     @settings(max_examples=300, deadline=None)
-    @given(memo_responses(), st.booleans(), st.sampled_from(["fresh", "seeded", "evicted"]))
+    @given(memo_responses(), st.booleans(),
+           st.sampled_from(["fresh", "seeded", "overwritten by a later render"]))
     def test_a_rendered_text_reads_as_the_reference_reads_it(self, resp, strict_first, memo):
         raw = serialize_response(resp)
         if memo == "fresh":
-            template._memo.clear()
-        elif memo == "evicted":
-            template._memo.clear()
-            raw = serialize_response(resp)
-            fill_memo(template._MEMO_SIZE)
-            assert raw not in template._memo
+            template._last_rendered = (None, None)
+        elif memo != "seeded":
+            render_another()
+            assert template._last_rendered[0] is not raw
         for strict in (strict_first, not strict_first):
             got = parse_outcome(lambda r: parse_response(r, require_final_answer=strict), raw)
             want = parse_outcome(lambda r: reference_parse(r, require_final_answer=strict), raw)
@@ -552,11 +536,10 @@ class TestParseMemo:
     @settings(max_examples=300, deadline=None)
     @given(mutated_responses())
     def test_a_failure_is_raised_on_every_call(self, raw):
-        template._memo.clear()
+        last = template._last_rendered
         first = parse_outcome(parse_response, raw)
         assert parse_outcome(parse_response, raw) == first
-        stored = isinstance(first, StructuredResponse)
-        assert len(template._memo) == stored
+        assert template._last_rendered is last  # a parse never writes the memo
 
     @settings(max_examples=100)
     @given(structured_responses(), st.booleans())
@@ -569,38 +552,60 @@ class TestParseMemo:
             else:
                 assert parse_response(raw).steps == resp.steps
 
-    def test_the_memo_is_bounded(self):
-        fill_memo(3 * template._MEMO_SIZE)
-        assert len(template._memo) == template._MEMO_SIZE
-
-    def test_golden_chain_run_parses_each_text_once(self, tmp_path, capsys, monkeypatch):
-        # The beam reads each candidate's answer back from the text the
-        # backend rendered for it, which the memo holds: the 40 tasks' 660
-        # parse_response calls make no parse at all.
-        counts = {"calls": 0, "parses": 0}
-
-        def counted(key, fn):
-            def wrapper(*args, **kwargs):
-                counts[key] += 1
-                return fn(*args, **kwargs)
-            return wrapper
-
-        monkeypatch.setattr(template, "parse_response", counted("calls", parse_response))
-        monkeypatch.setattr(template, "_parse", counted("parses", template._parse))
-        template._memo.clear()
-        cfg = golden_config(tmp_path, "chain")
+    def _golden_run_counts(self, tmp_path, capsys, monkeypatch, kind):
+        counts = count_parses(monkeypatch)
+        cfg = golden_config(tmp_path, kind)
         assert cli.main(["stage2", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
         capsys.readouterr()
+        return counts
+
+    def test_golden_chain_run_parses_each_text_once(self, tmp_path, capsys, monkeypatch):
+        # The backend reads each candidate right after rendering it, so the
+        # 40 tasks' 660 parse_response calls make no parse at all.
+        counts = self._golden_run_counts(tmp_path, capsys, monkeypatch, "chain")
         assert counts == {"calls": 660, "parses": 0}
 
+    def test_golden_rulebase_run_parses_no_text(self, tmp_path, capsys, monkeypatch):
+        counts = self._golden_run_counts(tmp_path, capsys, monkeypatch, "rulebase")
+        assert counts == {"calls": RULEBASE_CALLS, "parses": 0}
+
+    def test_http_run_parses_each_completion_once(self, tmp_path, capsys, monkeypatch):
+        # A completion that comes over the wire is a text the client did not
+        # render, so each is parsed, once.  The fake transport's own reads
+        # and renders are not counted.
+        from test_cli import fake_http, http_config
+
+        path = http_config(tmp_path, 2)
+        transport = fake_http(monkeypatch, path)
+        replying = threading.local()
+        completions = []
+        reply = transport.reply
+
+        def counted_reply(prompt, n):
+            replying.now = True
+            try:
+                contents = reply(prompt, n)
+            finally:
+                replying.now = False
+            if prompt.startswith("GEN\n\n"):
+                completions.extend(contents)
+            return contents
+
+        transport.reply = counted_reply
+        counts = count_parses(monkeypatch, lambda: not getattr(replying, "now", False))
+        assert cli.main(["stage2", "--config", path, "--out", str(tmp_path / "out")]) == 0
+        capsys.readouterr()
+        assert len(completions) == HTTP_COMPLETIONS
+        assert counts == {"calls": HTTP_COMPLETIONS, "parses": HTTP_COMPLETIONS}
+
     def test_threads_share_the_memo(self):
-        # Each thread renders and reads back responses of its own, more than
-        # the memo holds, so entries are added and evicted while other
-        # threads read; a short switch interval makes them interleave often.
+        # Each thread renders and reads back responses of its own while the
+        # others overwrite the last rendered text; a short switch interval
+        # makes them interleave often.
         n_threads = (os.cpu_count() or 1) + 2
         per_thread = [
             [StructuredResponse((make_step(query=f"thread {t} text {i}"),), "yes" * (i % 2))
-             for i in range(template._MEMO_SIZE)]
+             for i in range(16)]
             for t in range(n_threads)
         ]
         errors = []
@@ -633,7 +638,6 @@ class TestParseMemo:
             sys.setswitchinterval(old_interval)
         assert not any(th.is_alive() for th in threads)
         assert errors == []
-        assert len(template._memo) <= template._MEMO_SIZE
 
 
 def backslash_and_bracket_runs(size: int, seed: int) -> str:

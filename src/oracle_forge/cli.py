@@ -134,12 +134,12 @@ def cmd_stage1(cfg: PipelineConfig, prompts: dict[str, str]) -> int:
         return task, backend.generate_response(ctx)
 
     lost: list = []
-    kept, rejected = datafactory.stage1_filter(_run_per_task(cfg, tasks, one, lost))
-    manifest = datafactory.emit_stage1(
-        kept, rejected, cfg.out_dir, cfg.seed, cfg.hashable_dict(), cfg.max_sft,
-        lost_tasks=lost,
-    )
-    print(f"stage1: kept {manifest['counts']['kept']}, rejected {len(rejected)}")
+    with contextlib.closing(_run_per_task(cfg, tasks, one, lost)) as samples:
+        manifest = datafactory.emit_datasets(
+            samples, cfg.out_dir, seed=cfg.seed, config=cfg.hashable_dict(),
+            max_sft=cfg.max_sft, lost_tasks=lost, stage=datafactory.STAGE1,
+        )
+    print(f"stage1: kept {manifest['counts']['kept']}, rejected {manifest['counts']['rejected']}")
     return EXIT_FAILURE if lost else EXIT_OK
 
 

@@ -20,9 +20,8 @@ goes to a temporary name in the output directory first and is renamed into
 place only once all are written, ``manifest.json`` last.  Each file is
 replaced atomically, but the set is not: a run that fails before the renames
 leaves the previous run's files as they were, and one that fails between two
-renames can leave new files next to old ones, under the old manifest.  Stage
-2 streams: each task's ``BeamResult`` is written as it arrives, in task-id
-order, then dropped.
+renames can leave new files next to old ones, under the old manifest.  Both
+stages stream: each task's outcome is written as it arrives, then dropped.
 """
 
 from __future__ import annotations
@@ -74,29 +73,22 @@ class RejectReason:
     detail: str = ""
 
 
-def stage1_filter(samples) -> tuple[list[SftRecord], list[RejectReason]]:
-    """Keep the (task, raw response) pairs whose response strictly conforms
-    to the template and answers the task correctly; label rejects
-    FormatViolation or WrongAnswer."""
-    kept: list[SftRecord] = []
-    rejected: list[RejectReason] = []
-    for task, raw in samples:
-        # A parsed step checks its own fields when it is built, so one
-        # parse decides conformance.
-        try:
-            resp = template.parse_response(raw, require_final_answer=True)
-        except template.ParseError:
-            rejected.append(RejectReason(task.id, FORMAT_VIOLATION))
-            continue
-        if normalize_answer(resp.final_answer) != normalize_answer(task.gold_answer):
-            rejected.append(
-                RejectReason(task.id, WRONG_ANSWER, detail=resp.final_answer)
-            )
-            continue
-        kept.append(
-            SftRecord(prompt=task.prompt, response=raw, task_id=task.id, stage=STAGE1)
-        )
-    return kept, rejected
+def stage1_lines(sample) -> dict[str, list[str]]:
+    """The line of one (task, raw response) pair: an SftRecord in sft.jsonl if
+    the response strictly conforms to the template and answers the task
+    correctly, else a RejectReason, FormatViolation or WrongAnswer."""
+    task, raw = sample
+    # A parsed step checks its own fields when it is built, so one parse
+    # decides conformance.
+    try:
+        resp = template.parse_response(raw, require_final_answer=True)
+    except template.ParseError:
+        return {"rejections.jsonl": [_line(RejectReason(task.id, FORMAT_VIOLATION))]}
+    if normalize_answer(resp.final_answer) != normalize_answer(task.gold_answer):
+        reject = RejectReason(task.id, WRONG_ANSWER, detail=resp.final_answer)
+        return {"rejections.jsonl": [_line(reject)]}
+    record = SftRecord(prompt=task.prompt, response=raw, task_id=task.id, stage=STAGE1)
+    return {"sft.jsonl": [_line(record)]}
 
 
 # --------------------------------------------------------------------------
@@ -306,70 +298,75 @@ def _line(record) -> str:
     return json.dumps(vars(record))
 
 
-def emit_stage1(
-    kept, rejected, out_dir, seed: int, config: dict, max_sft: int, lost_tasks=()
-) -> dict:
-    """Write stage 1's kept SftRecords to sft.jsonl, its RejectReasons to
-    rejections.jsonl, and manifest.json; ``lost_tasks`` holds the tasks left
-    out of the run, which make the output partial."""
-    sft = kept[:max_sft]
-    manifest = {
-        "counts": {"kept": len(sft), "rejected": len(rejected)},
-        "seed": seed,
-        "config_hash": config_hash(config),
-        "stage": STAGE1,
-        "partial": bool(lost_tasks) or len(sft) < len(kept),
+def stage2_lines(result: BeamResult) -> dict[str, list[str]]:
+    """The lines of one BeamResult: its SFT and DPO records, and its nodes."""
+    return {
+        "sft.jsonl": [_line(rec) for rec in sft_records_from_result(result)],
+        "dpo.jsonl": [_line(rec) for rec in dpo_records_from_result(result)],
+        "audit.jsonl": list(_audit_lines(result.task.id, result.nodes)),
     }
-    lines = [*(("sft.jsonl", _line(r)) for r in sft),
-             *(("rejections.jsonl", _line(r)) for r in rejected),
-             ("manifest.json", json.dumps(manifest, sort_keys=True, indent=2))]
-    write_outputs(out_dir, ("sft.jsonl", "rejections.jsonl", "manifest.json"), lines)
-    return manifest
 
 
-def emit_datasets(
-    results,
-    out_dir,
-    seed: int,
-    config: dict | None = None,
-    max_sft: int | None = None,
-    max_dpo: int | None = None,
-    lost_tasks=(),
-) -> dict:
-    """Write sft.jsonl, dpo.jsonl, audit.jsonl and manifest.json from
-    ``results``, BeamResults in ascending task-id order (else ValueError),
-    each written as it arrives and then dropped.  Records past ``max_sft`` or
-    ``max_dpo`` are cut, which makes the output partial, as do ``lost_tasks``,
-    the tasks left out of ``results``, read once it is exhausted."""
-    counts = {"sft": 0, "dpo": 0, "tasks": 0}
+# Per stage: its renderer, its files in rename order, each with the count its
+# lines add to (None: not counted), and the manifest's fixed fields.
+_STAGES = {
+    STAGE1: (stage1_lines, {"sft.jsonl": "kept", "rejections.jsonl": "rejected"},
+             {"stage": STAGE1}),
+    STAGE2: (stage2_lines, {"sft.jsonl": "sft", "dpo.jsonl": "dpo", "audit.jsonl": None},
+             {"rule_language_version": kernel.RULE_LANGUAGE_VERSION,
+              "files": ["sft.jsonl", "dpo.jsonl", "audit.jsonl"]}),
+}
+
+
+def emit_datasets(outcomes, out_dir, seed: int, config: dict | None = None,
+                  max_sft: int | None = None, max_dpo: int | None = None,
+                  lost_tasks=(), stage: str = STAGE2) -> dict:
+    """Write one stage's files and manifest.json from ``outcomes``, one per
+    task, each rendered as it arrives and then dropped.  Lines past
+    ``max_sft`` in sft.jsonl or ``max_dpo`` in dpo.jsonl are cut, which makes
+    the output partial, as do ``lost_tasks``, read once ``outcomes`` is
+    exhausted.  The stages differ in four ways:
+
+    1. Their renderers, files and counts: stage 1 renders (task, raw response)
+       pairs into sft.jsonl and rejections.jsonl, counted as ``kept`` and
+       ``rejected``; stage 2 renders BeamResults into sft.jsonl, dpo.jsonl
+       and audit.jsonl, counting the first two as ``sft`` and ``dpo``.
+    2. The manifest's fixed fields: ``stage`` in stage 1, and
+       ``rule_language_version`` and ``files`` in stage 2.
+    3. Only stage 2 counts ``tasks``.
+    4. Only stage 2 requires task ids to ascend (else ValueError); stage 1
+       keeps its corpus order."""
+    render, counted, fixed = _STAGES[stage]
+    caps = {"sft.jsonl": max_sft, "dpo.jsonl": max_dpo}
+    counts = {key: 0 for key in counted.values() if key}
+    if stage == STAGE2:
+        counts["tasks"] = 0
     manifest = {
         "counts": counts,
         "seed": seed,
         "config_hash": config_hash(config or {}),
-        "rule_language_version": kernel.RULE_LANGUAGE_VERSION,
-        "files": ["sft.jsonl", "dpo.jsonl", "audit.jsonl"],
+        **fixed,
         "partial": False,
     }
 
     def lines():
         last = None
-        for result in results:
-            task_id = result.task.id
-            if last is not None and task_id <= last:
-                raise ValueError(f"task {task_id!r} after {last!r}: ids must ascend")
-            last = task_id
-            counts["tasks"] += 1
-            for kind, cap, records in (
-                ("sft", max_sft, sft_records_from_result(result)),
-                ("dpo", max_dpo, dpo_records_from_result(result)),
-            ):
-                kept = records if cap is None else records[: cap - counts[kind]]
-                counts[kind] += len(kept)
-                manifest["partial"] |= len(kept) < len(records)
-                yield from ((f"{kind}.jsonl", _line(rec)) for rec in kept)
-            yield from (("audit.jsonl", line) for line in _audit_lines(task_id, result.nodes))
+        for outcome in outcomes:
+            if stage == STAGE2:
+                task_id = outcome.task.id
+                if last is not None and task_id <= last:
+                    raise ValueError(f"task {task_id!r} after {last!r}: ids must ascend")
+                last = task_id
+                counts["tasks"] += 1
+            for name, rendered in render(outcome).items():
+                key, cap = counted[name], caps.get(name)
+                kept = rendered if cap is None else rendered[: cap - counts[key]]
+                if key:
+                    counts[key] += len(kept)
+                manifest["partial"] |= len(kept) < len(rendered)
+                yield from ((name, line) for line in kept)
         manifest["partial"] |= bool(lost_tasks)
         yield "manifest.json", json.dumps(manifest, sort_keys=True, indent=2)
 
-    write_outputs(out_dir, [*manifest["files"], "manifest.json"], lines())
+    write_outputs(out_dir, [*counted, "manifest.json"], lines())
     return manifest

@@ -25,8 +25,9 @@ from oracle_forge.beam import BeamConfig, BeamNode, ScoreBreakdown, run_beam
 from oracle_forge.corpus import CorruptionModel, gen_chain_task, gold_step
 from oracle_forge.datafactory import (
     FORMAT_VIOLATION,
+    STAGE1,
     WRONG_ANSWER,
-    stage1_filter,
+    emit_datasets,
 )
 from oracle_forge.gateway import (
     GENERATION_ERROR,
@@ -227,7 +228,7 @@ def test_06_preference_pair_soundness():
     gate.check(n_pairs > 0, "no pairs produced at all")
     gate.finish()
 
-def test_07_stage1_filter_exactness():
+def test_07_stage1_filter_exactness(tmp_path):
     gate = Gate(7, "stage-1 filter matches planted labels", budget_s=30)
     tasks = [gen_chain_task(1 + i % 4, seed=i) for i in range(100)]
     samples = planted_stage1_corpus(
@@ -238,12 +239,16 @@ def test_07_stage1_filter_exactness():
         by_label[s.label].append(s)
     gate.check(len(by_label[PLANT_MALFORMED]) == 40, "malformed plant count")
     gate.check(len(by_label[PLANT_WRONG_ANSWER]) == 20, "wrong-answer plant count")
-    kept, rejected = stage1_filter((s.task, s.raw) for s in samples)
+    emit_datasets(((s.task, s.raw) for s in samples), tmp_path, seed=23, stage=STAGE1)
+    kept, rejected = (
+        [json.loads(line) for line in (tmp_path / name).read_text().splitlines()]
+        for name in ("sft.jsonl", "rejections.jsonl")
+    )
     clean_ids = sorted(s.task.id for s in by_label[PLANT_CLEAN])
-    gate.check(sorted(r.task_id for r in kept) == clean_ids, "kept set mismatch")
+    gate.check(sorted(r["task_id"] for r in kept) == clean_ids, "kept set mismatch")
     labels = {}
     for r in rejected:
-        labels.setdefault(r.label, []).append(r.task_id)
+        labels.setdefault(r["label"], []).append(r["task_id"])
     gate.check(
         sorted(labels.get(FORMAT_VIOLATION, []))
         == sorted(s.task.id for s in by_label[PLANT_MALFORMED]),

@@ -813,6 +813,96 @@ class TestStage2Streaming:
         assert outputs[0] == outputs[1]
 
 
+STAGE1_FILES = ("sft.jsonl", "rejections.jsonl", "manifest.json")
+
+
+class TestStage1Streaming:
+    """Stage 1 writes each task's line once its sample is generated, in
+    corpus order, and then drops the sample."""
+
+    @staticmethod
+    def watch_generation(monkeypatch, fail_at=None, slow_first=0.0):
+        """Wrap cli.make_task_backend to count the backends' generate_response
+        calls, and datafactory.write_outputs to record that count as each line
+        but the manifest's arrives.  Returns a dict: ``generated``, the calls
+        so far, and ``seen``, the count at each line, in line order.  The
+        first call sleeps ``slow_first`` seconds, and call number ``fail_at``
+        raises RuntimeError."""
+        lock = threading.Lock()
+        state = {"generated": 0, "seen": []}
+        make_task_backend, write_outputs = cli.make_task_backend, datafactory.write_outputs
+
+        def watched_backend(cfg, task, prompts):
+            backend = make_task_backend(cfg, task, prompts)
+            generate = backend.generate_response
+
+            def generate_response(ctx):
+                with lock:
+                    state["generated"] += 1
+                    n = state["generated"]
+                if n == 1:
+                    time.sleep(slow_first)
+                if n == fail_at:
+                    raise RuntimeError(f"generation failed on {task.id}")
+                return generate(ctx)
+
+            backend.generate_response = generate_response
+            return backend
+
+        def watched_write(out_dir, names, lines):
+            def watched_lines():
+                for name, line in lines:
+                    if name != "manifest.json":
+                        with lock:
+                            state["seen"].append(state["generated"])
+                    yield name, line
+
+            write_outputs(out_dir, names, watched_lines())
+
+        monkeypatch.setattr(cli, "make_task_backend", watched_backend)
+        monkeypatch.setattr(datafactory, "write_outputs", watched_write)
+        return state
+
+    def test_scripted_run_generates_each_sample_just_before_its_line(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        state = self.watch_generation(monkeypatch)
+        cfg = golden_config(tmp_path, "chain")  # 40 tasks
+        code, _, _ = run_cli(capsys, "stage1", "--config", cfg, "--out", str(tmp_path / "out"))
+        assert code == 0 and state["generated"] == 40
+        assert state["seen"] == list(range(1, 41))
+
+    @pytest.mark.parametrize("workers", [2, 4])
+    def test_http_run_generates_at_most_workers_ahead(
+        self, tmp_path, capsys, monkeypatch, workers
+    ):
+        # The first sample is slow, so the other workers would run ahead
+        # without bound if nothing held them back.
+        cfg = http_config(tmp_path, workers=workers, count=12)
+        fake_http(monkeypatch, cfg)
+        state = self.watch_generation(monkeypatch, slow_first=0.3)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            code, _, _ = run_cli(capsys, "stage1", "--config", cfg, "--out", str(tmp_path / "out"))
+        finally:
+            sys.setswitchinterval(interval)
+        assert code == 0 and state["generated"] == 12 and len(state["seen"]) == 12
+        assert all(k <= n <= k + workers for k, n in enumerate(state["seen"], 1)), state["seen"]
+
+    def test_failed_scripted_run_leaves_previous_outputs(self, tmp_path, capsys, monkeypatch):
+        cfg = golden_config(tmp_path, "chain")
+        out = tmp_path / "out"
+        assert run_cli(capsys, "stage1", "--config", cfg, "--out", str(out))[0] == 0
+        before = read_outputs(out)
+        assert sorted(before) == sorted(STAGE1_FILES)
+        state = self.watch_generation(monkeypatch, fail_at=3)
+        with pytest.raises(RuntimeError, match="generation failed"):
+            cli.main(["stage1", "--config", cfg, "--out", str(out), "--seed", "4"])
+        assert state["generated"] == 3 and state["seen"] == [1, 2]
+        assert read_outputs(out) == before
+
+
 class TestStatsCli:
     def _audit(self, tmp_path, capsys):
         cfg = write(

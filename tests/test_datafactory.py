@@ -36,6 +36,7 @@ from oracle_forge.corpus import (
 )
 from oracle_forge.datafactory import (
     FORMAT_VIOLATION,
+    STAGE1,
     MalformedAudit,
     WRONG_ANSWER,
     compute_stats,
@@ -44,7 +45,7 @@ from oracle_forge.datafactory import (
     format_stats_tables,
     normalize_answer,
     read_audit,
-    stage1_filter,
+    stage1_lines,
 )
 from oracle_forge.gateway import (
     GENERATION_ERROR,
@@ -115,39 +116,49 @@ class TestNormalizeAnswer:
         assert time.perf_counter() - start < 1.0
 
 
+def stage1_records(samples):
+    """The records stage1_lines writes for ``samples``: the kept ones, then
+    the rejected ones."""
+    records = {"sft.jsonl": [], "rejections.jsonl": []}
+    for sample in samples:
+        for name, lines in stage1_lines(sample).items():
+            records[name].extend(json.loads(line) for line in lines)
+    return records["sft.jsonl"], records["rejections.jsonl"]
+
+
 class TestStage1Filter:
     def test_clean_sample_kept(self):
         task = gen_chain_task(2, seed=0)
         raw = serialize_response(gold_response(task))
-        kept, rejected = stage1_filter([(task, raw)])
+        kept, rejected = stage1_records([(task, raw)])
         assert len(kept) == 1 and rejected == []
-        assert kept[0].stage == "stage1"
+        assert kept[0]["stage"] == "stage1"
 
     def test_malformed_sample_rejected(self):
         task = gen_chain_task(2, seed=0)
         raw = serialize_response(gold_response(task)).replace("<RULE>", "", 1)
-        kept, rejected = stage1_filter([(task, raw)])
-        assert kept == [] and rejected[0].label == FORMAT_VIOLATION
+        kept, rejected = stage1_records([(task, raw)])
+        assert kept == [] and rejected[0]["label"] == FORMAT_VIOLATION
 
     def test_wrong_answer_rejected(self):
         task = gen_chain_task(2, seed=0)
         raw = serialize_response(gold_response(task))
-        kept, rejected = stage1_filter(
+        kept, rejected = stage1_records(
             [(replace(task, gold_answer="not-the-answer"), raw)]
         )
-        assert kept == [] and rejected[0].label == WRONG_ANSWER
+        assert kept == [] and rejected[0]["label"] == WRONG_ANSWER
 
     def test_planted_corpus_labels_are_exact(self):
         tasks = [gen_chain_task(2 + i % 3, seed=i) for i in range(50)]
         samples = planted_stage1_corpus(tasks, 0.4, 0.2, seed=11)
-        kept, rejected = stage1_filter([(s.task, s.raw) for s in samples])
+        kept, rejected = stage1_records([(s.task, s.raw) for s in samples])
         by_label = {PLANT_CLEAN: 0, PLANT_MALFORMED: 0, PLANT_WRONG_ANSWER: 0}
         for s in samples:
             by_label[s.label] += 1
         assert len(kept) == by_label[PLANT_CLEAN]
         got = {FORMAT_VIOLATION: 0, WRONG_ANSWER: 0}
         for r in rejected:
-            got[r.label] += 1
+            got[r["label"]] += 1
         assert got[FORMAT_VIOLATION] == by_label[PLANT_MALFORMED]
         assert got[WRONG_ANSWER] == by_label[PLANT_WRONG_ANSWER]
 
@@ -491,9 +502,9 @@ class TestEmitDatasets:
         ]
         assert rows
         samples = [(tasks[r["task_id"]], r["response"]) for r in rows]
-        kept, rejected = stage1_filter(samples)
+        kept, rejected = stage1_records(samples)
         assert len(kept) == len(rows) and rejected == []
-        assert [k.prompt for k in kept] == [r["prompt"] for r in rows]
+        assert [k["prompt"] for k in kept] == [r["prompt"] for r in rows]
 
     def test_dpo_invariants(self, tmp_path):
         results = _results(6, p_bad_rule=0.4, seed=9)
@@ -562,6 +573,14 @@ def result_pool():
     return tuple(sorted(results, key=lambda r: r.task.id))
 
 
+def file_bytes(texts):
+    """The bytes of each file of ``texts``, its lines without their newlines."""
+    return {
+        name: "".join(line + "\n" for line in lines).encode("utf-8")
+        for name, lines in texts.items()
+    }
+
+
 def oracle_emit(results, seed, max_sft, max_dpo, lost_tasks):
     """The manifest and file bytes of emit_datasets as it was when it took a
     list: sort the results by task id, build every record, then slice."""
@@ -587,10 +606,43 @@ def oracle_emit(results, seed, max_sft, max_dpo, lost_tasks):
         "audit.jsonl": audit,
         "manifest.json": [json.dumps(manifest, sort_keys=True, indent=2)],
     }
-    return manifest, {
-        name: "".join(line + "\n" for line in lines).encode("utf-8")
-        for name, lines in texts.items()
+    return manifest, file_bytes(texts)
+
+
+def oracle_emit_stage1(samples, seed, max_sft, lost_tasks):
+    """The manifest and file bytes of stage 1 as it was before it streamed:
+    filter every sample into two lists, then slice the kept ones."""
+    kept, rejected = [], []
+    for task, raw in samples:
+        try:
+            resp = template.parse_response(raw, require_final_answer=True)
+        except template.ParseError:
+            rejected.append(datafactory.RejectReason(task.id, FORMAT_VIOLATION))
+            continue
+        if normalize_answer(resp.final_answer) != normalize_answer(task.gold_answer):
+            rejected.append(datafactory.RejectReason(task.id, WRONG_ANSWER, resp.final_answer))
+            continue
+        kept.append(datafactory.SftRecord(task.prompt, raw, task.id, stage=STAGE1))
+    sft = kept[:max_sft]
+    manifest = {
+        "counts": {"kept": len(sft), "rejected": len(rejected)},
+        "seed": seed,
+        "config_hash": config_hash({}),
+        "stage": STAGE1,
+        "partial": lost_tasks > 0 or len(sft) < len(kept),
     }
+    texts = {
+        "sft.jsonl": [json.dumps(vars(rec)) for rec in sft],
+        "rejections.jsonl": [json.dumps(vars(rec)) for rec in rejected],
+        "manifest.json": [json.dumps(manifest, sort_keys=True, indent=2)],
+    }
+    return manifest, file_bytes(texts)
+
+
+@functools.lru_cache(maxsize=None)
+def stage1_tasks():
+    """Sixteen chain tasks of 1 to 4 hops, for planted stage-1 corpora."""
+    return tuple(gen_chain_task(1 + i % 4, seed=900 + i) for i in range(16))
 
 
 def read_dir(path) -> dict[str, bytes]:
@@ -622,6 +674,31 @@ class TestStreamedEmission:
             )
             written = read_dir(out)
         want_manifest, want_files = oracle_emit(results, 1, max_sft, max_dpo, lost)
+        assert manifest == want_manifest
+        assert written == want_files
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        malformed=st.floats(0, 1),
+        wrong=st.floats(0, 1),
+        corpus_seed=st.integers(0, 2**32),
+        max_sft=caps,
+        lost=st.integers(0, 2),
+    )
+    def test_stage1_matches_an_oracle_that_filters_then_slices(
+        self, malformed, wrong, corpus_seed, max_sft, lost
+    ):
+        planted = planted_stage1_corpus(
+            stage1_tasks(), malformed, wrong * (1 - malformed), seed=corpus_seed
+        )
+        samples = [(p.task, p.raw) for p in planted]
+        with tempfile.TemporaryDirectory() as out:
+            manifest = emit_datasets(
+                iter(samples), out, seed=2, max_sft=max_sft, lost_tasks=["lost"] * lost,
+                stage=STAGE1,
+            )
+            written = read_dir(out)
+        want_manifest, want_files = oracle_emit_stage1(samples, 2, max_sft, lost)
         assert manifest == want_manifest
         assert written == want_files
 

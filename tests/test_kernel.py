@@ -115,6 +115,8 @@ PINNED_SYNTAX_ERRORS = [
     ("\tfact\tp(a)\t:-\tq.", (1, 12, ".")),
     ("fact p(a).\r\n\trule q(X) :- p(X) ,, r(X).", (2, 21, "predicate name")),
     ("fact p(ß, é²).\n\tfact Éa.", (2, 7, "predicate name (lowercase)")),
+    ("fakt p(a).", (1, 1, "'fact' or 'rule'")),
+    ("fact p(a).\nrules q(X) :- p(X).", (2, 1, "'fact' or 'rule'")),
 ]
 
 

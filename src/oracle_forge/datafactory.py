@@ -5,12 +5,13 @@ A failed step's audit class is the one its translation names, or
 gives each class its run count and its row in the failure taxonomy.
 
 Emitted files (all UTF-8, LF, fixed key order, no timestamps in records).
-A line of a record file holds its record's fields, in declaration order:
+A line of a record file holds one JSON object, its keys in this order:
 
-- ``sft.jsonl``:  SftRecord {"prompt", "response", "task_id", "stage"}
-- ``dpo.jsonl``:  DpoRecord {"prompt", "chosen", "rejected", "task_id"}
+- ``sft.jsonl``:  {"prompt", "response", "task_id", "stage"}
+- ``dpo.jsonl``:  {"prompt", "chosen", "rejected", "task_id"}
 - ``audit.jsonl``: one beam node per line (schema in docs/audit_schema.md)
-- ``rejections.jsonl`` (stage 1 only): RejectReason {"task_id", "label", "detail"}
+- ``rejections.jsonl`` (stage 1 only): {"task_id", "label", "detail"}, the
+  detail a WrongAnswer's final answer and "" for a FormatViolation
 - ``manifest.json``: counts, seed, config hash, rule-language version (stage
   2) or stage name (stage 1), and ``partial``: true when ``max_sft`` or
   ``max_dpo`` cut records.
@@ -31,7 +32,6 @@ import hashlib
 import json
 import os
 import re
-from dataclasses import dataclass
 
 from . import kernel, template
 from .beam import BeamResult
@@ -50,45 +50,23 @@ class MalformedAudit(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class SftRecord:
-    prompt: str
-    response: str
-    task_id: str
-    stage: str = STAGE2
-
-
-@dataclass(frozen=True)
-class DpoRecord:
-    prompt: str
-    chosen: str
-    rejected: str
-    task_id: str
-
-
-@dataclass(frozen=True)
-class RejectReason:
-    task_id: str
-    label: str
-    detail: str = ""
-
-
 def stage1_lines(sample) -> dict[str, list[str]]:
-    """The line of one (task, raw response) pair: an SftRecord in sft.jsonl if
-    the response strictly conforms to the template and answers the task
-    correctly, else a RejectReason, FormatViolation or WrongAnswer."""
+    """The line of one (task, raw response) pair: an SFT record in sft.jsonl
+    if the response strictly conforms to the template and answers the task
+    correctly, else a FormatViolation or WrongAnswer rejection."""
     task, raw = sample
     # A parsed step checks its own fields when it is built, so one parse
     # decides conformance.
     try:
         resp = template.parse_response(raw, require_final_answer=True)
     except template.ParseError:
-        return {"rejections.jsonl": [_line(RejectReason(task.id, FORMAT_VIOLATION))]}
+        reject = {"task_id": task.id, "label": FORMAT_VIOLATION, "detail": ""}
+        return {"rejections.jsonl": [json.dumps(reject)]}
     if normalize_answer(resp.final_answer) != normalize_answer(task.gold_answer):
-        reject = RejectReason(task.id, WRONG_ANSWER, detail=resp.final_answer)
-        return {"rejections.jsonl": [_line(reject)]}
-    record = SftRecord(prompt=task.prompt, response=raw, task_id=task.id, stage=STAGE1)
-    return {"sft.jsonl": [_line(record)]}
+        reject = {"task_id": task.id, "label": WRONG_ANSWER, "detail": resp.final_answer}
+        return {"rejections.jsonl": [json.dumps(reject)]}
+    record = {"prompt": task.prompt, "response": raw, "task_id": task.id, "stage": STAGE1}
+    return {"sft.jsonl": [json.dumps(record)]}
 
 
 # --------------------------------------------------------------------------
@@ -223,8 +201,10 @@ def format_stats_tables(stats: dict) -> str:
 # Dataset emission
 
 
-def sft_records_from_result(result: BeamResult) -> list[SftRecord]:
-    prompt = result.task.prompt
+def sft_records_from_result(result: BeamResult) -> list[dict]:
+    """One SFT record per distinct response of the harvested paths, in
+    harvest order."""
+    task = result.task
     records = []
     seen: set[str] = set()
     for path in result.sft_paths:
@@ -234,27 +214,21 @@ def sft_records_from_result(result: BeamResult) -> list[SftRecord]:
         if response in seen:
             continue
         seen.add(response)
-        records.append(
-            SftRecord(prompt=prompt, response=response, task_id=result.task.id)
-        )
+        records.append({"prompt": task.prompt, "response": response, "task_id": task.id,
+                        "stage": STAGE2})
     return records
 
 
-def dpo_records_from_result(result: BeamResult) -> list[DpoRecord]:
+def dpo_records_from_result(result: BeamResult) -> list[dict]:
+    """One DPO record per pair whose two sides render apart."""
     records = []
     for pair in result.pairs:
         chosen = template.serialize_step(pair.chosen.step)
         rejected = template.serialize_step(pair.rejected.step)
         if chosen == rejected:
             continue
-        records.append(
-            DpoRecord(
-                prompt=pair.prompt,
-                chosen=chosen,
-                rejected=rejected,
-                task_id=result.task.id,
-            )
-        )
+        records.append({"prompt": pair.prompt, "chosen": chosen, "rejected": rejected,
+                        "task_id": result.task.id})
     return records
 
 
@@ -294,15 +268,11 @@ def save_tasks(tasks, path) -> None:
     write_outputs(out_dir, [name], lines)
 
 
-def _line(record) -> str:
-    return json.dumps(vars(record))
-
-
 def stage2_lines(result: BeamResult) -> dict[str, list[str]]:
     """The lines of one BeamResult: its SFT and DPO records, and its nodes."""
     return {
-        "sft.jsonl": [_line(rec) for rec in sft_records_from_result(result)],
-        "dpo.jsonl": [_line(rec) for rec in dpo_records_from_result(result)],
+        "sft.jsonl": [json.dumps(rec) for rec in sft_records_from_result(result)],
+        "dpo.jsonl": [json.dumps(rec) for rec in dpo_records_from_result(result)],
         "audit.jsonl": list(_audit_lines(result.task.id, result.nodes)),
     }
 

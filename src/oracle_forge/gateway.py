@@ -341,6 +341,8 @@ class HttpBackend:
 
     def translate(self, step: template.ReasoningStep) -> TranslationResult:
         text = self._answer(self._prompt("translation", template.serialize_step(step)))
+        if text.strip().partition(":")[0] == "UNTRANSLATABLE":  # with or without a reason
+            return TranslationResult(error_kind=GENERATION_ERROR)
         try:
             facts, (rule,) = kernel.parse_clauses(text)
         except ValueError:  # a KblSyntaxError, or not exactly one rule

@@ -1424,7 +1424,7 @@ def test_scripted_oracle_outputs_match_golden_digests(tmp_path, capsys, stage, k
 HTTP_DIGESTS = {
     "sft.jsonl": "b3a463413ccc9b57388fc9c7a0d8fbf2ec2403860ba9a25f3b7e396edb41fccf",
     "dpo.jsonl": "e55a1db796240a812059543e987ab1e3629722c4ee5d21a0f6eed0b457664cbb",
-    "audit.jsonl": "adb6162cb9ea9e9e2a17673fcc68d4adac6e84772ee6566318f7b50bf32a6c28",
+    "audit.jsonl": "663012621a0a6e97c8a17f6b5d36cff6d106ebe2a0d4c726e2a9139a0e5ee743",
     "manifest.json": "662b0ac2536f45d42b1f62bdaa4c0e447c76d2d99ed490bb38323eee248c65a8",
 }
 
@@ -1442,6 +1442,19 @@ def test_http_outputs_match_golden_digests(tmp_path, capsys, monkeypatch, worker
         name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in HTTP_DIGESTS
     }
     assert digests == HTTP_DIGESTS
+
+
+def test_http_untranslatable_steps_are_generation_errors(tmp_path, capsys, monkeypatch):
+    # FakeChatTransport answers UNTRANSLATABLE for a step that cites a sentence
+    # outside the task's pairing, which the noisy generator writes.
+    path = http_config(tmp_path, 1)
+    fake_http(monkeypatch, path)
+    out = tmp_path / "out"
+    code, _, _ = run_cli(capsys, "stage2", "--config", path, "--out", str(out))
+    assert code == 0
+    code, stdout, _ = run_cli(capsys, "stats", str(out / "audit.jsonl"), "--json")
+    assert code == 0
+    assert json.loads(stdout)["failures_generation"] > 0
 
 
 # sha256 of the manifest, whose config_hash covers every config value, of

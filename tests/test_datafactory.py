@@ -555,6 +555,27 @@ class TestEmitDatasets:
         assert pair.chosen.step == pair.rejected.step == gold
         assert datafactory.dpo_records_from_result(result) == []
 
+    def test_paths_that_render_the_same_make_one_sft_record(self):
+        task = gen_chain_task(2, seed=0)
+        result = run_beam(task, BeamConfig(), ScriptedNoisyBackend(task, CorruptionModel()))
+        responses = {sft_response(p) for p in result.sft_paths}
+        assert (len(result.sft_paths), len(responses)) == (9, 1)
+        (record,) = datafactory.sft_records_from_result(result)
+        assert record == {"prompt": task.prompt, "response": sft_response(result.sft_paths[0]),
+                          "task_id": task.id, "stage": "stage2"}
+
+    def test_distinct_sft_responses_come_in_harvest_order(self):
+        # Nine harvested paths whose responses alternate between two texts,
+        # the first seen on paths 0 and 1.
+        task = gen_chain_task(3, seed=702)
+        backend = ScriptedNoisyBackend(task, CorruptionModel(p_bad_rule=0.4, seed=7))
+        result = run_beam(task, BeamConfig(), backend)
+        responses = [sft_response(p) for p in result.sft_paths]
+        first, second = responses[:2]
+        assert len(responses) == 9 and first != second and set(responses) == {first, second}
+        records = datafactory.sft_records_from_result(result)
+        assert [rec["response"] for rec in records] == [first, second]
+
     def test_config_hash_stable_and_order_free(self):
         assert config_hash({"a": 1, "b": 2}) == config_hash({"b": 2, "a": 1})
         assert config_hash({"a": 1}) != config_hash({"a": 2})
@@ -581,12 +602,39 @@ def file_bytes(texts):
     }
 
 
+def sft_response(path):
+    """The response text of a harvested path."""
+    return template.serialize_response(template.StructuredResponse(path.steps, path.answer))
+
+
+def oracle_sft(result):
+    """The SFT records of one result: one per distinct response of its
+    harvested paths, in harvest order."""
+    task = result.task
+    responses = dict.fromkeys(map(sft_response, result.sft_paths))
+    return [
+        {"prompt": task.prompt, "response": r, "task_id": task.id, "stage": "stage2"}
+        for r in responses
+    ]
+
+
+def oracle_dpo(result):
+    """The DPO records of one result: one per pair whose sides render apart."""
+    records = []
+    for pair in result.pairs:
+        chosen, rejected = (template.serialize_step(n.step) for n in (pair.chosen, pair.rejected))
+        if chosen != rejected:
+            records.append({"prompt": pair.prompt, "chosen": chosen, "rejected": rejected,
+                            "task_id": result.task.id})
+    return records
+
+
 def oracle_emit(results, seed, max_sft, max_dpo, lost_tasks):
     """The manifest and file bytes of emit_datasets as it was when it took a
     list: sort the results by task id, build every record, then slice."""
     results = sorted(results, key=lambda r: r.task.id)
-    all_sft = [rec for r in results for rec in datafactory.sft_records_from_result(r)]
-    all_dpo = [rec for r in results for rec in datafactory.dpo_records_from_result(r)]
+    all_sft = [rec for r in results for rec in oracle_sft(r)]
+    all_dpo = [rec for r in results for rec in oracle_dpo(r)]
     sft, dpo = all_sft[:max_sft], all_dpo[:max_dpo]
     manifest = {
         "counts": {"sft": len(sft), "dpo": len(dpo), "tasks": len(results)},
@@ -601,8 +649,8 @@ def oracle_emit(results, seed, max_sft, max_dpo, lost_tasks):
         for r in results for node in r.nodes
     ]
     texts = {
-        "sft.jsonl": [json.dumps(vars(rec)) for rec in sft],
-        "dpo.jsonl": [json.dumps(vars(rec)) for rec in dpo],
+        "sft.jsonl": [json.dumps(rec) for rec in sft],
+        "dpo.jsonl": [json.dumps(rec) for rec in dpo],
         "audit.jsonl": audit,
         "manifest.json": [json.dumps(manifest, sort_keys=True, indent=2)],
     }
@@ -617,12 +665,14 @@ def oracle_emit_stage1(samples, seed, max_sft, lost_tasks):
         try:
             resp = template.parse_response(raw, require_final_answer=True)
         except template.ParseError:
-            rejected.append(datafactory.RejectReason(task.id, FORMAT_VIOLATION))
+            rejected.append({"task_id": task.id, "label": FORMAT_VIOLATION, "detail": ""})
             continue
         if normalize_answer(resp.final_answer) != normalize_answer(task.gold_answer):
-            rejected.append(datafactory.RejectReason(task.id, WRONG_ANSWER, resp.final_answer))
+            rejected.append(
+                {"task_id": task.id, "label": WRONG_ANSWER, "detail": resp.final_answer}
+            )
             continue
-        kept.append(datafactory.SftRecord(task.prompt, raw, task.id, stage=STAGE1))
+        kept.append({"prompt": task.prompt, "response": raw, "task_id": task.id, "stage": STAGE1})
     sft = kept[:max_sft]
     manifest = {
         "counts": {"kept": len(sft), "rejected": len(rejected)},
@@ -632,8 +682,8 @@ def oracle_emit_stage1(samples, seed, max_sft, lost_tasks):
         "partial": lost_tasks > 0 or len(sft) < len(kept),
     }
     texts = {
-        "sft.jsonl": [json.dumps(vars(rec)) for rec in sft],
-        "rejections.jsonl": [json.dumps(vars(rec)) for rec in rejected],
+        "sft.jsonl": [json.dumps(rec) for rec in sft],
+        "rejections.jsonl": [json.dumps(rec) for rec in rejected],
         "manifest.json": [json.dumps(manifest, sort_keys=True, indent=2)],
     }
     return manifest, file_bytes(texts)
@@ -655,8 +705,8 @@ class TestStreamedEmission:
     def test_pool_has_records_to_cut(self):
         pool = result_pool()
         assert len({r.task.id for r in pool}) == len(pool)
-        assert sum(len(datafactory.sft_records_from_result(r)) for r in pool) > 12
-        assert sum(len(datafactory.dpo_records_from_result(r)) for r in pool) > 12
+        assert sum(len(oracle_sft(r)) for r in pool) > 12
+        assert sum(len(oracle_dpo(r)) for r in pool) > 12
 
     @settings(max_examples=60, deadline=None)
     @given(

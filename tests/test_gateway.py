@@ -359,6 +359,26 @@ class TestHttpBackend:
         )
         assert backend.translate(step).error_kind == TRANSLATION_ERROR
 
+    @pytest.mark.parametrize(
+        "reply, kind",
+        [
+            ("UNTRANSLATABLE", GENERATION_ERROR),
+            ("  UNTRANSLATABLE\n", GENERATION_ERROR),
+            ("UNTRANSLATABLE: no symbol for 'is a man'\n", GENERATION_ERROR),
+            ("UNTRANSLATABLE because", TRANSLATION_ERROR),
+            ("fact man(socrates).\nUNTRANSLATABLE: no rule", TRANSLATION_ERROR),
+        ],
+    )
+    def test_untranslatable_reply_is_a_generation_error(self, reply, kind):
+        # prompts/translation.txt asks for "UNTRANSLATABLE: <reason>" when a
+        # sentence has no faithful symbolic form; the bare word counts too.
+        backend = http_backend(FakeTransport([(200, chat_response(reply))]))
+        step = template.ReasoningStep(
+            query="q", facts=("f",), rule="r", revision="",
+            revision_result=template.RETAINED_TOKEN, reasoning_result="c",
+        )
+        assert backend.translate(step).error_kind == kind
+
     def test_prompt_strings_are_pinned(self):
         # Each prompt is its asset, then its parts with empty ones dropped,
         # one blank line apart; perfbench/stub.py parses this layout.

@@ -89,6 +89,24 @@ class TestParser:
         kb = parse_program("rule q(?x) :- p(?x).")
         assert kb.rules[0].head.variables() == {"?x"}
 
+    @pytest.mark.parametrize(
+        "head, pos, neg, text",
+        [
+            ("p", (), (), "p."),
+            ("a(X)", ("d(X)",), (), "a(X) :- d(X)."),
+            ("a(X)", ("d(X)",), ("b(X)",), "a(X) :- d(X), not b(X)."),
+            ("a", (), ("b",), "a :- not b."),
+        ],
+    )
+    def test_rule_text_and_round_trip(self, head, pos, neg, text):
+        # A rule without a body prints as its head, and one with only negated
+        # atoms still prints its body.
+        rule = Rule(parse_atom(head), tuple(map(parse_atom, pos)), tuple(map(parse_atom, neg)))
+        assert str(rule) == text
+        kb = KnowledgeBase(rules=(rule,))
+        assert kb.pretty() == f"rule {text}\n"
+        assert parse_program(kb.pretty()) == kb
+
     def test_pretty_print_round_trip_fuzz(self):
         rng = random.Random(1234)
         for _ in range(500):
